@@ -2,8 +2,9 @@
 
 Each subcommand names an experiment; a JSON config may override the
 defaults, and the common flags select the output directory, the base
-seed, and the worker-thread count.  The process exits 0 exactly when the
-experiment's verdict is a pass.
+seed, and the worker-thread count.  The process exits 0 when the
+experiment's verdict is a pass, 1 when it is a fail, and 2 with a one-line
+message on stderr when the config, the solver or the report output fails.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import lab
+from .solver import SolverError
 
 _SUBCOMMANDS = {name.replace("_", "-"): name for name in lab.EXPERIMENTS}
 
@@ -70,9 +72,14 @@ def _load_config(args: argparse.Namespace) -> lab.ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one experiment; exit 0 on PASS, 1 on FAIL, 2 on a usage or run error."""
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args)
-    report = lab.run_experiment(cfg)
+    try:
+        cfg = _load_config(args)
+        report = lab.run_experiment(cfg)
+    except (OSError, ValueError, SolverError) as err:
+        print(f"torusgas {args.command}: error: {err}", file=sys.stderr)
+        return 2
     summary = report.summary()
     verdict = "PASS" if summary["pass"] else "FAIL"
     line = f"{summary['experiment']}: {verdict}"

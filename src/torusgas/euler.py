@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import spectral
 from .spectral import Field, TorusGrid
@@ -39,6 +40,9 @@ __all__ = [
     "matrix_C",
     "symmetrizer_floor",
     "rhs",
+    "rhs_hat",
+    "state_to_hat",
+    "state_from_hat",
     "divergence",
     "max_wave_speed",
     "state_norm",
@@ -262,12 +266,17 @@ class State:
 
     def require_admissible(self, floor: float = REGION_FLOOR) -> None:
         """Raise AdmissibleStateError unless min(rho) and min(h) exceed floor."""
-        for name, value in (("rho", self.min_rho()), ("h", self.min_h())):
-            if not value > floor:
-                raise AdmissibleStateError(
-                    f"state left the admissible region: min({name}) = {value:.6e} "
-                    f"<= floor {floor:.1e}"
-                )
+        _require_admissible(self.rho.samples, self.h.samples, floor)
+
+
+def _require_admissible(rho: np.ndarray, h: np.ndarray, floor: float) -> None:
+    for name, values in (("rho", rho), ("h", h)):
+        low = values.min()
+        if not low > floor:
+            raise AdmissibleStateError(
+                f"state left the admissible region: min({name}) = {low:.6e} "
+                f"<= floor {floor:.1e}"
+            )
 
 
 def state_norm(s: State, sigma: float) -> float:
@@ -293,40 +302,51 @@ def base_deviation(s: State, g: GasParams) -> State:
     )
 
 
-def rhs(
-    s: State,
-    g: GasParams,
-    floor: float = REGION_FLOOR,
-    dealias_products: bool = True,
-) -> State:
-    """Right-hand side -(A(U) U_x + B(U) U_y) of U_t = rhs(U).
+def state_to_hat(s: State) -> np.ndarray:
+    """Stacked unnormalized rfft2 coefficients of (rho, u, v, h), shape (4, N, N/2 + 1)."""
+    return sfft.rfft2(np.stack([f.samples for f in s.fields()]), axes=(-2, -1))
 
-    Derivatives are spectral; products are formed pointwise in physical
-    space and each assembled component is dealiased once.
+
+def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
+    """Inverse of :func:`state_to_hat`."""
+    samples = _backward(state_hat, grid)
+    return State(*(Field(grid, samples=samples[i]) for i in range(4)))
+
+
+def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return sfft.irfft2(coeffs, s=(grid.size, grid.size), axes=(-2, -1))
+
+
+def rhs_hat(
+    state_hat: np.ndarray, grid: TorusGrid, g: GasParams, floor: float = REGION_FLOOR
+) -> np.ndarray:
+    """Right-hand side -(A(U) U_x + B(U) U_y) of a stacked spectral state.
+
+    ``state_hat`` is the output of :func:`state_to_hat`.  Derivatives are
+    spectral; products are formed pointwise in physical space and the
+    assembled components are dealiased once.  Raises AdmissibleStateError
+    when min(rho) or min(h) does not exceed ``floor``.
     """
-    s.require_admissible(floor)
-    grid = s.grid
-    rho, u, v, h = (f.samples for f in s.fields())
-    rho_x = spectral.partial_x(s.rho).samples
-    rho_y = spectral.partial_y(s.rho).samples
-    u_x = spectral.partial_x(s.u).samples
-    u_y = spectral.partial_y(s.u).samples
-    v_x = spectral.partial_x(s.v).samples
-    v_y = spectral.partial_y(s.v).samples
-    h_x = spectral.partial_x(s.h).samples
-    h_y = spectral.partial_y(s.h).samples
+    fields = _backward(state_hat, grid)
+    rho, u, v, h = fields
+    _require_admissible(rho, h, floor)
+    d_x = _backward(grid.ikx * state_hat, grid)
+    d_y = _backward(grid.iky * state_hat, grid)
+    div = d_x[1] + d_y[2]
+    h_over_rho = h / rho
+    out = np.empty_like(fields)
+    out[0] = -(u * d_x[0] + v * d_y[0] + rho * div)
+    out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
+    out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
+    out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
+    out_hat = sfft.rfft2(out, axes=(-2, -1))
+    out_hat *= grid.dealias_mask
+    return out_hat
 
-    div = u_x + v_y
-    out_rho = -(u * rho_x + v * rho_y + rho * div)
-    out_u = -(u * u_x + v * u_y + h_x + (h / rho) * rho_x)
-    out_v = -(u * v_x + v * v_y + h_y + (h / rho) * rho_y)
-    out_h = -(u * h_x + v * h_y + (g.gamma - 1.0) * h * div)
 
-    components = []
-    for values in (out_rho, out_u, out_v, out_h):
-        f = Field(grid, samples=values)
-        components.append(spectral.dealias(f) if dealias_products else f)
-    return State(*components)
+def rhs(s: State, g: GasParams, floor: float = REGION_FLOOR) -> State:
+    """Right-hand side -(A(U) U_x + B(U) U_y) of U_t = rhs(U); see :func:`rhs_hat`."""
+    return state_from_hat(rhs_hat(state_to_hat(s), s.grid, g, floor), s.grid)
 
 
 def divergence(s: State) -> Field:

@@ -17,7 +17,6 @@ nothing, so the ratios are resolution-independent up to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,11 +77,14 @@ def _assemble_modes(
     grid: TorusGrid, rows: list[tuple[int, int, float, float]]
 ) -> Field:
     n = grid.size
-    c = np.zeros((n, n), dtype=np.complex128)
+    c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for kx, ky, amplitude, phase in rows:
         half = 0.5 * amplitude * np.exp(1j * phase)
-        c[kx % n, ky % n] += half
-        c[(-kx) % n, (-ky) % n] += np.conj(half)
+        if ky < 0:  # store the conjugate partner, which lies in the half-plane
+            kx, ky, half = -kx, -ky, np.conj(half)
+        c[kx % n, ky] += half
+        if ky == 0:
+            c[-kx % n, 0] += np.conj(half)
     return Field(grid, coefficients=c)
 
 
@@ -96,25 +98,20 @@ def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
     return _assemble_modes(grid, _random_modes(spec))
 
 
-@lru_cache(maxsize=None)
-def _cached_grid(size: int) -> TorusGrid:
-    return make_grid(size)
-
-
 def _lift(f: Field, fine: TorusGrid) -> Field:
     """Exact extension of a field to a finer grid by spectral zero-padding."""
-    idx = f.grid.wavenumbers % fine.size
-    c = np.zeros((fine.size, fine.size), dtype=np.complex128)
-    c[np.ix_(idx, idx)] = f.coefficients
+    half = f.grid.size // 2 + 1
+    c = np.zeros((fine.size, fine.size // 2 + 1), dtype=np.complex128)
+    c[f.grid.wavenumbers % fine.size, :half] = f.coefficients
     return Field(fine, coefficients=c)
 
 
 def _restrict(coefficients: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> Field:
     k = coarse.wavenumbers
-    keep = np.abs(k) <= coarse.size // 2 - 1
-    idx = k % fine.size
-    c = np.zeros((coarse.size, coarse.size), dtype=np.complex128)
-    c[np.ix_(keep, keep)] = coefficients[np.ix_(idx[keep], idx[keep])]
+    limit = coarse.size // 2 - 1
+    keep = np.abs(k) <= limit
+    c = np.zeros((coarse.size, coarse.size // 2 + 1), dtype=np.complex128)
+    c[keep, : limit + 1] = coefficients[k[keep] % fine.size, : limit + 1]
     return Field(coarse, coefficients=c)
 
 
@@ -127,7 +124,7 @@ def product_exact(f: Field, g: Field) -> Field:
     """
     if f.grid.size != g.grid.size:
         raise ValueError("product factors live on different grids")
-    fine = _cached_grid(2 * f.grid.size)
+    fine = make_grid(2 * f.grid.size)
     product = _lift(f, fine).samples * _lift(g, fine).samples
     return _restrict(Field(fine, samples=product).coefficients, f.grid, fine)
 

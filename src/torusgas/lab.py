@@ -14,7 +14,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -96,6 +95,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        for name in ("seed", "threads", "grid_rule", "family_size"):
+            _require_integer(name, getattr(self, name))
+        for n in self.n_list:
+            _require_integer("n_list entry", n)
         if not self.s > 2.0:
             raise ValueError(f"s must exceed 2, got {self.s}")
         n_list = tuple(int(n) for n in self.n_list)
@@ -136,6 +139,11 @@ class ExperimentConfig:
             raise ValueError("threads must be positive")
 
 
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Defaults per experiment; keyword overrides are applied on top."""
     n_lists = {
@@ -151,7 +159,12 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 
 
 def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentConfig:
-    """Build a config from a JSON-style dict, filling gaps with defaults."""
+    """Build a config from a JSON-style dict, filling gaps with defaults.
+
+    The caller's dict is left unchanged; malformed values raise ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     data = dict(data)
     name = data.pop("experiment", experiment)
     if name is None:
@@ -161,22 +174,23 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
         raise ValueError(
             f"config is for experiment {name!r} but {experiment!r} was requested"
         )
-    overrides = {}
-    if "gas" in data:
-        overrides["gas"] = GasParams(**data.pop("gas"))
-    if "solve" in data:
-        solve = data.pop("solve")
-        if "T" not in solve:
-            solve["T"] = 1.0
-        overrides["solve"] = SolveConfig(**solve)
-    if "n_list" in data:
-        overrides["n_list"] = tuple(data.pop("n_list"))
-    allowed = {"s", "sigma", "grid_rule", "output_dir", "seed", "threads", "family_size"}
+    allowed = {
+        "gas", "solve", "n_list", "s", "sigma", "grid_rule", "output_dir", "seed",
+        "threads", "family_size",
+    }
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    overrides.update(data)
-    return default_config(name, **overrides)
+    try:
+        if "gas" in data:
+            data["gas"] = GasParams(**data["gas"])
+        if "solve" in data:
+            data["solve"] = SolveConfig(**{"T": 1.0, **data["solve"]})
+        if "n_list" in data:
+            data["n_list"] = tuple(data["n_list"])
+        return default_config(name, **data)
+    except TypeError as err:
+        raise ValueError(f"invalid config: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +268,6 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _grid(size: int) -> TorusGrid:
-    return make_grid(size)
 
 
 def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
@@ -361,7 +370,7 @@ def run_residue_scaling(cfg: ExperimentConfig) -> ScalingReport:
     sigma, s = cfg.sigma, cfg.s
 
     def measure(n: int) -> float:
-        grid = _grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule * n)
         residue = families.residue_field(FamilyParams(1, n, s), grid, 0.0)
         return sobolev_norm(residue, sigma)
 
@@ -414,7 +423,7 @@ def run_exact_check(cfg: ExperimentConfig) -> ScalingReport:
     g, s = cfg.gas, cfg.s
 
     def deviation_run(n: int, dt_fixed: float | None) -> tuple[float, float, float]:
-        grid = _grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.exact_solution(fp, g, grid, 0.0)
         solve = cfg.solve if dt_fixed is None else replace(cfg.solve, dt_fixed=dt_fixed)
@@ -436,7 +445,7 @@ def run_exact_check(cfg: ExperimentConfig) -> ScalingReport:
     max_div = max(row[1] for row in per_n)
 
     n_top = cfg.n_list[-1]
-    grid_top = _grid(cfg.grid_rule * n_top)
+    grid_top = make_grid(cfg.grid_rule * n_top)
     s0_top = families.exact_solution(FamilyParams(1, n_top, s), g, grid_top, 0.0)
     base_steps, base_dt = solver.plan(s0_top, g, cfg.solve)
     dts = [cfg.solve.T / (base_steps * 2**i) for i in range(3)]
@@ -496,7 +505,7 @@ def run_error_scaling(cfg: ExperimentConfig) -> ScalingReport:
     T = cfg.solve.T
 
     def run_one(n: int) -> dict:
-        grid = _grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
         try:
@@ -519,7 +528,7 @@ def run_error_scaling(cfg: ExperimentConfig) -> ScalingReport:
     # Control: rerun the largest n on a doubled grid with half the step.
     n_top = cfg.n_list[-1]
     top = results[-1]
-    grid_fine = _grid(2 * cfg.grid_rule * n_top)
+    grid_fine = make_grid(2 * cfg.grid_rule * n_top)
     fp_top = FamilyParams(1, n_top, s)
     s0_fine = families.initial_data(fp_top, g, grid_fine)
     fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0, record_stride=10**9)
@@ -597,7 +606,7 @@ def run_higher_norm(cfg: ExperimentConfig) -> ScalingReport:
     tau = float(math.floor(s) + 1)
 
     def run_one(n: int) -> dict:
-        grid = _grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
         traj = _evolve_recorded(s0, g, cfg.solve, grid)
@@ -668,7 +677,7 @@ def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
     T = cfg.solve.T
 
     def run_pair(n: int) -> dict:
-        grid = _grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule * n)
         fp_plus = FamilyParams(1, n, s)
         fp_minus = FamilyParams(-1, n, s)
         init_plus = families.initial_data(fp_plus, g, grid)
@@ -810,8 +819,8 @@ def run_inequalities(cfg: ExperimentConfig) -> InequalitiesReport:
             "inequalities expects n_list = (base_grid, refined_grid)"
         )
     base_n, refined_n = cfg.n_list
-    grid = _grid(base_n)
-    refined = _grid(refined_n)
+    grid = make_grid(base_n)
+    refined = make_grid(refined_n)
     sigma, s = cfg.sigma, cfg.s
     k = s
     tau = float(math.floor(s) + 1)

@@ -11,14 +11,21 @@ so the final time is hit exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
-from .euler import AdmissibleStateError, GasParams, REGION_FLOOR, State, max_wave_speed
-from .spectral import Field, TorusGrid, sobolev_norm
+from .euler import (
+    AdmissibleStateError,
+    GasParams,
+    REGION_FLOOR,
+    State,
+    max_wave_speed,
+    rhs_hat,
+    state_from_hat,
+    state_to_hat,
+)
+from .spectral import TorusGrid
 
 __all__ = [
     "SolveConfig",
@@ -28,7 +35,6 @@ __all__ = [
     "plan",
     "step_rk4",
     "evolve",
-    "trajectory_to_csv",
 ]
 
 
@@ -42,16 +48,14 @@ class SolveConfig:
 
     ``dt_fixed`` overrides the CFL choice when present.  ``record_stride``
     keeps every k-th step in the trajectory (the initial and final states
-    are always kept).  The optional high-order exponential filter is off
-    by default; acceptance runs are well-resolved without it.
+    are always kept).  ``region_floor`` is the positivity floor of min(rho)
+    and min(h) below which a run aborts.
     """
 
     T: float
     cfl: float = 0.25
     dt_fixed: float | None = None
     record_stride: int = 1
-    dealias_enabled: bool = True
-    spectral_filter: bool = False
     region_floor: float = REGION_FLOOR
 
     def __post_init__(self) -> None:
@@ -84,83 +88,20 @@ class Trajectory:
         return self.states[-1]
 
 
-class _Workspace:
-    """Per-grid spectral tables in the half-plane layout of rfft2."""
-
-    def __init__(self, grid: TorusGrid, dealias_enabled: bool, spectral_filter: bool):
-        n = grid.size
-        kx = grid.wavenumbers.astype(np.float64).copy()
-        kx[n // 2] = 0.0  # sign-ambiguous bin: zeroed for real derivatives
-        ky = np.arange(n // 2 + 1, dtype=np.float64)
-        ky_deriv = ky.copy()
-        ky_deriv[-1] = 0.0
-        self.n = n
-        self.ikx = (1j * kx)[:, None]
-        self.iky = (1j * ky_deriv)[None, :]
-        cutoff = grid.dealias_cutoff
-        keep = (np.abs(grid.wavenumbers)[:, None] <= cutoff) & (ky[None, :] <= cutoff)
-        self.mask = keep if dealias_enabled else None
-        self.filter = None
-        if spectral_filter:
-            top = np.maximum(np.abs(grid.wavenumbers)[:, None], ky[None, :])
-            self.filter = np.exp(-36.0 * (top / (n / 2.0)) ** 36)
-
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        return sfft.rfft2(samples, axes=(-2, -1))
-
-    def backward(self, coeffs: np.ndarray) -> np.ndarray:
-        return sfft.irfft2(coeffs, s=(self.n, self.n), axes=(-2, -1))
-
-
-def _rhs_hat(
-    state_hat: np.ndarray, ws: _Workspace, g: GasParams, floor: float
-) -> np.ndarray:
-    """Spectral right-hand side of a spectral state, dealiased."""
-    fields = ws.backward(state_hat)
-    rho, u, v, h = fields
-    for name, values in (("rho", rho), ("h", h)):
-        low = values.min()
-        if not low > floor:
-            raise AdmissibleStateError(
-                f"state left the admissible region: min({name}) = {low:.6e} "
-                f"<= floor {floor:.1e}"
-            )
-    d_x = ws.backward(ws.ikx * state_hat)
-    d_y = ws.backward(ws.iky * state_hat)
-    div = d_x[1] + d_y[2]
-    h_over_rho = h / rho
-    out = np.empty_like(fields)
-    out[0] = -(u * d_x[0] + v * d_y[0] + rho * div)
-    out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
-    out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
-    out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
-    out_hat = ws.forward(out)
-    if ws.mask is not None:
-        out_hat *= ws.mask
-    return out_hat
-
-
 def _rk4_update(
-    state_hat: np.ndarray, dt: float, ws: _Workspace, g: GasParams, floor: float
+    state_hat: np.ndarray, dt: float, grid: TorusGrid, g: GasParams, floor: float
 ) -> np.ndarray:
-    k1 = _rhs_hat(state_hat, ws, g, floor)
-    k2 = _rhs_hat(state_hat + 0.5 * dt * k1, ws, g, floor)
-    k3 = _rhs_hat(state_hat + 0.5 * dt * k2, ws, g, floor)
-    k4 = _rhs_hat(state_hat + dt * k3, ws, g, floor)
+    k1 = rhs_hat(state_hat, grid, g, floor)
+    k2 = rhs_hat(state_hat + 0.5 * dt * k1, grid, g, floor)
+    k3 = rhs_hat(state_hat + 0.5 * dt * k2, grid, g, floor)
+    k4 = rhs_hat(state_hat + dt * k3, grid, g, floor)
     return state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _pack(s: State, ws: _Workspace, dealias_enabled: bool) -> np.ndarray:
-    samples = np.stack([f.samples for f in s.fields()])
-    state_hat = ws.forward(samples)
-    if dealias_enabled and ws.mask is not None:
-        state_hat *= ws.mask
+def _pack(s: State) -> np.ndarray:
+    state_hat = state_to_hat(s)
+    state_hat *= s.grid.dealias_mask
     return state_hat
-
-
-def _unpack(state_hat: np.ndarray, ws: _Workspace, grid: TorusGrid) -> State:
-    samples = ws.backward(state_hat)
-    return State(*(Field(grid, samples=samples[i]) for i in range(4)))
 
 
 def cfl_dt(
@@ -195,20 +136,11 @@ def plan(s0: State, g: GasParams, cfg: SolveConfig) -> tuple[int, float]:
     return n_steps, cfg.T / n_steps
 
 
-def step_rk4(
-    s: State,
-    dt: float,
-    g: GasParams,
-    dealias_enabled: bool = True,
-    floor: float = REGION_FLOOR,
-) -> State:
+def step_rk4(s: State, dt: float, g: GasParams, floor: float = REGION_FLOOR) -> State:
     """One classical Runge-Kutta step of size dt; result dealiased."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ws = _Workspace(s.grid, dealias_enabled, spectral_filter=False)
-    state_hat = _pack(s, ws, dealias_enabled)
-    state_hat = _rk4_update(state_hat, dt, ws, g, floor)
-    return _unpack(state_hat, ws, s.grid)
+    return state_from_hat(_rk4_update(_pack(s), dt, s.grid, g, floor), s.grid)
 
 
 def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
@@ -216,19 +148,16 @@ def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
     grid = s0.grid
     n_steps, dt = plan(s0, g, cfg)
 
-    ws = _Workspace(grid, cfg.dealias_enabled, cfg.spectral_filter)
-    state_hat = _pack(s0, ws, cfg.dealias_enabled)
+    state_hat = _pack(s0)
     times: list[float] = [0.0]
     states: list[State] = [s0]
     for step in range(1, n_steps + 1):
         try:
-            state_hat = _rk4_update(state_hat, dt, ws, g, cfg.region_floor)
+            state_hat = _rk4_update(state_hat, dt, grid, g, cfg.region_floor)
         except AdmissibleStateError as err:
             raise SolverError(
                 f"aborted at t = {step * dt:.6g} (step {step}/{n_steps}): {err}"
             ) from err
-        if ws.filter is not None:
-            state_hat *= ws.filter
         if not np.all(np.isfinite(state_hat)):
             raise SolverError(
                 f"non-finite state at t = {step * dt:.6g} (step {step}/{n_steps}, "
@@ -237,25 +166,5 @@ def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
         if step % cfg.record_stride == 0 or step == n_steps:
             t = cfg.T if step == n_steps else step * dt
             times.append(t)
-            states.append(_unpack(state_hat, ws, grid))
+            states.append(state_from_hat(state_hat, grid))
     return Trajectory(times, states)
-
-
-def trajectory_to_csv(traj: Trajectory, g: GasParams, s: float, path) -> None:
-    """Per-record norms of the base-state deviation plus positivity minima."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("t,rho_dev_norm,u_norm,v_norm,h_dev_norm,min_rho,min_h\n")
-        for t, state in zip(traj.times, traj.states):
-            grid = state.grid
-            rho_dev = Field(grid, samples=state.rho.samples - g.rho0)
-            h_dev = Field(grid, samples=state.h.samples - g.h0)
-            row = (
-                t,
-                sobolev_norm(rho_dev, s),
-                sobolev_norm(state.u, s),
-                sobolev_norm(state.v, s),
-                sobolev_norm(h_dev, s),
-                state.min_rho(),
-                state.min_h(),
-            )
-            handle.write(",".join(repr(value) for value in row) + "\n")

@@ -1,9 +1,10 @@
 """Fourier calculus on the 2pi-periodic square torus.
 
-Provides the uniform grid, real scalar fields with cached spectral
-coefficients, exact differentiation of band-limited fields, the fractional
-smoothing operator (1 - Laplacian)^(sigma/2), Sobolev norms of fractional
-order, two-thirds-rule dealiasing, and trigonometric synthesis.
+Provides the uniform grid with its spectral tables, real scalar fields
+with cached spectral coefficients, exact differentiation of band-limited
+fields, the fractional smoothing operator (1 - Laplacian)^(sigma/2),
+Sobolev norms of fractional order, two-thirds-rule dealiasing, and
+trigonometric synthesis.
 
 Conventions
 -----------
@@ -12,13 +13,18 @@ Spectral coefficients use the amplitude normalization
 
     f(x, y) = sum_k c_k exp(i (kx*x + ky*y)),
 
-i.e. ``c = fft2(samples) / N**2``.  The Sobolev norm uses the un-normalized
-2pi-periodic measure, so the constant field 1 has L2 norm 2*pi.
+stored on the half-plane of the real FFT: ``c = rfft2(samples) / N**2``
+has shape (N, N/2 + 1), rows in DFT order of kx and columns ky = 0..N/2.
+The omitted coefficients follow from ``c[-k] = conj(c[k])``, so sums over
+the full plane weight the interior columns 0 < ky < N/2 by 2 (the grid's
+``column_weights``).  The Sobolev norm uses the un-normalized 2pi-periodic
+measure, so the constant field 1 has L2 norm 2*pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,14 +42,19 @@ __all__ = [
     "lambda_pow",
     "sobolev_norm",
     "dealias",
-    "field_to_csv",
-    "field_to_spectral_json",
 ]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class TorusGrid:
     """Uniform N-by-N grid on the square torus of period 2*pi per axis.
+
+    Owns the spectral tables of the half-plane layout (N, N/2 + 1).
 
     Attributes
     ----------
@@ -52,13 +63,28 @@ class TorusGrid:
     x : ndarray
         Node coordinates ``2*pi*j/size`` for one axis.
     wavenumbers : ndarray
-        Integer wavenumber table in standard DFT bin order.  Bin j holds
-        the representative of j mod size taken from {-size/2+1, ..., size/2}.
+        Integer kx table in standard DFT bin order.  Bin j holds the
+        representative of j mod size taken from {-size/2+1, ..., size/2}.
+    ikx, iky : ndarray
+        Derivative multipliers i*kx, shape (N, 1), and i*ky, shape
+        (1, N/2 + 1).  The sign-ambiguous bin N/2 is zeroed in both, which
+        keeps derivatives real and exact on the synthesis band.
+    dealias_mask : ndarray
+        Boolean (N, N/2 + 1) table of the modes with max(|kx|, ky) <= N/3.
+    one_plus_ksq : ndarray
+        The symbol 1 + kx^2 + ky^2, shape (N, N/2 + 1).
+    column_weights : ndarray
+        Multiplicity (1, 2, ..., 2, 1) of each ky column in the full plane.
     """
 
     size: int
     x: np.ndarray = field(init=False, repr=False)
     wavenumbers: np.ndarray = field(init=False, repr=False)
+    ikx: np.ndarray = field(init=False, repr=False)
+    iky: np.ndarray = field(init=False, repr=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False)
+    one_plus_ksq: np.ndarray = field(init=False, repr=False)
+    column_weights: np.ndarray = field(init=False, repr=False)
 
     period: float = 2.0 * np.pi
 
@@ -68,31 +94,29 @@ class TorusGrid:
             raise TypeError(f"grid size must be an integer, got {n!r}")
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
-        x = self.period * np.arange(n) / n
         k = sfft.fftfreq(n, d=1.0 / n).astype(np.int64)
         # fftfreq labels the half-way bin -n/2; relabel it +n/2 so the table
-        # is exactly {-n/2+1, ..., n/2}.  The bin is sign-ambiguous either
-        # way and is excluded from synthesis and differentiation.
+        # is exactly {-n/2+1, ..., n/2}.
         k[n // 2] = n // 2
-        x.setflags(write=False)
-        k.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "_ksq", self._make_ksq())
-        object.__setattr__(self, "_dealias_mask", self._make_dealias_mask())
-
-    def _make_ksq(self) -> np.ndarray:
-        k = self.wavenumbers.astype(np.float64)
-        ksq = k[:, None] ** 2 + k[None, :] ** 2
-        ksq.setflags(write=False)
-        return ksq
-
-    def _make_dealias_mask(self) -> np.ndarray:
-        k = np.abs(self.wavenumbers)
-        cutoff = self.size // 3
-        keep = (k[:, None] <= cutoff) & (k[None, :] <= cutoff)
-        keep.setflags(write=False)
-        return keep
+        ky = np.arange(n // 2 + 1, dtype=np.float64)
+        kx_deriv = k.astype(np.float64)
+        kx_deriv[n // 2] = 0.0
+        ky_deriv = ky.copy()
+        ky_deriv[-1] = 0.0
+        cutoff = self.dealias_cutoff
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        tables = {
+            "x": self.period * np.arange(n) / n,
+            "wavenumbers": k,
+            "ikx": (1j * kx_deriv)[:, None],
+            "iky": (1j * ky_deriv)[None, :],
+            "dealias_mask": (np.abs(k)[:, None] <= cutoff) & (ky[None, :] <= cutoff),
+            "one_plus_ksq": 1.0 + k.astype(np.float64)[:, None] ** 2 + ky[None, :] ** 2,
+            "column_weights": weights,
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, _frozen(table))
 
     @property
     def dealias_cutoff(self) -> int:
@@ -104,18 +128,19 @@ class TorusGrid:
         return self.x[:, None], self.x[None, :]
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: make_grid(64.0) must still be rejected
 def make_grid(size: int) -> TorusGrid:
-    """Build the uniform torus grid with ``size`` points per axis."""
+    """The uniform torus grid with ``size`` points per axis, built once per size."""
     return TorusGrid(size)
 
 
 class Field:
     """Real scalar field on a :class:`TorusGrid`.
 
-    Immutable after construction.  Physical samples and spectral
-    coefficients are two views of the same data; whichever was not supplied
-    is computed lazily and cached.  Coefficients of a real field satisfy
-    the conjugate symmetry ``c[-k] = conj(c[k])``.
+    Immutable after construction.  Physical samples, shape (N, N), and
+    half-plane spectral coefficients, shape (N, N/2 + 1), are two views of
+    the same data; whichever was not supplied is computed lazily and
+    cached.
     """
 
     __slots__ = ("grid", "_samples", "_coefficients")
@@ -130,25 +155,11 @@ class Field:
             raise ValueError("Field needs samples or coefficients")
         n = grid.size
         if samples is not None:
-            samples = np.asarray(samples, dtype=np.float64)
-            if samples.shape != (n, n):
-                raise ValueError(
-                    f"samples shape {samples.shape} does not match grid {(n, n)}"
-                )
-            if not np.all(np.isfinite(samples)):
-                raise ValueError("field samples must be finite")
-            samples = samples.copy()
-            samples.setflags(write=False)
+            samples = _validated(samples, np.float64, (n, n), "samples")
         if coefficients is not None:
-            coefficients = np.asarray(coefficients, dtype=np.complex128)
-            if coefficients.shape != (n, n):
-                raise ValueError(
-                    f"coefficient shape {coefficients.shape} does not match grid {(n, n)}"
-                )
-            if not np.all(np.isfinite(coefficients)):
-                raise ValueError("field coefficients must be finite")
-            coefficients = coefficients.copy()
-            coefficients.setflags(write=False)
+            coefficients = _validated(
+                coefficients, np.complex128, (n, n // 2 + 1), "coefficients"
+            )
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_samples", samples)
         object.__setattr__(self, "_coefficients", coefficients)
@@ -161,25 +172,16 @@ class Field:
         """Physical-space values, shape (N, N), read-only."""
         if self._samples is None:
             n = self.grid.size
-            full = sfft.ifft2(self._coefficients, norm="forward")
-            real = full.real
-            scale = np.max(np.abs(real)) + 1.0
-            if np.max(np.abs(full.imag)) > 1e-8 * scale:
-                raise ValueError(
-                    "coefficients lack the conjugate symmetry of a real field"
-                )
-            real = np.ascontiguousarray(real)
-            real.setflags(write=False)
-            object.__setattr__(self, "_samples", real)
+            real = sfft.irfft2(self._coefficients, s=(n, n), norm="forward")
+            object.__setattr__(self, "_samples", _frozen(real))
         return self._samples
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Normalized Fourier coefficients, shape (N, N), read-only."""
+        """Normalized half-plane Fourier coefficients, shape (N, N/2 + 1), read-only."""
         if self._coefficients is None:
-            c = sfft.fft2(self._samples, norm="forward")
-            c.setflags(write=False)
-            object.__setattr__(self, "_coefficients", c)
+            c = sfft.rfft2(self._samples, norm="forward")
+            object.__setattr__(self, "_coefficients", _frozen(c))
         return self._coefficients
 
     def __add__(self, other: "Field") -> "Field":
@@ -215,6 +217,15 @@ class Field:
         return float(np.mean(self._samples))
 
 
+def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != shape:
+        raise ValueError(f"{what} shape {values.shape} does not match grid {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"field {what} must be finite")
+    return _frozen(values.copy())
+
+
 def _require_same_grid(a: Field, b: Field) -> None:
     if a.grid is not b.grid and a.grid.size != b.grid.size:
         raise ValueError("fields live on different grids")
@@ -226,8 +237,27 @@ def field_from_samples(grid: TorusGrid, samples: np.ndarray) -> Field:
 
 
 def field_from_coefficients(grid: TorusGrid, coefficients: np.ndarray) -> Field:
-    """Wrap an (N, N) array of normalized Fourier coefficients as a Field."""
-    return Field(grid, coefficients=coefficients)
+    """Wrap normalized Fourier coefficients as a Field.
+
+    Accepts the full-plane layout (N, N), which must have the conjugate
+    symmetry ``c[-k] = conj(c[k])`` of a real field, or the half-plane
+    layout (N, N/2 + 1), whose ky = 0 and ky = N/2 columns must be
+    conjugate-symmetric in kx.
+    """
+    n = grid.size
+    c = np.asarray(coefficients, dtype=np.complex128)
+    if c.shape == (n, n):
+        _require_conjugate_symmetric(c, axes=(0, 1))
+        c = c[:, : n // 2 + 1]
+    elif c.shape == (n, n // 2 + 1):
+        _require_conjugate_symmetric(c[:, [0, n // 2]], axes=0)
+    return Field(grid, coefficients=c)
+
+
+def _require_conjugate_symmetric(c: np.ndarray, axes) -> None:
+    mirror = np.roll(np.flip(c, axes), 1, axes)  # c[-k] along the given axes
+    if np.max(np.abs(c - np.conj(mirror))) > 1e-8 * (np.max(np.abs(c)) + 1.0):
+        raise ValueError("coefficients lack the conjugate symmetry of a real field")
 
 
 def constant_field(grid: TorusGrid, value: float) -> Field:
@@ -280,29 +310,17 @@ def synthesize(
 
 def partial_x(f: Field) -> Field:
     """Spectral derivative in x; exact for band-limited fields."""
-    return _derivative(f, axis=0)
+    return Field(f.grid, coefficients=f.coefficients * f.grid.ikx)
 
 
 def partial_y(f: Field) -> Field:
     """Spectral derivative in y; exact for band-limited fields."""
-    return _derivative(f, axis=1)
-
-
-def _derivative(f: Field, axis: int) -> Field:
-    grid = f.grid
-    n = grid.size
-    k = grid.wavenumbers.astype(np.float64).copy()
-    # The half-way bin N/2 carries no sign information for a real field;
-    # zeroing it keeps the derivative real and exact on the synthesis band.
-    k[n // 2] = 0.0
-    shape = (n, 1) if axis == 0 else (1, n)
-    multiplier = (1j * k).reshape(shape)
-    return Field(grid, coefficients=f.coefficients * multiplier)
+    return Field(f.grid, coefficients=f.coefficients * f.grid.iky)
 
 
 def lambda_pow(f: Field, sigma: float) -> Field:
     """Apply the Fourier multiplier (1 + |k|^2)^(sigma/2)."""
-    weight = (1.0 + f.grid._ksq) ** (0.5 * float(sigma))
+    weight = f.grid.one_plus_ksq ** (0.5 * float(sigma))
     return Field(f.grid, coefficients=f.coefficients * weight)
 
 
@@ -313,10 +331,13 @@ def sobolev_norm(f: Field, sigma: float) -> float:
 
         2*pi * sqrt( sum_k (1 + |k|^2)^sigma |c_k|^2 ),
 
-    which equals the L2 norm of (1 - Laplacian)^(sigma/2) f under the
-    2pi-periodic measure.  ``sobolev_norm(f, 0)`` is the plain L2 norm.
+    the sum running over the full plane (interior half-plane columns
+    counted twice), which equals the L2 norm of (1 - Laplacian)^(sigma/2) f
+    under the 2pi-periodic measure.  ``sobolev_norm(f, 0)`` is the plain
+    L2 norm.
     """
-    weight = (1.0 + f.grid._ksq) ** float(sigma)
+    grid = f.grid
+    weight = grid.one_plus_ksq ** float(sigma) * grid.column_weights
     c = f.coefficients
     total = np.sum(weight * (c.real**2 + c.imag**2))
     return float(2.0 * np.pi * np.sqrt(total))
@@ -324,39 +345,4 @@ def sobolev_norm(f: Field, sigma: float) -> float:
 
 def dealias(f: Field) -> Field:
     """Zero every coefficient with max(|kx|, |ky|) above floor(N/3)."""
-    return Field(f.grid, coefficients=f.coefficients * f.grid._dealias_mask)
-
-
-def field_to_csv(f: Field, path) -> None:
-    """Write samples as CSV rows ``x,y,value`` in row-major node order."""
-    x = [float(v) for v in f.grid.x]
-    values = f.samples
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("x,y,value\n")
-        for i in range(f.grid.size):
-            for j in range(f.grid.size):
-                handle.write(f"{x[i]!r},{x[j]!r},{float(values[i, j])!r}\n")
-
-
-def field_to_spectral_json(f: Field, threshold: float = 1e-14) -> dict:
-    """Spectral dump {N, modes: [...]} of coefficients above ``threshold``.
-
-    Modes are listed in (kx, ky) lexicographic order for reproducibility.
-    """
-    k = f.grid.wavenumbers
-    c = f.coefficients
-    entries = []
-    order = np.argsort(k, kind="stable")
-    for i in order:
-        for j in order:
-            value = c[i, j]
-            if abs(value) > threshold:
-                entries.append(
-                    {
-                        "kx": int(k[i]),
-                        "ky": int(k[j]),
-                        "re": float(value.real),
-                        "im": float(value.imag),
-                    }
-                )
-    return {"N": f.grid.size, "modes": entries}
+    return Field(f.grid, coefficients=f.coefficients * f.grid.dealias_mask)

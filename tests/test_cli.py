@@ -70,3 +70,52 @@ class TestMain:
         assert summary["params"]["seed"] == 11
         assert summary["params"]["threads"] == 2
         capsys.readouterr()
+
+
+class TestErrors:
+    """Usage and run errors exit 2 with one line on stderr; FAIL stays 1."""
+
+    def _fails_cleanly(self, capsys, argv, match):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and match in lines[0]
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        self._fails_cleanly(
+            capsys, ["residue-scaling", "--config", str(missing)], "absent.json"
+        )
+
+    def test_malformed_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"n_list": [4, 8,')
+        self._fails_cleanly(capsys, ["residue-scaling", "--config", str(config)], "error")
+
+    def test_invalid_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": "4"}))
+        self._fails_cleanly(
+            capsys, ["residue-scaling", "--config", str(config)], "threads"
+        )
+
+    def test_solver_error(self, tmp_path, capsys):
+        # a positivity floor at the base density aborts the first step
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_list": [4], "solve": {"T": 0.1, "region_floor": 1.0}})
+        )
+        self._fails_cleanly(capsys, ["exact-check", "--config", str(config)], "aborted")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_list": [4, 8, 16]}))
+        blocker = tmp_path / "reports"
+        blocker.write_text("a file where the report directory should go")
+        self._fails_cleanly(
+            capsys,
+            ["residue-scaling", "--config", str(config), "--out", str(blocker)],
+            "reports",
+        )

@@ -316,3 +316,74 @@ class TestMaxWaveSpeed:
         base = max_wave_speed(constant_state(grid, 1.0, 0.0, 0.0, 1.0), GAS)
         doubled = max_wave_speed(constant_state(grid, 1.0, 0.0, 0.0, 2.0), GAS)
         assert doubled == pytest.approx(np.sqrt(2.0) * base)
+
+
+def random_state(grid, seed):
+    """Seeded admissible state, band-limited to the dealias band."""
+    rng = np.random.default_rng(seed)
+    m = grid.dealias_cutoff
+    components = []
+    for offset, scale in ((1.0, 0.3), (0.0, 0.5), (0.0, 0.5), (1.0, 0.3)):
+        modes = [
+            (int(rng.integers(-m, m + 1)), int(rng.integers(-m, m + 1)),
+             float(rng.standard_normal()), "cos", float(rng.uniform(0.0, 2.0 * np.pi)))
+            for _ in range(4)
+        ]
+        wave = synthesize(grid, modes).samples
+        wave = wave / max(np.max(np.abs(wave)), 1e-300)
+        components.append(Field(grid, samples=offset + scale * wave))
+    return State(*components)
+
+
+def _translate(s, shift_x, shift_y):
+    return State(*(
+        Field(s.grid, samples=np.roll(f.samples, (shift_x, shift_y), axis=(0, 1)))
+        for f in s.fields()
+    ))
+
+
+def _swap_axes(s):
+    rho, u, v, h = (Field(s.grid, samples=f.samples.T) for f in s.fields())
+    return State(rho, v, u, h)
+
+
+def _reflect(s):
+    # (x, y) -> (-x, -y) maps node i to node -i mod N on both axes
+    rho, u, v, h = (
+        Field(s.grid, samples=np.roll(np.flip(f.samples), 1, axis=(0, 1)))
+        for f in s.fields()
+    )
+    return State(rho, -u, -v, h)
+
+
+class TestRhsSymmetries:
+    """The RHS kernel commutes with the exact discrete symmetries of the scheme."""
+
+    @staticmethod
+    def _assert_commutes(transform, s):
+        expected = transform(rhs(s, GAS))
+        got = rhs(transform(s), GAS)
+        scale = max(np.max(np.abs(f.samples)) for f in expected.fields())
+        for a, b in zip(got.fields(), expected.fields()):
+            assert np.max(np.abs(a.samples - b.samples)) <= 1e-12 * scale
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        size=st.sampled_from([16, 32]),
+        shift_x=st.integers(min_value=0, max_value=31),
+        shift_y=st.integers(min_value=0, max_value=31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_grid_translation(self, seed, size, shift_x, shift_y):
+        s = random_state(make_grid(size), seed)
+        self._assert_commutes(lambda t: _translate(t, shift_x, shift_y), s)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([16, 32]))
+    @settings(max_examples=20, deadline=None)
+    def test_axis_swap(self, seed, size):
+        self._assert_commutes(_swap_axes, random_state(make_grid(size), seed))
+
+    @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([16, 32]))
+    @settings(max_examples=20, deadline=None)
+    def test_point_reflection(self, seed, size):
+        self._assert_commutes(_reflect, random_state(make_grid(size), seed))

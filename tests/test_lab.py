@@ -79,6 +79,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="family_size"):
             ExperimentConfig(experiment="inequalities", family_size=0)
 
+    def test_non_integer_n_list_rejected(self):
+        # int(4.5) used to truncate silently to 4
+        with pytest.raises(ValueError, match="n_list entry must be an integer"):
+            ExperimentConfig(experiment="nonuniform", n_list=(4.5, 8))
+        with pytest.raises(ValueError, match="n_list entry must be an integer"):
+            ExperimentConfig(experiment="nonuniform", n_list=(4, True))
+
+    @pytest.mark.parametrize("name", ["seed", "threads", "grid_rule", "family_size"])
+    @pytest.mark.parametrize("value", ["4", 8.0, 2.5, None])
+    def test_non_integer_fields_rejected(self, name, value):
+        experiment = "inequalities" if name == "family_size" else "nonuniform"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(experiment=experiment, **{name: value})
+
     def test_defaults_per_experiment(self):
         for name in EXPERIMENTS:
             cfg = default_config(name)
@@ -117,6 +131,36 @@ class TestConfigFromDict:
     def test_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"experiment": "nonuniform", "bogus": 1})
+
+
+    def test_input_not_mutated(self):
+        data = {
+            "experiment": "exact-check",
+            "n_list": [8],
+            "solve": {"cfl": 0.2},
+            "gas": {"gamma": 1.5},
+        }
+        snapshot = json.loads(json.dumps(data))
+        cfg = config_from_dict(data)
+        assert cfg.solve.T == 1.0 and cfg.solve.cfl == 0.2
+        assert data == snapshot
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"threads": "4"}, "threads must be an integer"),
+            ({"n_list": [4.5, 8]}, "n_list entry must be an integer"),
+            ({"gas": {"bogus": 1.0}}, "invalid config"),
+            ({"solve": {"T": "1"}}, "invalid config"),
+        ],
+    )
+    def test_malformed_values(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(data, "nonuniform")
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            config_from_dict([1, 2], "nonuniform")
 
 
 class TestReports:

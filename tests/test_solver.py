@@ -13,7 +13,6 @@ from torusgas.solver import (
     evolve,
     plan,
     step_rk4,
-    trajectory_to_csv,
 )
 from torusgas.spectral import constant_field, make_grid, synthesize
 
@@ -32,7 +31,7 @@ def constant_state(grid, rho=1.0, u=0.0, v=0.0, h=1.0):
 class TestSolveConfig:
     def test_defaults(self):
         cfg = SolveConfig(T=1.0)
-        assert cfg.cfl == 0.25 and cfg.dt_fixed is None and cfg.dealias_enabled
+        assert cfg.cfl == 0.25 and cfg.dt_fixed is None and cfg.record_stride == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="final time"):
@@ -102,6 +101,19 @@ class TestStepRk4:
         out = step_rk4(s, 0.01, GAS)
         for before, after in zip(s.fields(), out.fields()):
             assert np.max(np.abs(after.samples - before.samples)) <= 1e-15
+
+    def test_result_is_dealiased(self):
+        grid = make_grid(32)  # cutoff 10
+        s = State(
+            constant_field(grid, 1.0),
+            synthesize(grid, [(3, 0, 0.1, "cos", 0.0), (14, 0, 0.01, "sin", 0.0)]),
+            constant_field(grid, 0.0),
+            constant_field(grid, 1.0),
+        )
+        out = step_rk4(s, 0.01, GAS)
+        for f in out.fields():
+            assert np.max(np.abs(f.coefficients[~grid.dealias_mask])) <= 1e-15
+        assert abs(out.u.coefficients[3, 0]) > 0.04
 
     def test_rejects_nonpositive_dt(self):
         grid = make_grid(16)
@@ -223,21 +235,3 @@ class TestEvolve:
         cfg = SolveConfig(T=4.0, region_floor=0.9)
         with pytest.raises(SolverError, match="aborted at t"):
             evolve(s0, GAS, cfg)
-
-
-class TestTrajectoryCsv:
-    def test_header_and_rows(self, tmp_path):
-        grid = make_grid(32)
-        s0 = initial_data(FamilyParams(1, 4, 3.0), GAS, grid)
-        traj = evolve(s0, GAS, SolveConfig(T=0.2, dt_fixed=0.05))
-        path = tmp_path / "trajectory.csv"
-        trajectory_to_csv(traj, GAS, 3.0, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,rho_dev_norm,u_norm,v_norm,h_dev_norm,min_rho,min_h"
-        assert len(lines) == 1 + len(traj.times)
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert first[1] == pytest.approx(0.0, abs=1e-12)  # rho = rho0 at t = 0
-        assert first[5] == pytest.approx(1.0)  # min rho
-        last = [float(v) for v in lines[-1].split(",")]
-        assert last[0] == pytest.approx(0.2)

@@ -1,6 +1,5 @@
 """Grid construction, Fourier calculus, and norm conventions."""
 
-import json
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ from torusgas.spectral import (
     field_from_coefficients,
     field_from_samples,
     constant_field,
-    field_to_csv,
-    field_to_spectral_json,
     lambda_pow,
     make_grid,
     partial_x,
@@ -58,6 +55,18 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match=">= 4"):
             make_grid(2)
 
+    def test_built_once_per_size(self):
+        assert make_grid(32) is make_grid(32)
+        with pytest.raises(TypeError, match="integer"):
+            make_grid(32.0)
+
+    def test_half_plane_tables(self):
+        grid = make_grid(8)
+        assert grid.dealias_mask.shape == grid.one_plus_ksq.shape == (8, 5)
+        assert grid.column_weights.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
+        assert grid.ikx[4, 0] == 0.0 and grid.iky[0, 4] == 0.0  # bin N/2 zeroed
+        assert grid.iky[0, 3] == 3j
+
     def test_period_is_two_pi(self):
         assert make_grid(16).period == TWO_PI
 
@@ -75,13 +84,24 @@ class TestField:
         assert np.max(np.abs(g.samples - f.samples)) <= 1e-12 * scale
 
     def test_conjugate_symmetry(self):
+        # the half-plane keeps ky = 0..N/2; only its ky = 0 and ky = N/2
+        # columns contain conjugate pairs, mirrored in kx
         grid = make_grid(16)
         f = random_band_limited(grid, seed=2, max_mode=5)
         c = f.coefficients
         n = grid.size
+        assert c.shape == (n, n // 2 + 1)
         for i in range(n):
-            for j in range(n):
-                assert c[i, j] == pytest.approx(np.conj(c[-i % n, -j % n]), abs=1e-13)
+            for j in (0, n // 2):
+                assert c[i, j] == pytest.approx(np.conj(c[-i % n, j]), abs=1e-13)
+
+    def test_full_plane_coefficients_accepted(self):
+        grid = make_grid(16)
+        f = random_band_limited(grid, seed=9, max_mode=5)
+        full = np.fft.fft2(f.samples) / grid.size**2
+        g = field_from_coefficients(grid, full)
+        assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-15
+        assert np.max(np.abs(g.samples - f.samples)) <= 1e-13
 
     def test_rejects_nonfinite_samples(self):
         grid = make_grid(8)
@@ -92,10 +112,11 @@ class TestField:
 
     def test_rejects_asymmetric_coefficients(self):
         grid = make_grid(8)
-        c = np.zeros((8, 8), dtype=complex)
-        c[1, 0] = 1.0  # no conjugate partner at k = (-1, 0)
-        with pytest.raises(ValueError, match="conjugate symmetry"):
-            field_from_coefficients(grid, c).samples
+        for shape in ((8, 8), (8, 5)):
+            c = np.zeros(shape, dtype=complex)
+            c[1, 0] = 1.0  # no conjugate partner at k = (-1, 0)
+            with pytest.raises(ValueError, match="conjugate symmetry"):
+                field_from_coefficients(grid, c).samples
 
     def test_rejects_shape_mismatch(self):
         grid = make_grid(8)
@@ -335,40 +356,3 @@ class TestDealias:
     def test_cutoff_value(self):
         assert make_grid(64).dealias_cutoff == 21
         assert make_grid(32).dealias_cutoff == 10
-
-
-class TestExports:
-    def test_csv_header_and_size(self, tmp_path):
-        grid = make_grid(8)
-        f = synthesize(grid, [(1, 0, 1.0, "cos", 0.0)])
-        path = tmp_path / "field.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 1 + 64
-        x, y, value = lines[1].split(",")
-        assert float(x) == 0.0 and float(y) == 0.0
-        assert float(value) == pytest.approx(1.0)
-
-    def test_spectral_json_modes(self):
-        grid = make_grid(16)
-        f = synthesize(grid, [(0, 3, 1.0, "cos", 0.0)])
-        dump = field_to_spectral_json(f)
-        assert dump["N"] == 16
-        found = {(m["kx"], m["ky"]): complex(m["re"], m["im"]) for m in dump["modes"]}
-        assert set(found) == {(0, 3), (0, -3)}
-        assert found[(0, 3)] == pytest.approx(0.5)
-
-    def test_spectral_json_threshold(self):
-        grid = make_grid(16)
-        f = synthesize(
-            grid, [(0, 1, 1.0, "cos", 0.0), (2, 2, 1e-10, "cos", 0.0)]
-        )
-        assert len(field_to_spectral_json(f, threshold=1e-8)["modes"]) == 2
-        assert len(field_to_spectral_json(f, threshold=1e-12)["modes"]) == 4
-
-    def test_spectral_json_serializable(self):
-        grid = make_grid(8)
-        dump = field_to_spectral_json(constant_field(grid, 2.0))
-        parsed = json.loads(json.dumps(dump))
-        assert parsed["modes"][0] == {"kx": 0, "ky": 0, "re": 2.0, "im": 0.0}
