@@ -33,6 +33,7 @@ from torusgas.families import (
     exact_time_derivative,
     residue_field,
 )
+from torusgas.solver import SolveConfig, cfl_dt, evolve
 from torusgas.spectral import Field, constant_field, make_grid, sobolev_norm, synthesize
 
 GAS = GasParams()
@@ -385,5 +386,43 @@ class TestRhsSymmetries:
 
     @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([16, 32]))
     @settings(max_examples=20, deadline=None)
+    def test_point_reflection(self, seed, size):
+        self._assert_commutes(_reflect, random_state(make_grid(size), seed))
+
+
+class TestEvolveSymmetries:
+    """Whole RK4 runs commute with the exact discrete symmetries of the scheme."""
+
+    @staticmethod
+    def _assert_commutes(transform, s):
+        dt = cfl_dt(s, GAS, 0.25, s.grid)
+        cfg = SolveConfig(T=3.0 * dt, dt_fixed=dt)
+        run = evolve(s, GAS, cfg)
+        transformed_run = evolve(transform(s), GAS, cfg)
+        assert transformed_run.times == run.times
+        for state, got in zip(run.states, transformed_run.states):
+            expected = transform(state)
+            scale = max(np.max(np.abs(f.samples)) for f in expected.fields())
+            for a, b in zip(got.fields(), expected.fields()):
+                assert np.max(np.abs(a.samples - b.samples)) <= 1e-12 * scale
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        size=st.sampled_from([16, 32]),
+        shift_x=st.integers(min_value=0, max_value=31),
+        shift_y=st.integers(min_value=0, max_value=31),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_grid_translation(self, seed, size, shift_x, shift_y):
+        s = random_state(make_grid(size), seed)
+        self._assert_commutes(lambda t: _translate(t, shift_x, shift_y), s)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([16, 32]))
+    @settings(max_examples=10, deadline=None)
+    def test_axis_swap(self, seed, size):
+        self._assert_commutes(_swap_axes, random_state(make_grid(size), seed))
+
+    @given(seed=st.integers(min_value=0, max_value=10**6), size=st.sampled_from([16, 32]))
+    @settings(max_examples=10, deadline=None)
     def test_point_reflection(self, seed, size):
         self._assert_commutes(_reflect, random_state(make_grid(size), seed))

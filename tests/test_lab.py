@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from torusgas import families, solver
+from torusgas.euler import GasParams, State
+from torusgas.families import FamilyParams
 from torusgas.lab import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -21,7 +24,10 @@ from torusgas.lab import (
     run_inequalities,
     run_nonuniform,
     run_residue_scaling,
+    _mirror,
 )
+from torusgas.solver import SolveConfig
+from torusgas.spectral import make_grid
 class TestFitLoglogSlope:
     def test_exact_power_laws(self):
         xs = [1.0, 2.0, 4.0, 8.0]
@@ -293,6 +299,80 @@ class TestNonuniform:
         assert len(lines) == 1 + len(report.rows)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["pass"] is True
+
+
+
+def _assert_same_samples(got: State, want: State, rel: float) -> None:
+    scale = max(np.max(np.abs(f.samples)) for f in want.fields())
+    for a, b in zip(got.fields(), want.fields()):
+        assert np.max(np.abs(a.samples - b.samples)) <= rel * scale
+
+
+class TestNonuniformMirror:
+    """The omega = -1 run is the omega = +1 run under the reflect-and-shift map."""
+
+    def test_mirrored_plus_run_matches_evolved_minus_run(self):
+        n, size, gas = 4, 32, GasParams()
+        grid = make_grid(size)
+        fp_plus, fp_minus = FamilyParams(1, n, 3.0), FamilyParams(-1, n, 3.0)
+        init_plus = families.initial_data(fp_plus, gas, grid)
+        init_minus = families.initial_data(fp_minus, gas, grid)
+        _, dt = solver.plan(init_plus, gas, SolveConfig(T=0.25))
+        solve = SolveConfig(T=0.25, dt_fixed=dt)
+        plus = solver.evolve(init_plus, gas, solve)
+        minus = solver.evolve(init_minus, gas, solve)
+        assert plus.times == minus.times
+        assert len(plus.times) > 2
+        shift = size // (2 * n)
+        for t, state_plus, state_minus in zip(plus.times, plus.states, minus.states):
+            _assert_same_samples(_mirror(state_plus, shift), state_minus, 1e-12)
+            _assert_same_samples(
+                _mirror(families.approx_solution(fp_plus, gas, grid, t), shift),
+                families.approx_solution(fp_minus, gas, grid, t),
+                1e-12,
+            )
+
+    @staticmethod
+    def _count_evolve(monkeypatch) -> list:
+        sizes = []
+        real_evolve = solver.evolve
+
+        def counting_evolve(s0, *args, **kwargs):
+            sizes.append(s0.grid.size)
+            return real_evolve(s0, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "evolve", counting_evolve)
+        return sizes
+
+    def test_one_evolve_per_n(self, monkeypatch):
+        sizes = self._count_evolve(monkeypatch)
+        cfg = default_config("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
+        run_nonuniform(cfg)
+        assert sorted(sizes) == [16, 32]
+
+    def test_odd_grid_rule_evolves_both_signs(self, monkeypatch):
+        sizes = self._count_evolve(monkeypatch)
+        cfg = default_config(
+            "nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1), grid_rule=7
+        )
+        report = run_nonuniform(cfg)
+        assert sorted(sizes) == [14, 14, 28, 28]
+        for row in report.rows:
+            assert row["err_minus_s"] == pytest.approx(row["err_plus_s"], rel=1e-10)
+
+    def test_broken_mirror_image_raises(self, monkeypatch):
+        real_initial_data = families.initial_data
+
+        def skewed_initial_data(fp, gas, grid):
+            state = real_initial_data(fp, gas, grid)
+            if fp.omega == 1:
+                return state
+            return State(state.rho * (1.0 + 1e-12), state.u, state.v, state.h)
+
+        monkeypatch.setattr(families, "initial_data", skewed_initial_data)
+        cfg = default_config("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
+        with pytest.raises(RuntimeError, match="not a mirror image"):
+            run_nonuniform(cfg)
 
 
 class TestInequalitiesRunner:
