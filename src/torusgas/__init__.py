@@ -8,7 +8,7 @@ approximate solution families), ``solver`` (RK4 method of lines),
 (experiment runners and reports) with a CLI in ``cli``.
 """
 
-from . import cli, euler, families, inequalities, lab, solver, spectral
+from . import euler, families, inequalities, lab, solver, spectral
 from .euler import GasParams, State
 from .families import FamilyParams
 from .lab import ExperimentConfig, default_config, run_experiment
@@ -22,7 +22,6 @@ __all__ = [
     "solver",
     "inequalities",
     "lab",
-    "cli",
     "TorusGrid",
     "Field",
     "make_grid",

@@ -38,17 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="base seed for random families")
     common.add_argument("--threads", type=int, help="worker threads for sweeps")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "nonuniform": "shrinking initial distances against persistent separation",
-        "residue-scaling": "norm decay of the family residue",
-        "error-scaling": "distance of evolved runs to the approximate family",
-        "exact-check": "propagation accuracy on the exact family",
-        "higher-norm": "growth of the above-regularity norm",
-        "inequalities": "seeded sweeps of the inequality toolbox",
-    }
-    for command in _SUBCOMMANDS:
+    for command, name in _SUBCOMMANDS.items():
         subparsers.add_parser(
-            command, parents=[common], help=descriptions[command]
+            command, parents=[common], help=lab.EXPERIMENTS[name].help
         )
     return parser
 

@@ -221,8 +221,11 @@ _CHECK_IDS = {"commutator": 1, "reciprocal": 2, "algebra": 3, "interpolation": 4
 #: Family defaults: top mode low enough that products stay inside the
 #: representable band of an N=64 grid, making the sweeps alias-free there.
 FAMILY_MAX_MODE = 8
+FAMILY_DECAY = 2.0
 RHO_MAX_MODE = 3
 RHO_FLUCTUATION = 0.45
+#: Every PROBE_PERIOD-th interpolation member is a single-mode probe.
+PROBE_PERIOD = 25
 
 
 def family_seed(base_seed: int, check: str, index: int) -> int:
@@ -231,24 +234,23 @@ def family_seed(base_seed: int, check: str, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
+def _family_field(grid: TorusGrid, base_seed: int, check: str, index: int) -> Field:
+    """Family member ``index`` of ``check``: a seeded random field."""
+    spec = RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, family_seed(base_seed, check, index))
+    return random_field(grid, spec)
+
+
 def commutator_family_ratios(
     grid: TorusGrid,
     n_members: int,
     base_seed: int,
     sigma: float,
     k: float,
-    max_mode: int = FAMILY_MAX_MODE,
-    decay: float = 2.0,
 ) -> np.ndarray:
     ratios = np.empty(n_members)
     for i in range(n_members):
-        f = random_field(
-            grid, RandomFieldSpec(max_mode, decay, family_seed(base_seed, "commutator", 2 * i))
-        )
-        u = random_field(
-            grid,
-            RandomFieldSpec(max_mode, decay, family_seed(base_seed, "commutator", 2 * i + 1)),
-        )
+        f = _family_field(grid, base_seed, "commutator", 2 * i)
+        u = _family_field(grid, base_seed, "commutator", 2 * i + 1)
         ratios[i] = commutator_ratio(f, u, sigma, k)
     return ratios
 
@@ -276,16 +278,12 @@ def reciprocal_family_ratios(
     base_seed: int,
     sigma: float,
     s: float,
-    max_mode: int = FAMILY_MAX_MODE,
-    decay: float = 2.0,
 ) -> np.ndarray:
     ratios = np.empty(n_members)
     for i in range(n_members):
-        f = random_field(
-            grid, RandomFieldSpec(max_mode, decay, family_seed(base_seed, "reciprocal", 2 * i))
-        )
+        f = _family_field(grid, base_seed, "reciprocal", 2 * i)
         rho = _bounded_density(
-            grid, family_seed(base_seed, "reciprocal", 2 * i + 1), RHO_MAX_MODE, decay
+            grid, family_seed(base_seed, "reciprocal", 2 * i + 1), RHO_MAX_MODE, FAMILY_DECAY
         )
         ratios[i] = reciprocal_ratio(f, rho, sigma, s)
     return ratios
@@ -296,17 +294,11 @@ def algebra_family_ratios(
     n_members: int,
     base_seed: int,
     sigma: float,
-    max_mode: int = FAMILY_MAX_MODE,
-    decay: float = 2.0,
 ) -> np.ndarray:
     ratios = np.empty(n_members)
     for i in range(n_members):
-        f = random_field(
-            grid, RandomFieldSpec(max_mode, decay, family_seed(base_seed, "algebra", 2 * i))
-        )
-        g = random_field(
-            grid, RandomFieldSpec(max_mode, decay, family_seed(base_seed, "algebra", 2 * i + 1))
-        )
+        f = _family_field(grid, base_seed, "algebra", 2 * i)
+        g = _family_field(grid, base_seed, "algebra", 2 * i + 1)
         ratios[i] = algebra_ratio(f, g, sigma)
     return ratios
 
@@ -318,8 +310,6 @@ def interpolation_family_rows(
     sigma: float,
     s: float,
     tau: float,
-    max_mode: int = FAMILY_MAX_MODE,
-    probe_every: int = 25,
 ) -> list[dict]:
     """Interpolation sweep rows: mostly two-mode fields, periodic single-mode probes.
 
@@ -330,13 +320,13 @@ def interpolation_family_rows(
     rows = []
     for i in range(n_members):
         rng = np.random.default_rng(family_seed(base_seed, "interpolation", i))
-        is_probe = probe_every > 0 and i % probe_every == 0
+        is_probe = i % PROBE_PERIOD == 0
         modes = []
         n_modes = 1 if is_probe else 2
         drawn: set[tuple[int, int]] = set()
         while len(modes) < n_modes:
-            kx = int(rng.integers(0, max_mode + 1))
-            ky = int(rng.integers(1 if kx == 0 else -max_mode, max_mode + 1))
+            kx = int(rng.integers(0, FAMILY_MAX_MODE + 1))
+            ky = int(rng.integers(1 if kx == 0 else -FAMILY_MAX_MODE, FAMILY_MAX_MODE + 1))
             if (kx, ky) in drawn:
                 continue
             drawn.add((kx, ky))

@@ -1,11 +1,14 @@
 """Experiment runners: scaling studies and the nonuniform-dependence run.
 
-Each runner consumes an :class:`ExperimentConfig`, produces a report
-object, and (when an output directory is set) writes one CSV of raw rows
-plus a ``summary.json`` with the pass verdict and fitted exponents.
+Each runner consumes an :class:`ExperimentConfig` and returns a
+:class:`Report` whose rows are dicts keyed by CSV column, in column order.
+When an output directory is set, the report is written as
+``<experiment>.csv`` plus a ``summary.json`` with the pass verdict, the
+fitted exponents of scaling studies, the run parameters and the details.
 Reports are deterministic: identical config and seed give byte-identical
 files.  Sweeps over the frequency index n parallelize over a thread pool
-with a merge ordered by n.
+with a merge ordered by n.  :data:`EXPERIMENTS` is the one table of
+experiments: each name maps to its runner, default ``n_list`` and CLI help.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,14 +33,12 @@ from .euler import (
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, TorusGrid, make_grid, sobolev_norm
+from .spectral import Field, make_grid, sobolev_norm
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
-    "ScalingReport",
-    "NonuniformReport",
-    "InequalitiesReport",
+    "Report",
     "fit_loglog_slope",
     "default_config",
     "config_from_dict",
@@ -49,15 +50,6 @@ __all__ = [
     "run_inequalities",
     "run_experiment",
 ]
-
-EXPERIMENTS = (
-    "nonuniform",
-    "residue_scaling",
-    "error_scaling",
-    "exact_check",
-    "higher_norm",
-    "inequalities",
-)
 
 #: Grid sizes beyond this are not desk scale.
 _MAX_GRID = 4096
@@ -93,7 +85,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; "
+                f"choose from {tuple(EXPERIMENTS)}"
             )
         for name in ("seed", "threads", "grid_rule", "family_size"):
             _require_integer(name, getattr(self, name))
@@ -146,16 +139,8 @@ def _require_integer(name: str, value) -> None:
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Defaults per experiment; keyword overrides are applied on top."""
-    n_lists = {
-        "nonuniform": (4, 8, 16, 32),
-        "residue_scaling": (4, 8, 16, 32, 64),
-        "error_scaling": (8, 16, 32),
-        "exact_check": (8,),
-        "higher_norm": (8, 16, 32),
-        "inequalities": (64, 128),
-    }
-    base = ExperimentConfig(experiment=experiment, n_list=n_lists[experiment])
-    return replace(base, **overrides) if overrides else base
+    defaults = {"experiment": experiment, "n_list": EXPERIMENTS[experiment].n_list}
+    return ExperimentConfig(**{**defaults, **overrides})
 
 
 def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentConfig:
@@ -174,11 +159,7 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
         raise ValueError(
             f"config is for experiment {name!r} but {experiment!r} was requested"
         )
-    allowed = {
-        "gas", "solve", "n_list", "s", "sigma", "grid_rule", "output_dir", "seed",
-        "threads", "family_size",
-    }
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -199,56 +180,29 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
 
 
 @dataclass
-class ScalingReport:
-    """Scaling-law result: measured values, fitted and predicted slopes."""
+class Report:
+    """One experiment's result: CSV rows, verdict and details.
+
+    Each row maps CSV column to value, in column order.  Scaling studies
+    also set the fitted and predicted slopes and the slope tolerance,
+    which :meth:`summary` then reports.
+    """
 
     experiment: str
-    parameter: str
-    rows: list[tuple[float, float, float]]
-    fitted_slope: float
-    predicted_slope: float
-    slope_tolerance: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.rows) < 3:
-            raise ValueError("a scaling report needs at least 3 rows")
-
-    def summary(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "pass": bool(self.passed),
-            "fitted_slope": self.fitted_slope,
-            "predicted_slope": self.predicted_slope,
-            "tolerance": self.slope_tolerance,
-        }
-
-
-@dataclass
-class NonuniformReport:
-    """Initial-distance decay versus persistent final-time separation."""
-
-    n_list: tuple[int, ...]
-    d0: dict[int, float]
     rows: list[dict]
     passed: bool
     details: dict = field(default_factory=dict)
+    fitted_slope: float | None = None
+    predicted_slope: float | None = None
+    slope_tolerance: float | None = None
 
     def summary(self) -> dict:
-        return {"experiment": "nonuniform", "pass": bool(self.passed)}
-
-
-@dataclass
-class InequalitiesReport:
-    """Sweep maxima and equality counts for the four inequality checks."""
-
-    rows: list[dict]
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        return {"experiment": "inequalities", "pass": bool(self.passed)}
+        summary = {"experiment": self.experiment, "pass": bool(self.passed)}
+        if self.fitted_slope is not None:
+            summary["fitted_slope"] = self.fitted_slope
+            summary["predicted_slope"] = self.predicted_slope
+            summary["tolerance"] = self.slope_tolerance
+        return summary
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
@@ -279,19 +233,40 @@ def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
 
 
 def _evolve_recorded(
-    s0: State, g: GasParams, solve: SolveConfig, grid: TorusGrid
-) -> Trajectory:
-    """Evolve with a record stride targeting ~_TARGET_RECORDS snapshots."""
-    n_steps, _ = solver.plan(s0, g, solve)
+    s0: State, g: GasParams, solve: SolveConfig
+) -> tuple[Trajectory, float]:
+    """Evolve with a record stride targeting ~_TARGET_RECORDS snapshots.
+
+    Returns the trajectory and its step size.
+    """
+    n_steps, dt = solver.plan(s0, g, solve)
     stride = max(solve.record_stride, math.ceil(n_steps / _TARGET_RECORDS))
-    return solver.evolve(s0, g, replace(solve, record_stride=stride))
+    return solver.evolve(s0, g, replace(solve, record_stride=stride)), dt
 
 
-def _anchored_envelope(
-    n_values: Sequence[int], measured: Sequence[float], exponent: float
-) -> list[float]:
-    scale = measured[0] / float(n_values[0]) ** exponent
-    return [scale * float(n) ** exponent for n in n_values]
+def _scaling_rows(
+    parameter: str,
+    values: Sequence[float],
+    measured: Sequence[float],
+    anchors: Sequence[float],
+    exponent: float,
+) -> list[dict]:
+    """Rows with the envelope c * anchor**exponent, c fixed by the first row."""
+    scale = measured[0] / float(anchors[0]) ** exponent
+    envelope = [scale * float(a) ** exponent for a in anchors]
+    return [
+        {parameter: float(x), "measured_value": m, "reference_envelope": e}
+        for x, m, e in zip(values, measured, envelope)
+    ]
+
+
+def _fit_over_n(
+    cfg: ExperimentConfig, measured: Sequence[float], envelope_exponent: float
+) -> tuple[float, list[dict]]:
+    """Log-log slope of ``measured`` over n, and rows with the anchored envelope."""
+    fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
+    rows = _scaling_rows("n", cfg.n_list, measured, cfg.n_list, envelope_exponent)
+    return fitted, rows
 
 
 def _csv_cell(value) -> str:
@@ -305,26 +280,19 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-def _write_rows(path: Path, header: str, rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _emit(
-    cfg: ExperimentConfig,
-    report,
-    csv_name: str,
-    header: str,
-    rows: Iterable[Sequence],
-) -> None:
+def _emit(cfg: ExperimentConfig, report: Report) -> Report:
+    """Write ``<experiment>.csv`` and ``summary.json`` when an output dir is set."""
     if cfg.output_dir is None:
-        return
+        return report
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / csv_name, header, rows)
+    with open(out / f"{report.experiment}.csv", "w", encoding="ascii") as handle:
+        handle.write(",".join(report.rows[0]) + "\n")
+        for row in report.rows:
+            handle.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
     summary = report.summary()
+    # An explicit key list: summary.json's key set is part of the artifact
+    # contract, and dataclasses.asdict(cfg) would change it.
     summary["params"] = {
         "n_list": list(cfg.n_list),
         "s": cfg.s,
@@ -342,6 +310,7 @@ def _emit(
     with open(out / "summary.json", "w", encoding="ascii") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return report
 
 
 def _jsonable(value):
@@ -364,7 +333,7 @@ def _require_experiment(cfg: ExperimentConfig, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_residue_scaling(cfg: ExperimentConfig) -> ScalingReport:
+def run_residue_scaling(cfg: ExperimentConfig) -> Report:
     """Norm decay of the residue at t = 0 against the analytic envelope."""
     _require_experiment(cfg, "residue_scaling")
     sigma, s = cfg.sigma, cfg.s
@@ -376,33 +345,26 @@ def run_residue_scaling(cfg: ExperimentConfig) -> ScalingReport:
 
     measured = _map_ordered(measure, cfg.n_list, cfg.threads)
     envelope_exponent = 2.0 * sigma - 3.0 * s + 1.0
-    envelope = _anchored_envelope(cfg.n_list, measured, envelope_exponent)
-    fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
+    fitted, rows = _fit_over_n(cfg, measured, envelope_exponent)
     predicted = sigma - 3.0 * s + 1.0
     tolerance = 0.05
-    below = all(m <= e * (1.0 + 1e-9) for m, e in zip(measured, envelope))
+    below = all(
+        row["measured_value"] <= row["reference_envelope"] * (1.0 + 1e-9)
+        for row in rows
+    )
     passed = abs(fitted - predicted) <= tolerance and below
-    report = ScalingReport(
-        experiment="residue_scaling",
-        parameter="n",
-        rows=list(zip((float(n) for n in cfg.n_list), measured, envelope)),
-        fitted_slope=fitted,
-        predicted_slope=predicted,
-        slope_tolerance=tolerance,
-        passed=passed,
-        details={
-            "envelope_exponent": envelope_exponent,
-            "below_envelope": below,
-        },
-    )
-    _emit(
+    return _emit(
         cfg,
-        report,
-        "residue_scaling.csv",
-        "n,measured_value,reference_envelope",
-        report.rows,
+        Report(
+            experiment="residue_scaling",
+            rows=rows,
+            passed=passed,
+            details={"envelope_exponent": envelope_exponent, "below_envelope": below},
+            fitted_slope=fitted,
+            predicted_slope=predicted,
+            slope_tolerance=tolerance,
+        ),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +375,7 @@ _EXACT_DEVIATION_TOL = 1e-8
 _EXACT_DIVERGENCE_TOL = 1e-10
 
 
-def run_exact_check(cfg: ExperimentConfig) -> ScalingReport:
+def run_exact_check(cfg: ExperimentConfig) -> Report:
     """Propagate the exact family and measure deviation from the closed form.
 
     The report's scaling rows are a time-step refinement triple at the
@@ -422,67 +384,55 @@ def run_exact_check(cfg: ExperimentConfig) -> ScalingReport:
     _require_experiment(cfg, "exact_check")
     g, s = cfg.gas, cfg.s
 
-    def deviation_run(n: int, dt_fixed: float | None) -> tuple[float, float, float]:
+    def deviation_run(n: int, solve: SolveConfig = cfg.solve) -> tuple[float, ...]:
         grid = make_grid(cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.exact_solution(fp, g, grid, 0.0)
-        solve = cfg.solve if dt_fixed is None else replace(cfg.solve, dt_fixed=dt_fixed)
-        traj = _evolve_recorded(s0, g, solve, grid)
-        max_dev = 0.0
-        max_div = 0.0
-        for t, state in zip(traj.times, traj.states):
-            reference = families.exact_solution(fp, g, grid, t)
-            max_dev = max(max_dev, state_norm(state_difference(state, reference), s))
-            max_div = max(max_div, sobolev_norm(divergence(state), 0.0))
-        final_dev = state_norm(
-            state_difference(traj.final_state, families.exact_solution(fp, g, grid, cfg.solve.T)),
-            s,
-        )
-        return max_dev, max_div, final_dev
+        traj, dt = _evolve_recorded(s0, g, solve)
+        devs = [
+            state_norm(state_difference(state, families.exact_solution(fp, g, grid, t)), s)
+            for t, state in zip(traj.times, traj.states)
+        ]
+        max_div = max(sobolev_norm(divergence(state), 0.0) for state in traj.states)
+        # evolve records exactly T last, so devs[-1] is the final-time deviation
+        return max(devs), max_div, devs[-1], dt
 
-    per_n = _map_ordered(lambda n: deviation_run(n, None), cfg.n_list, cfg.threads)
+    per_n = _map_ordered(deviation_run, cfg.n_list, cfg.threads)
     max_dev = max(row[0] for row in per_n)
     max_div = max(row[1] for row in per_n)
 
-    n_top = cfg.n_list[-1]
-    grid_top = make_grid(cfg.grid_rule * n_top)
-    s0_top = families.exact_solution(FamilyParams(1, n_top, s), g, grid_top, 0.0)
-    base_steps, base_dt = solver.plan(s0_top, g, cfg.solve)
-    dts = [cfg.solve.T / (base_steps * 2**i) for i in range(3)]
-    errors = [deviation_run(n_top, dt)[2] for dt in dts]
+    # The largest n's run is the first of the step-halving triple.
+    _, _, top_error, base_dt = per_n[-1]
+    dts = [base_dt / 2**i for i in range(3)]
+    errors = [top_error] + [
+        deviation_run(cfg.n_list[-1], replace(cfg.solve, dt_fixed=dt))[2] for dt in dts[1:]
+    ]
     order = fit_loglog_slope(list(zip(dts, errors)))
-    envelope = _anchored_envelope([1, 2, 4], errors, -4.0)  # halving sequence
 
     passed = (
         order >= 3.8
         and max_dev <= _EXACT_DEVIATION_TOL
         and max_div <= _EXACT_DIVERGENCE_TOL
     )
-    report = ScalingReport(
-        experiment="exact_check",
-        parameter="dt",
-        rows=list(zip(dts, errors, envelope)),
-        fitted_slope=order,
-        predicted_slope=4.0,
-        slope_tolerance=0.2,
-        passed=passed,
-        details={
-            "max_deviation": max_dev,
-            "deviation_tolerance": _EXACT_DEVIATION_TOL,
-            "max_divergence_l2": max_div,
-            "divergence_tolerance": _EXACT_DIVERGENCE_TOL,
-            "n_list": list(cfg.n_list),
-            "base_dt": base_dt,
-        },
-    )
-    _emit(
+    return _emit(
         cfg,
-        report,
-        "exact_check.csv",
-        "dt,measured_value,reference_envelope",
-        report.rows,
+        Report(
+            experiment="exact_check",
+            rows=_scaling_rows("dt", dts, errors, [1, 2, 4], -4.0),  # halving sequence
+            passed=passed,
+            details={
+                "max_deviation": max_dev,
+                "deviation_tolerance": _EXACT_DEVIATION_TOL,
+                "max_divergence_l2": max_div,
+                "divergence_tolerance": _EXACT_DIVERGENCE_TOL,
+                "n_list": list(cfg.n_list),
+                "base_dt": base_dt,
+            },
+            fitted_slope=order,
+            predicted_slope=4.0,
+            slope_tolerance=0.2,
+        ),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +440,7 @@ def run_exact_check(cfg: ExperimentConfig) -> ScalingReport:
 # ---------------------------------------------------------------------------
 
 
-def run_error_scaling(cfg: ExperimentConfig) -> ScalingReport:
+def run_error_scaling(cfg: ExperimentConfig) -> Report:
     """Distance of evolved runs to the approximate family at the final time.
 
     The predicted exponent is beta = max(2 sigma - 3 s + 2, sigma - 2 s);
@@ -502,76 +452,54 @@ def run_error_scaling(cfg: ExperimentConfig) -> ScalingReport:
     """
     _require_experiment(cfg, "error_scaling")
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
-    T = cfg.solve.T
 
-    def run_one(n: int) -> dict:
-        grid = make_grid(cfg.grid_rule * n)
+    def run_one(n: int, refine: int = 1, solve: SolveConfig = cfg.solve) -> dict:
+        grid = make_grid(refine * cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
         try:
-            traj = _evolve_recorded(s0, g, cfg.solve, grid)
+            traj, dt = _evolve_recorded(s0, g, solve)
         except SolverError as err:
             raise SolverError(f"error-scaling run at n={n} failed: {err}") from err
         curve = []
         for t, state in zip(traj.times, traj.states):
             reference = families.approx_solution(fp, g, grid, t)
             curve.append((t, state_norm(state_difference(state, reference), sigma)))
-        _, dt = solver.plan(s0, g, cfg.solve)
-        return {"n": n, "err_final": curve[-1][1], "curve": curve, "dt": dt}
+        return {"err_final": curve[-1][1], "curve": curve, "dt": dt}
 
     results = _map_ordered(run_one, cfg.n_list, cfg.threads)
-    measured = [r["err_final"] for r in results]
     beta = max(2.0 * sigma - 3.0 * s + 2.0, sigma - 2.0 * s)
-    envelope = _anchored_envelope(cfg.n_list, measured, beta)
-    fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
+    fitted, rows = _fit_over_n(cfg, [r["err_final"] for r in results], beta)
 
     # Control: rerun the largest n on a doubled grid with half the step.
     n_top = cfg.n_list[-1]
     top = results[-1]
-    grid_fine = make_grid(2 * cfg.grid_rule * n_top)
-    fp_top = FamilyParams(1, n_top, s)
-    s0_fine = families.initial_data(fp_top, g, grid_fine)
     fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0, record_stride=10**9)
-    traj_fine = solver.evolve(s0_fine, g, fine_solve)
-    err_control = state_norm(
-        state_difference(
-            traj_fine.final_state, families.approx_solution(fp_top, g, grid_fine, T)
-        ),
-        sigma,
-    )
+    err_control = run_one(n_top, 2, fine_solve)["err_final"]
     control_gap = abs(err_control - top["err_final"]) / top["err_final"]
     certified = control_gap < 0.01
 
     threshold = beta + 0.1
-    monotone = all(
-        b[1] > a[1] for a, b in zip(results[-1]["curve"], results[-1]["curve"][1:])
-    )
-    passed = fitted <= threshold and certified
-    report = ScalingReport(
-        experiment="error_scaling",
-        parameter="n",
-        rows=list(zip((float(n) for n in cfg.n_list), measured, envelope)),
-        fitted_slope=fitted,
-        predicted_slope=beta,
-        slope_tolerance=0.1,
-        passed=passed,
-        details={
-            "slope_threshold": threshold,
-            "control_relative_gap": control_gap,
-            "control_certified": certified,
-            "error_curve_largest_n": results[-1]["curve"],
-            "curve_monotone_increasing": monotone,
-            "growth_fit": _fit_growth_envelope(results[-1]["curve"], float(n_top) ** beta),
-        },
-    )
-    _emit(
+    monotone = all(b[1] > a[1] for a, b in zip(top["curve"], top["curve"][1:]))
+    return _emit(
         cfg,
-        report,
-        "error_scaling.csv",
-        "n,measured_value,reference_envelope",
-        report.rows,
+        Report(
+            experiment="error_scaling",
+            rows=rows,
+            passed=fitted <= threshold and certified,
+            details={
+                "slope_threshold": threshold,
+                "control_relative_gap": control_gap,
+                "control_certified": certified,
+                "error_curve_largest_n": top["curve"],
+                "curve_monotone_increasing": monotone,
+                "growth_fit": _fit_growth_envelope(top["curve"], float(n_top) ** beta),
+            },
+            fitted_slope=fitted,
+            predicted_slope=beta,
+            slope_tolerance=0.1,
+        ),
     )
-    return report
 
 
 def _fit_growth_envelope(curve: list[tuple[float, float]], scale: float) -> dict:
@@ -599,7 +527,7 @@ def _fit_growth_envelope(curve: list[tuple[float, float]], scale: float) -> dict
 # ---------------------------------------------------------------------------
 
 
-def run_higher_norm(cfg: ExperimentConfig) -> ScalingReport:
+def run_higher_norm(cfg: ExperimentConfig) -> Report:
     """Max-over-time norm of order tau = floor(s) + 1, base state removed."""
     _require_experiment(cfg, "higher_norm")
     g, s = cfg.gas, cfg.s
@@ -609,46 +537,37 @@ def run_higher_norm(cfg: ExperimentConfig) -> ScalingReport:
         grid = make_grid(cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
-        traj = _evolve_recorded(s0, g, cfg.solve, grid)
+        traj, _ = _evolve_recorded(s0, g, cfg.solve)
         norms = [
             state_norm(base_deviation(state, g), tau) for state in traj.states
         ]
         return {"n": n, "max_norm": max(norms), "norm_t0": norms[0]}
 
     results = _map_ordered(run_one, cfg.n_list, cfg.threads)
-    measured = [r["max_norm"] for r in results]
     predicted = tau - s
-    envelope = _anchored_envelope(cfg.n_list, measured, predicted)
-    fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
+    fitted, rows = _fit_over_n(cfg, [r["max_norm"] for r in results], predicted)
     slope_t0 = fit_loglog_slope(
         list(zip(cfg.n_list, (r["norm_t0"] for r in results)))
     )
     tolerance = 0.15
-    passed = abs(fitted - predicted) <= tolerance
-    report = ScalingReport(
-        experiment="higher_norm",
-        parameter="n",
-        rows=list(zip((float(n) for n in cfg.n_list), measured, envelope)),
-        fitted_slope=fitted,
-        predicted_slope=predicted,
-        slope_tolerance=tolerance,
-        passed=passed,
-        details={
-            "tau": tau,
-            "initial_slope": slope_t0,
-            "normalized_ratios": [
-                r["max_norm"] / float(r["n"]) ** predicted for r in results
-            ],
-        },
-    )
-    _emit(
+    return _emit(
         cfg,
-        report,
-        "higher_norm.csv",
-        "n,measured_value,reference_envelope",
-        report.rows,
+        Report(
+            experiment="higher_norm",
+            rows=rows,
+            passed=abs(fitted - predicted) <= tolerance,
+            details={
+                "tau": tau,
+                "initial_slope": slope_t0,
+                "normalized_ratios": [
+                    r["max_norm"] / float(r["n"]) ** predicted for r in results
+                ],
+            },
+            fitted_slope=fitted,
+            predicted_slope=predicted,
+            slope_tolerance=tolerance,
+        ),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +615,7 @@ def _require_mirror_image(mirrored: State, target: State, n: int) -> None:
         )
 
 
-def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
+def run_nonuniform(cfg: ExperimentConfig) -> Report:
     """Evolve data pairs whose initial distance shrinks like 1/n.
 
     For each n only the omega = +1 initial state is evolved.  The omega = -1
@@ -714,9 +633,8 @@ def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
     """
     _require_experiment(cfg, "nonuniform")
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
-    T = cfg.solve.T
 
-    def run_pair(n: int) -> dict:
+    def run_pair(n: int) -> list[dict]:
         grid = make_grid(cfg.grid_rule * n)
         fp_plus = FamilyParams(1, n, s)
         fp_minus = FamilyParams(-1, n, s)
@@ -731,10 +649,8 @@ def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
         _, dt = solver.plan(init_plus, g, cfg.solve)
         solve = replace(cfg.solve, dt_fixed=dt)
         try:
-            traj_plus = _evolve_recorded(init_plus, g, solve, grid)
-            traj_minus = (
-                None if mirrored else _evolve_recorded(init_minus, g, solve, grid)
-            )
+            traj_plus, _ = _evolve_recorded(init_plus, g, solve)
+            traj_minus = None if mirrored else _evolve_recorded(init_minus, g, solve)[0]
         except SolverError as err:
             raise SolverError(f"nonuniform run at n={n} failed: {err}") from err
         rows = []
@@ -768,24 +684,18 @@ def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
                     "err_minus_s": state_norm(err_minus, s),
                 }
             )
-        return {"n": n, "d0": d0, "rows": rows}
+        return rows
 
-    results = _map_ordered(run_pair, cfg.n_list, cfg.threads)
-    d0 = {r["n"]: r["d0"] for r in results}
-    rows = [row for r in results for row in r["rows"]]
-
-    d0_expected = {n: 4.0 * math.sqrt(2.0) * math.pi / n for n in cfg.n_list}
-    d0_errors = {n: abs(d0[n] - d0_expected[n]) for n in cfg.n_list}
+    rows = [row for pair in _map_ordered(run_pair, cfg.n_list, cfg.threads) for row in pair]
+    d0 = {row["n"]: row["d0"] for row in rows}
+    d0_errors = {n: abs(d0[n] - 4.0 * math.sqrt(2.0) * math.pi / n) for n in cfg.n_list}
     d0_exact = all(err <= _D0_TOL for err in d0_errors.values())
     d0_decreasing = all(
         d0[b] < d0[a] for a, b in zip(cfg.n_list, cfg.n_list[1:])
     )
 
-    floor_rows = [
-        row
-        for row in rows
-        if row["n"] >= _FLOOR_MIN_N and row["t"] == T
-    ]
+    final_rows = [row for row in rows if row["t"] == cfg.solve.T]
+    floor_rows = [row for row in final_rows if row["n"] >= _FLOOR_MIN_N]
     floor_held = all(
         row["pair_dist_s"] >= _FLOOR_FACTOR * row["approx_diff_s"]
         for row in floor_rows
@@ -802,51 +712,25 @@ def run_nonuniform(cfg: ExperimentConfig) -> NonuniformReport:
             triangle_ok = False
 
     passed = d0_exact and d0_decreasing and floor_held and triangle_ok
-    final_separations = {
-        row["n"]: row["pair_dist_s"] for row in rows if row["t"] == T
-    }
-    report = NonuniformReport(
-        n_list=cfg.n_list,
-        d0=d0,
-        rows=rows,
-        passed=passed,
-        details={
-            "d0_formula_errors": {str(n): d0_errors[n] for n in cfg.n_list},
-            "d0_exact": d0_exact,
-            "d0_decreasing": d0_decreasing,
-            "final_separation": {str(n): v for n, v in final_separations.items()},
-            "floor_factor": _FLOOR_FACTOR,
-            "floor_min_n": _FLOOR_MIN_N,
-            "floor_held": floor_held,
-            "triangle_ok": triangle_ok,
-            "triangle_worst_margin": worst_margin,
-        },
-    )
-    header = (
-        "n,d0,t,pair_dist_s,approx_diff_s,err_plus_sigma,err_minus_sigma,"
-        "err_plus_s,err_minus_s"
-    )
-    _emit(
+    return _emit(
         cfg,
-        report,
-        "nonuniform.csv",
-        header,
-        (
-            (
-                row["n"],
-                row["d0"],
-                row["t"],
-                row["pair_dist_s"],
-                row["approx_diff_s"],
-                row["err_plus_sigma"],
-                row["err_minus_sigma"],
-                row["err_plus_s"],
-                row["err_minus_s"],
-            )
-            for row in rows
+        Report(
+            experiment="nonuniform",
+            rows=rows,
+            passed=passed,
+            details={
+                "d0_formula_errors": {str(n): err for n, err in d0_errors.items()},
+                "d0_exact": d0_exact,
+                "d0_decreasing": d0_decreasing,
+                "final_separation": {str(r["n"]): r["pair_dist_s"] for r in final_rows},
+                "floor_factor": _FLOOR_FACTOR,
+                "floor_min_n": _FLOOR_MIN_N,
+                "floor_held": floor_held,
+                "triangle_ok": triangle_ok,
+                "triangle_worst_margin": worst_margin,
+            },
         ),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +742,7 @@ _EQUALITY_TOL = 1e-12
 _STABILITY_TOL = 0.10
 
 
-def run_inequalities(cfg: ExperimentConfig) -> InequalitiesReport:
+def run_inequalities(cfg: ExperimentConfig) -> Report:
     """Seeded-family sweeps of the four inequality checks at two grid sizes."""
     _require_experiment(cfg, "inequalities")
     if len(cfg.n_list) != 2:
@@ -874,30 +758,23 @@ def run_inequalities(cfg: ExperimentConfig) -> InequalitiesReport:
     members = cfg.family_size
     seed = cfg.seed
 
-    def sweep(fn, *args) -> tuple[float, float]:
-        ratios = fn(grid, members, seed, *args)
-        ratios_refined = fn(refined, members, seed, *args)
-        return float(np.max(ratios)), float(np.max(ratios_refined))
+    def sweep(task) -> tuple[float, float]:
+        family_ratios, args = task
+        return tuple(
+            float(np.max(family_ratios(on, members, seed, sigma, *args)))
+            for on in (grid, refined)
+        )
 
     tasks = {
-        "commutator": (inequalities.commutator_family_ratios, (sigma, k)),
-        "reciprocal": (inequalities.reciprocal_family_ratios, (sigma, s)),
-        "algebra": (inequalities.algebra_family_ratios, (sigma,)),
+        "commutator": (inequalities.commutator_family_ratios, (k,)),
+        "reciprocal": (inequalities.reciprocal_family_ratios, (s,)),
+        "algebra": (inequalities.algebra_family_ratios, ()),
     }
-    maxima = dict(
-        zip(
-            tasks,
-            _map_ordered(
-                lambda item: sweep(item[0], *item[1]),
-                tasks.values(),
-                cfg.threads,
-            ),
-        )
-    )
+    maxima = dict(zip(tasks, _map_ordered(sweep, tasks.values(), cfg.threads)))
 
-    interp = inequalities.interpolation_family_rows(grid, members, seed, sigma, s, tau)
-    interp_refined = inequalities.interpolation_family_rows(
-        refined, members, seed, sigma, s, tau
+    interp, interp_refined = (
+        inequalities.interpolation_family_rows(on, members, seed, sigma, s, tau)
+        for on in (grid, refined)
     )
     violations = sum(
         1 for row in interp if row["gap"] < -_GAP_TOL * row["norm_s"]
@@ -908,100 +785,85 @@ def run_inequalities(cfg: ExperimentConfig) -> InequalitiesReport:
         for row in interp
         if row["is_probe"] and abs(row["ratio"] - 1.0) <= _EQUALITY_TOL
     )
-    interp_max = max(row["ratio"] for row in interp)
-    interp_max_refined = max(row["ratio"] for row in interp_refined)
-
     stability = {
         check: abs(pair[1] - pair[0]) / pair[0] for check, pair in maxima.items()
     }
     stable = all(drift <= _STABILITY_TOL for drift in stability.values())
     passed = violations == 0 and equality_cases == probes and stable
 
+    maxima["interpolation"] = (
+        max(row["ratio"] for row in interp),
+        max(row["ratio"] for row in interp_refined),
+    )
+    orders = {  # check -> (s_or_k, tau) columns
+        "commutator": (k, None),
+        "reciprocal": (s, None),
+        "algebra": (None, None),
+        "interpolation": (s, tau),
+    }
     rows = [
         {
-            "check": "commutator",
+            "check": check,
             "sigma": sigma,
-            "s_or_k": k,
-            "tau": None,
+            "s_or_k": s_or_k,
+            "tau": tau_column,
             "family_size": members,
-            "max_ratio": maxima["commutator"][0],
-            "max_ratio_refined": maxima["commutator"][1],
-            "equality_cases": 0,
-        },
-        {
-            "check": "reciprocal",
-            "sigma": sigma,
-            "s_or_k": s,
-            "tau": None,
-            "family_size": members,
-            "max_ratio": maxima["reciprocal"][0],
-            "max_ratio_refined": maxima["reciprocal"][1],
-            "equality_cases": 0,
-        },
-        {
-            "check": "algebra",
-            "sigma": sigma,
-            "s_or_k": None,
-            "tau": None,
-            "family_size": members,
-            "max_ratio": maxima["algebra"][0],
-            "max_ratio_refined": maxima["algebra"][1],
-            "equality_cases": 0,
-        },
-        {
-            "check": "interpolation",
-            "sigma": sigma,
-            "s_or_k": s,
-            "tau": tau,
-            "family_size": members,
-            "max_ratio": interp_max,
-            "max_ratio_refined": interp_max_refined,
-            "equality_cases": equality_cases,
-        },
+            "max_ratio": maxima[check][0],
+            "max_ratio_refined": maxima[check][1],
+            "equality_cases": equality_cases if check == "interpolation" else 0,
+        }
+        for check, (s_or_k, tau_column) in orders.items()
     ]
-    report = InequalitiesReport(
-        rows=rows,
-        passed=passed,
-        details={
-            "grid_sizes": [base_n, refined_n],
-            "gap_violations": violations,
-            "single_mode_probes": probes,
-            "refinement_drift": stability,
-            "stability_tolerance": _STABILITY_TOL,
-        },
-    )
-    _emit(
+    return _emit(
         cfg,
-        report,
-        "inequalities.csv",
-        "check,sigma,s_or_k,tau,family_size,max_ratio,max_ratio_refined,equality_cases",
-        (
-            (
-                row["check"],
-                row["sigma"],
-                row["s_or_k"],
-                row["tau"],
-                row["family_size"],
-                row["max_ratio"],
-                row["max_ratio_refined"],
-                row["equality_cases"],
-            )
-            for row in rows
+        Report(
+            experiment="inequalities",
+            rows=rows,
+            passed=passed,
+            details={
+                "grid_sizes": [base_n, refined_n],
+                "gap_violations": violations,
+                "single_mode_probes": probes,
+                "refinement_drift": stability,
+                "stability_tolerance": _STABILITY_TOL,
+            },
         ),
     )
-    return report
 
 
-_RUNNERS = {
-    "nonuniform": run_nonuniform,
-    "residue_scaling": run_residue_scaling,
-    "error_scaling": run_error_scaling,
-    "exact_check": run_exact_check,
-    "higher_norm": run_higher_norm,
-    "inequalities": run_inequalities,
+class _Experiment(NamedTuple):
+    runner: Callable[[ExperimentConfig], Report]
+    n_list: tuple[int, ...]
+    help: str
+
+
+#: The experiments by name: runner, default ``n_list`` and CLI help.
+EXPERIMENTS = {
+    "nonuniform": _Experiment(
+        run_nonuniform,
+        (4, 8, 16, 32),
+        "shrinking initial distances against persistent separation",
+    ),
+    "residue_scaling": _Experiment(
+        run_residue_scaling, (4, 8, 16, 32, 64), "norm decay of the family residue"
+    ),
+    "error_scaling": _Experiment(
+        run_error_scaling,
+        (8, 16, 32),
+        "distance of evolved runs to the approximate family",
+    ),
+    "exact_check": _Experiment(
+        run_exact_check, (8,), "propagation accuracy on the exact family"
+    ),
+    "higher_norm": _Experiment(
+        run_higher_norm, (8, 16, 32), "growth of the above-regularity norm"
+    ),
+    "inequalities": _Experiment(
+        run_inequalities, (64, 128), "seeded sweeps of the inequality toolbox"
+    ),
 }
 
 
-def run_experiment(cfg: ExperimentConfig):
+def run_experiment(cfg: ExperimentConfig) -> Report:
     """Dispatch to the runner named by the config."""
-    return _RUNNERS[cfg.experiment](cfg)
+    return EXPERIMENTS[cfg.experiment].runner(cfg)

@@ -174,8 +174,9 @@ def test_criterion_6_nonuniform_dependence(capsys):
         and details["triangle_ok"]
         and elapsed <= 300.0
     )
-    d0_small = report.d0[max(report.n_list)]
-    sep = details["final_separation"][str(max(report.n_list))]
+    last = report.rows[-1]  # rows run over n, then t, so this is the largest n
+    d0_small = last["d0"]
+    sep = details["final_separation"][str(last["n"])]
     _verdict(
         capsys,
         6,

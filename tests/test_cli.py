@@ -1,10 +1,17 @@
 """Command-line interface: subcommands, config loading, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from torusgas.cli import build_parser, main
+from torusgas.lab import EXPERIMENTS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -21,6 +28,23 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_module_help_is_clean(self):
+        # ``python -m torusgas.cli`` must not find the module already imported
+        # by the package, which Python reports as a RuntimeWarning.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "torusgas.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "COLUMNS": "200"},
+            timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        for name, experiment in EXPERIMENTS.items():
+            assert f"{name.replace('_', '-')} " in result.stdout
+            assert experiment.help in result.stdout
 
 
 class TestMain:

@@ -11,9 +11,7 @@ from torusgas.families import FamilyParams
 from torusgas.lab import (
     EXPERIMENTS,
     ExperimentConfig,
-    InequalitiesReport,
-    NonuniformReport,
-    ScalingReport,
+    Report,
     config_from_dict,
     default_config,
     fit_loglog_slope,
@@ -170,23 +168,30 @@ class TestConfigFromDict:
 
 
 class TestReports:
-    def test_scaling_report_needs_rows(self):
-        with pytest.raises(ValueError, match="at least 3 rows"):
-            ScalingReport(
-                experiment="residue_scaling",
-                parameter="n",
-                rows=[(4.0, 1.0, 1.0), (8.0, 0.5, 0.5)],
-                fitted_slope=-1.0,
-                predicted_slope=-1.0,
-                slope_tolerance=0.1,
-                passed=True,
-            )
+    def test_scaling_run_needs_three_n(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            run_residue_scaling(default_config("residue_scaling", n_list=(4, 8)))
 
     def test_summaries(self):
-        nu = NonuniformReport(n_list=(4,), d0={4: 1.0}, rows=[], passed=True)
+        nu = Report(experiment="nonuniform", rows=[], passed=True)
         assert nu.summary() == {"experiment": "nonuniform", "pass": True}
-        iq = InequalitiesReport(rows=[], passed=False)
+        iq = Report(experiment="inequalities", rows=[], passed=False)
         assert iq.summary() == {"experiment": "inequalities", "pass": False}
+        sc = Report(
+            experiment="residue_scaling",
+            rows=[],
+            passed=True,
+            fitted_slope=-6.49,
+            predicted_slope=-6.5,
+            slope_tolerance=0.05,
+        )
+        assert sc.summary() == {
+            "experiment": "residue_scaling",
+            "pass": True,
+            "fitted_slope": -6.49,
+            "predicted_slope": -6.5,
+            "tolerance": 0.05,
+        }
 
 
 class TestResidueScaling:
@@ -199,8 +204,8 @@ class TestResidueScaling:
         assert report.predicted_slope == pytest.approx(-6.5)
         assert abs(report.fitted_slope - report.predicted_slope) <= 0.05
         assert len(report.rows) == 3
-        for _, measured, envelope in report.rows:
-            assert measured <= envelope * (1.0 + 1e-9)
+        for row in report.rows:
+            assert row["measured_value"] <= row["reference_envelope"] * (1.0 + 1e-9)
         lines = (tmp_path / "residue_scaling.csv").read_text().splitlines()
         assert lines[0] == "n,measured_value,reference_envelope"
         assert len(lines) == 4
@@ -242,7 +247,7 @@ class TestExactCheck:
         assert report.fitted_slope >= 3.8
         assert report.details["max_deviation"] <= 1e-8
         assert report.details["max_divergence_l2"] <= 1e-10
-        dts = [row[0] for row in report.rows]
+        dts = [row["dt"] for row in report.rows]
         assert dts[0] == pytest.approx(2.0 * dts[1]) and dts[1] == pytest.approx(
             2.0 * dts[2]
         )
@@ -259,7 +264,7 @@ class TestErrorScaling:
         assert report.fitted_slope <= report.details["slope_threshold"]
         assert report.details["control_certified"]
         assert report.details["control_relative_gap"] < 0.01
-        measured = [row[1] for row in report.rows]
+        measured = [row["measured_value"] for row in report.rows]
         assert measured == sorted(measured, reverse=True)
 
 
@@ -271,7 +276,7 @@ class TestHigherNorm:
         assert report.details["tau"] == 4.0
         assert report.predicted_slope == pytest.approx(1.0)
         assert abs(report.fitted_slope - 1.0) <= 0.15
-        measured = [row[1] for row in report.rows]
+        measured = [row["measured_value"] for row in report.rows]
         assert measured == sorted(measured)  # norms grow with n
 
 
@@ -280,12 +285,17 @@ class TestNonuniform:
         cfg = default_config("nonuniform", n_list=(4, 16), output_dir=str(tmp_path))
         report = run_nonuniform(cfg)
         assert report.passed
+        d0 = {row["n"]: row["d0"] for row in report.rows}
+        assert sorted(d0) == [4, 16]
         for n in (4, 16):
-            assert report.d0[n] == pytest.approx(
+            assert d0[n] == pytest.approx(
                 4.0 * np.sqrt(2.0) * np.pi / n, abs=1e-8
             )
         final = [r for r in report.rows if r["n"] == 16 and r["t"] == 1.0]
         assert len(final) == 1
+        assert report.details["final_separation"] == {
+            str(r["n"]): r["pair_dist_s"] for r in report.rows if r["t"] == 1.0
+        }
         assert final[0]["pair_dist_s"] >= 0.75 * final[0]["approx_diff_s"]
         for row in report.rows:
             bound = row["approx_diff_s"] - row["err_plus_s"] - row["err_minus_s"]
@@ -408,5 +418,5 @@ class TestInequalitiesRunner:
 class TestRunExperiment:
     def test_dispatch(self):
         report = run_experiment(default_config("residue_scaling", n_list=(4, 8, 16)))
-        assert isinstance(report, ScalingReport)
+        assert isinstance(report, Report)
         assert report.experiment == "residue_scaling"
