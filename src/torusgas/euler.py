@@ -28,7 +28,6 @@ from .spectral import Field, TorusGrid
 __all__ = [
     "GasParams",
     "PointState",
-    "StateGradients",
     "State",
     "AdmissibleStateError",
     "CoeffMatrix",
@@ -37,7 +36,6 @@ __all__ = [
     "matrix_A0",
     "matrix_A1",
     "matrix_B1",
-    "matrix_C",
     "symmetrizer_floor",
     "rhs",
     "rhs_hat",
@@ -53,7 +51,7 @@ __all__ = [
 #: 4x4 real coefficient matrix; plain ndarray with finite entries.
 CoeffMatrix = np.ndarray
 
-#: Default positivity floor for admissible-region checks.
+#: Positivity floor of min(rho) and min(h) in every admissible-region check.
 REGION_FLOOR = 1e-8
 
 
@@ -90,20 +88,6 @@ class PointState:
             raise AdmissibleStateError(
                 f"point state needs rho > 0 and h > 0, got rho={self.rho}, h={self.h}"
             )
-
-
-@dataclass(frozen=True)
-class StateGradients:
-    """First spatial derivatives of (rho, u, v, h) at one point."""
-
-    rho_x: float = 0.0
-    rho_y: float = 0.0
-    u_x: float = 0.0
-    u_y: float = 0.0
-    v_x: float = 0.0
-    v_y: float = 0.0
-    h_x: float = 0.0
-    h_y: float = 0.0
 
 
 def _finite(m: np.ndarray) -> CoeffMatrix:
@@ -182,52 +166,6 @@ def matrix_B1(p: PointState, g: GasParams) -> CoeffMatrix:
     )
 
 
-def matrix_C(
-    p: PointState,
-    grads: StateGradients,
-    h_approx: float,
-    g: GasParams,
-) -> CoeffMatrix:
-    """Zeroth-order coefficient matrix of the error evolution system.
-
-    Every entry carries one spatial derivative of the reference state, so
-    the matrix vanishes wherever the reference state is constant.
-
-    Parameters
-    ----------
-    p : PointState
-        The state at which the matrix is evaluated.
-    grads : StateGradients
-        Spatial derivatives of the reference state at the same point.
-    h_approx : float
-        The h-component of the approximating family at this point.
-    g : GasParams
-    """
-    if h_approx <= 0.0:
-        raise ValueError(f"h_approx must be positive, got {h_approx}")
-    div = grads.u_x + grads.v_y
-    return _finite(
-        np.array(
-            [
-                [div, grads.rho_x, grads.rho_y, 0.0],
-                [
-                    -h_approx * grads.rho_x / (p.rho * g.rho0),
-                    grads.u_x,
-                    grads.u_y,
-                    grads.rho_x / p.rho,
-                ],
-                [
-                    -h_approx * grads.rho_y / (p.rho * g.rho0),
-                    grads.v_x,
-                    grads.v_y,
-                    grads.rho_y / p.rho,
-                ],
-                [0.0, grads.h_x, grads.h_y, (g.gamma - 1.0) * div],
-            ]
-        )
-    )
-
-
 def symmetrizer_floor(g: GasParams) -> float:
     """Lower eigenvalue bound of A0 at the base state (rho0, 0, 0, h0)."""
     return min(
@@ -264,18 +202,18 @@ class State:
     def min_h(self) -> float:
         return float(np.min(self.h.samples))
 
-    def require_admissible(self, floor: float = REGION_FLOOR) -> None:
-        """Raise AdmissibleStateError unless min(rho) and min(h) exceed floor."""
-        _require_admissible(self.rho.samples, self.h.samples, floor)
+    def require_admissible(self) -> None:
+        """Raise AdmissibleStateError unless min(rho) and min(h) exceed REGION_FLOOR."""
+        _require_admissible(self.rho.samples, self.h.samples)
 
 
-def _require_admissible(rho: np.ndarray, h: np.ndarray, floor: float) -> None:
+def _require_admissible(rho: np.ndarray, h: np.ndarray) -> None:
     for name, values in (("rho", rho), ("h", h)):
         low = values.min()
-        if not low > floor:
+        if not low > REGION_FLOOR:
             raise AdmissibleStateError(
                 f"state left the admissible region: min({name}) = {low:.6e} "
-                f"<= floor {floor:.1e}"
+                f"<= floor {REGION_FLOOR:.1e}"
             )
 
 
@@ -317,19 +255,17 @@ def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return sfft.irfft2(coeffs, s=(grid.size, grid.size), axes=(-2, -1))
 
 
-def rhs_hat(
-    state_hat: np.ndarray, grid: TorusGrid, g: GasParams, floor: float = REGION_FLOOR
-) -> np.ndarray:
+def rhs_hat(state_hat: np.ndarray, grid: TorusGrid, g: GasParams) -> np.ndarray:
     """Right-hand side -(A(U) U_x + B(U) U_y) of a stacked spectral state.
 
     ``state_hat`` is the output of :func:`state_to_hat`.  Derivatives are
     spectral; products are formed pointwise in physical space and the
     assembled components are dealiased once.  Raises AdmissibleStateError
-    when min(rho) or min(h) does not exceed ``floor``.
+    when min(rho) or min(h) does not exceed :data:`REGION_FLOOR`.
     """
     fields = _backward(state_hat, grid)
     rho, u, v, h = fields
-    _require_admissible(rho, h, floor)
+    _require_admissible(rho, h)
     d_x = _backward(grid.ikx * state_hat, grid)
     d_y = _backward(grid.iky * state_hat, grid)
     div = d_x[1] + d_y[2]
@@ -344,9 +280,9 @@ def rhs_hat(
     return out_hat
 
 
-def rhs(s: State, g: GasParams, floor: float = REGION_FLOOR) -> State:
+def rhs(s: State, g: GasParams) -> State:
     """Right-hand side -(A(U) U_x + B(U) U_y) of U_t = rhs(U); see :func:`rhs_hat`."""
-    return state_from_hat(rhs_hat(state_to_hat(s), s.grid, g, floor), s.grid)
+    return state_from_hat(rhs_hat(state_to_hat(s), s.grid, g), s.grid)
 
 
 def divergence(s: State) -> Field:
@@ -354,9 +290,9 @@ def divergence(s: State) -> Field:
     return spectral.partial_x(s.u) + spectral.partial_y(s.v)
 
 
-def max_wave_speed(s: State, g: GasParams, floor: float = REGION_FLOOR) -> float:
+def max_wave_speed(s: State, g: GasParams) -> float:
     """Largest characteristic speed max(|u| + c, |v| + c) with c = sqrt(gamma h)."""
-    s.require_admissible(floor)
+    s.require_admissible()
     c = np.sqrt(g.gamma * s.h.samples)
     speed_x = np.abs(s.u.samples) + c
     speed_y = np.abs(s.v.samples) + c

@@ -14,8 +14,10 @@ second is an approximate family
          h0 + n^{-2s} sin(n x - omega t) sin(n y - omega t)),
 
 which satisfies the system up to a residue appearing only in the fourth
-equation.  The residue, its norm envelope, and the closed-form difference
-of the omega = +1 and omega = -1 members are provided as generators so
+equation.  Its formula is written once, in ``_approx_deviation``; the
+member, its initial data and the assembled residual all build from it.
+The residue, its norm envelope, and the closed-form difference of the
+omega = +1 and omega = -1 members are provided as generators so
 downstream checks never rely on numerically assembled versions of them.
 """
 
@@ -95,26 +97,36 @@ def exact_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
     return State(zero, _full(grid, du), zero, zero)
 
 
+def _approx_deviation(
+    f: FamilyParams, grid: TorusGrid, t: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The one formula of the approximate member.
+
+    Returns the drift omega/n and the deviations of u, v and h from the
+    constant background (rho0, omega/n, omega/n, h0).  The u deviation has
+    shape (1, N) and the v deviation (N, 1); both broadcast to the grid.
+    """
+    _require_resolved(grid, 2 * f.n, "approximate family")
+    xcol, yrow = grid.meshgrid()
+    a = f.n * xcol - f.omega * t
+    b = f.n * yrow - f.omega * t
+    amp = f.n ** (-f.s)
+    h_dev = f.n ** (-2.0 * f.s) * np.sin(a) * np.sin(b)
+    return f.omega / f.n, amp * np.cos(b), amp * np.cos(a), h_dev
+
+
 def approx_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) -> State:
     """Approximate-family member at time t.
 
     Requires 2n within the dealias band: quadratic products of this state
     carry modes up to 2n and the residue identities need them resolved.
     """
-    _require_resolved(grid, 2 * f.n, "approximate family")
-    xcol, yrow = grid.meshgrid()
-    amp = f.n ** (-f.s)
-    drift = f.omega / f.n
-    u = drift + amp * np.cos(f.n * yrow - f.omega * t)
-    v = drift + amp * np.cos(f.n * xcol - f.omega * t)
-    h = g.h0 + f.n ** (-2.0 * f.s) * np.sin(f.n * xcol - f.omega * t) * np.sin(
-        f.n * yrow - f.omega * t
-    )
+    drift, u_dev, v_dev, h_dev = _approx_deviation(f, grid, t)
     return State(
         constant_field(grid, g.rho0),
-        _full(grid, u),
-        _full(grid, v),
-        Field(grid, samples=h),
+        _full(grid, drift + u_dev),
+        _full(grid, drift + v_dev),
+        Field(grid, samples=g.h0 + h_dev),
     )
 
 
@@ -138,19 +150,7 @@ def approx_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
 
 def initial_data(f: FamilyParams, g: GasParams, grid: TorusGrid) -> State:
     """Initial state shared by the approximate member and the evolved run."""
-    _require_resolved(grid, 2 * f.n, "family initial data")
-    xcol, yrow = grid.meshgrid()
-    amp = f.n ** (-f.s)
-    drift = f.omega / f.n
-    u = drift + amp * np.cos(f.n * yrow)
-    v = drift + amp * np.cos(f.n * xcol)
-    h = g.h0 + f.n ** (-2.0 * f.s) * np.sin(f.n * xcol) * np.sin(f.n * yrow)
-    return State(
-        constant_field(grid, g.rho0),
-        _full(grid, u),
-        _full(grid, v),
-        Field(grid, samples=h),
-    )
+    return approx_solution(f, g, grid, 0.0)
 
 
 def residue_field(
@@ -209,10 +209,7 @@ def approx_difference(n: int, s: float, grid: TorusGrid, t: float) -> State:
          2/n + 2 n^{-s} sin(nx) sin t,
          -n^{-2s} sin(nx + ny) sin 2t).
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not s > 2.0:
-        raise ValueError(f"s must exceed 2, got {s}")
+    FamilyParams(1, n, s)  # validates n and s
     _require_resolved(grid, 2 * n, "family difference")
     xcol, yrow = grid.meshgrid()
     du = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * yrow) * np.sin(t)
@@ -238,17 +235,8 @@ def assemble_approx_residual(
     perturbations instead of the scale of the background.  Coefficients use
     the full field values and products are formed pointwise.
     """
-    _require_resolved(grid, 2 * f.n, "assembled residue")
-    xcol, yrow = grid.meshgrid()
-    a = f.n * xcol - f.omega * t
-    b = f.n * yrow - f.omega * t
-    amp = f.n ** (-f.s)
-    amp2 = f.n ** (-2.0 * f.s)
-    drift = f.omega / f.n
-
-    u_dev = Field(grid, samples=np.broadcast_to(amp * np.cos(b), (grid.size, grid.size)).copy())
-    v_dev = Field(grid, samples=np.broadcast_to(amp * np.cos(a), (grid.size, grid.size)).copy())
-    h_dev = Field(grid, samples=amp2 * np.sin(a) * np.sin(b))
+    drift, *deviations = _approx_deviation(f, grid, t)
+    u_dev, v_dev, h_dev = (_full(grid, d) for d in deviations)
 
     u_x = partial_x(u_dev).samples
     u_y = partial_y(u_dev).samples
@@ -289,18 +277,11 @@ def residue_identity_errors(
     """
     res = assemble_approx_residual(f, g, grid, t)
     target = residue_field(f, grid, t)
-    xcol, yrow = grid.meshgrid()
-    a = f.n * xcol - f.omega * t
-    b = f.n * yrow - f.omega * t
-    amp = f.n ** (-f.s)
-    drift = f.omega / f.n
-
-    u_dev = Field(grid, samples=np.broadcast_to(amp * np.cos(b), (grid.size, grid.size)).copy())
-    v_dev = Field(grid, samples=np.broadcast_to(amp * np.cos(a), (grid.size, grid.size)).copy())
-    u_y = partial_y(u_dev).samples
-    v_x = partial_x(v_dev).samples
-    scale_u = sobolev_norm(Field(grid, samples=(drift + v_dev.samples) * u_y), 0.0)
-    scale_v = sobolev_norm(Field(grid, samples=(drift + u_dev.samples) * v_x), 0.0)
+    drift, u_dev, v_dev, _ = _approx_deviation(f, grid, t)
+    u_y = partial_y(_full(grid, u_dev)).samples
+    v_x = partial_x(_full(grid, v_dev)).samples
+    scale_u = sobolev_norm(Field(grid, samples=(drift + v_dev) * u_y), 0.0)
+    scale_v = sobolev_norm(Field(grid, samples=(drift + u_dev) * v_x), 0.0)
 
     def _rel(residual: Field, scale: float) -> float:
         size = sobolev_norm(residual, 0.0)

@@ -255,14 +255,14 @@ def commutator_family_ratios(
     return ratios
 
 
-def _bounded_density(grid: TorusGrid, seed: int, max_mode: int, decay: float) -> Field:
+def _bounded_density(grid: TorusGrid, seed: int) -> Field:
     """Density 1 + fluctuation with min value >= 1 - RHO_FLUCTUATION.
 
     The fluctuation is scaled by the l1 norm of its mode amplitudes, a
     resolution-independent bound on its sup norm, so the same seed gives
     the same continuum density at every grid size.
     """
-    rows = _random_modes(RandomFieldSpec(max_mode, decay, seed))
+    rows = _random_modes(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed))
     total = sum(abs(amplitude) for _, _, amplitude, _ in rows)
     if total == 0.0:
         return spectral.constant_field(grid, 1.0)
@@ -282,9 +282,7 @@ def reciprocal_family_ratios(
     ratios = np.empty(n_members)
     for i in range(n_members):
         f = _family_field(grid, base_seed, "reciprocal", 2 * i)
-        rho = _bounded_density(
-            grid, family_seed(base_seed, "reciprocal", 2 * i + 1), RHO_MAX_MODE, FAMILY_DECAY
-        )
+        rho = _bounded_density(grid, family_seed(base_seed, "reciprocal", 2 * i + 1))
         ratios[i] = reciprocal_ratio(f, rho, sigma, s)
     return ratios
 

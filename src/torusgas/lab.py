@@ -32,7 +32,7 @@ from .euler import (
     state_norm,
 )
 from .families import FamilyParams
-from .solver import SolveConfig, SolverError, Trajectory
+from .solver import SolveConfig, SolverError, Trajectory, _require_integer
 from .spectral import Field, make_grid, sobolev_norm
 
 __all__ = [
@@ -83,13 +83,11 @@ class ExperimentConfig:
     family_size: int = 500
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; "
-                f"choose from {tuple(EXPERIMENTS)}"
-            )
+        _lookup(self.experiment)
         for name in ("seed", "threads", "grid_rule", "family_size"):
             _require_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for n in self.n_list:
             _require_integer("n_list entry", n)
         if not self.s > 2.0:
@@ -132,14 +130,17 @@ class ExperimentConfig:
             raise ValueError("threads must be positive")
 
 
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _lookup(experiment: str) -> _Experiment:
+    if experiment not in EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; choose from {tuple(EXPERIMENTS)}"
+        )
+    return EXPERIMENTS[experiment]
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Defaults per experiment; keyword overrides are applied on top."""
-    defaults = {"experiment": experiment, "n_list": EXPERIMENTS[experiment].n_list}
+    defaults = {"experiment": experiment, "n_list": _lookup(experiment).n_list}
     return ExperimentConfig(**{**defaults, **overrides})
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .euler import (
     AdmissibleStateError,
     GasParams,
-    REGION_FLOOR,
     State,
     max_wave_speed,
     rhs_hat,
@@ -48,15 +47,14 @@ class SolveConfig:
 
     ``dt_fixed`` overrides the CFL choice when present.  ``record_stride``
     keeps every k-th step in the trajectory (the initial and final states
-    are always kept).  ``region_floor`` is the positivity floor of min(rho)
-    and min(h) below which a run aborts.
+    are always kept).  A run aborts when min(rho) or min(h) falls to the
+    fixed floor ``euler.REGION_FLOOR``.
     """
 
     T: float
     cfl: float = 0.25
     dt_fixed: float | None = None
     record_stride: int = 1
-    region_floor: float = REGION_FLOOR
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
@@ -65,8 +63,14 @@ class SolveConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_fixed is not None and not self.dt_fixed > 0.0:
             raise ValueError(f"dt_fixed must be positive, got {self.dt_fixed}")
+        _require_integer("record_stride", self.record_stride)
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -89,12 +93,12 @@ class Trajectory:
 
 
 def _rk4_update(
-    state_hat: np.ndarray, dt: float, grid: TorusGrid, g: GasParams, floor: float
+    state_hat: np.ndarray, dt: float, grid: TorusGrid, g: GasParams
 ) -> np.ndarray:
-    k1 = rhs_hat(state_hat, grid, g, floor)
-    k2 = rhs_hat(state_hat + 0.5 * dt * k1, grid, g, floor)
-    k3 = rhs_hat(state_hat + 0.5 * dt * k2, grid, g, floor)
-    k4 = rhs_hat(state_hat + dt * k3, grid, g, floor)
+    k1 = rhs_hat(state_hat, grid, g)
+    k2 = rhs_hat(state_hat + 0.5 * dt * k1, grid, g)
+    k3 = rhs_hat(state_hat + 0.5 * dt * k2, grid, g)
+    k4 = rhs_hat(state_hat + dt * k3, grid, g)
     return state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -104,30 +108,20 @@ def _pack(s: State) -> np.ndarray:
     return state_hat
 
 
-def cfl_dt(
-    s: State,
-    g: GasParams,
-    cfl: float,
-    grid: TorusGrid,
-    T: float | None = None,
-) -> float:
-    """CFL time step cfl * dx / max wave speed, dx = 2*pi/N.
-
-    When ``T`` is given the step is shrunk so T is an integer number of
-    steps.
-    """
+def cfl_dt(s: State, g: GasParams, cfl: float, grid: TorusGrid) -> float:
+    """CFL time step cfl * dx / max wave speed, dx = 2*pi/N."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     dx = grid.period / grid.size
-    dt = cfl * dx / max_wave_speed(s, g)
-    if T is not None:
-        steps = max(1, math.ceil(T / dt * (1.0 - 1e-12)))
-        dt = T / steps
-    return dt
+    return cfl * dx / max_wave_speed(s, g)
 
 
 def plan(s0: State, g: GasParams, cfg: SolveConfig) -> tuple[int, float]:
-    """Step count and rounded step size for a run of cfg from s0."""
+    """Step count and step size for a run of cfg from s0.
+
+    The CFL step (or ``dt_fixed``) is shrunk so T is an integer number of
+    steps.
+    """
     if cfg.dt_fixed is not None:
         dt0 = cfg.dt_fixed
     else:
@@ -136,11 +130,11 @@ def plan(s0: State, g: GasParams, cfg: SolveConfig) -> tuple[int, float]:
     return n_steps, cfg.T / n_steps
 
 
-def step_rk4(s: State, dt: float, g: GasParams, floor: float = REGION_FLOOR) -> State:
+def step_rk4(s: State, dt: float, g: GasParams) -> State:
     """One classical Runge-Kutta step of size dt; result dealiased."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return state_from_hat(_rk4_update(_pack(s), dt, s.grid, g, floor), s.grid)
+    return state_from_hat(_rk4_update(_pack(s), dt, s.grid, g), s.grid)
 
 
 def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
@@ -153,7 +147,7 @@ def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
     states: list[State] = [s0]
     for step in range(1, n_steps + 1):
         try:
-            state_hat = _rk4_update(state_hat, dt, grid, g, cfg.region_floor)
+            state_hat = _rk4_update(state_hat, dt, grid, g)
         except AdmissibleStateError as err:
             raise SolverError(
                 f"aborted at t = {step * dt:.6g} (step {step}/{n_steps}): {err}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -35,8 +35,6 @@ __all__ = [
     "Field",
     "make_grid",
     "synthesize",
-    "field_from_samples",
-    "field_from_coefficients",
     "partial_x",
     "partial_y",
     "lambda_pow",
@@ -54,12 +52,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class TorusGrid:
     """Uniform N-by-N grid on the square torus of period 2*pi per axis.
 
-    Owns the spectral tables of the half-plane layout (N, N/2 + 1).
+    Owns the spectral tables of the half-plane layout (N, N/2 + 1).  The
+    size is the only constructor argument; the period is the class constant
+    2*pi, which the derivative tables ``ikx`` and ``iky`` assume.
 
     Attributes
     ----------
     size : int
         Points per axis; even and at least 4.
+    period : float
+        Class constant 2*pi, the side length of the torus.
     x : ndarray
         Node coordinates ``2*pi*j/size`` for one axis.
     wavenumbers : ndarray
@@ -86,7 +88,7 @@ class TorusGrid:
     one_plus_ksq: np.ndarray = field(init=False, repr=False)
     column_weights: np.ndarray = field(init=False, repr=False)
 
-    period: float = 2.0 * np.pi
+    period: ClassVar[float] = 2.0 * np.pi
 
     def __post_init__(self) -> None:
         n = self.size
@@ -229,35 +231,6 @@ def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
 def _require_same_grid(a: Field, b: Field) -> None:
     if a.grid is not b.grid and a.grid.size != b.grid.size:
         raise ValueError("fields live on different grids")
-
-
-def field_from_samples(grid: TorusGrid, samples: np.ndarray) -> Field:
-    """Wrap an (N, N) array of physical samples as a Field."""
-    return Field(grid, samples=samples)
-
-
-def field_from_coefficients(grid: TorusGrid, coefficients: np.ndarray) -> Field:
-    """Wrap normalized Fourier coefficients as a Field.
-
-    Accepts the full-plane layout (N, N), which must have the conjugate
-    symmetry ``c[-k] = conj(c[k])`` of a real field, or the half-plane
-    layout (N, N/2 + 1), whose ky = 0 and ky = N/2 columns must be
-    conjugate-symmetric in kx.
-    """
-    n = grid.size
-    c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape == (n, n):
-        _require_conjugate_symmetric(c, axes=(0, 1))
-        c = c[:, : n // 2 + 1]
-    elif c.shape == (n, n // 2 + 1):
-        _require_conjugate_symmetric(c[:, [0, n // 2]], axes=0)
-    return Field(grid, coefficients=c)
-
-
-def _require_conjugate_symmetric(c: np.ndarray, axes) -> None:
-    mirror = np.roll(np.flip(c, axes), 1, axes)  # c[-k] along the given axes
-    if np.max(np.abs(c - np.conj(mirror))) > 1e-8 * (np.max(np.abs(c)) + 1.0):
-        raise ValueError("coefficients lack the conjugate symmetry of a real field")
 
 
 def constant_field(grid: TorusGrid, value: float) -> Field:

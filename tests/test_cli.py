@@ -126,12 +126,13 @@ class TestErrors:
         )
 
     def test_solver_error(self, tmp_path, capsys):
-        # a positivity floor at the base density aborts the first step
+        # an oversized step drives the density negative in the fourth step
         config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"n_list": [4], "solve": {"T": 0.1, "region_floor": 1.0}})
-        )
-        self._fails_cleanly(capsys, ["exact-check", "--config", str(config)], "aborted")
+        config.write_text(json.dumps({"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}))
+        self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "aborted")
+
+    def test_negative_seed(self, capsys):
+        self._fails_cleanly(capsys, ["inequalities", "--seed", "-1"], "seed")
 
     def test_unwritable_output(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -10,7 +10,6 @@ from torusgas.euler import (
     GasParams,
     PointState,
     State,
-    StateGradients,
     base_deviation,
     divergence,
     matrix_A,
@@ -18,7 +17,6 @@ from torusgas.euler import (
     matrix_A1,
     matrix_B,
     matrix_B1,
-    matrix_C,
     max_wave_speed,
     rhs,
     state_difference,
@@ -34,7 +32,16 @@ from torusgas.families import (
     residue_field,
 )
 from torusgas.solver import SolveConfig, cfl_dt, evolve
-from torusgas.spectral import Field, constant_field, make_grid, sobolev_norm, synthesize
+from torusgas.spectral import (
+    Field,
+    constant_field,
+    dealias,
+    make_grid,
+    partial_x,
+    partial_y,
+    sobolev_norm,
+    synthesize,
+)
 
 GAS = GasParams()
 
@@ -150,29 +157,6 @@ class TestMatrices:
     def test_matrix_rejects_inadmissible_point(self):
         with pytest.raises(AdmissibleStateError):
             matrix_A(PointState(-1.0, 0.0, 0.0, 1.0), GAS)
-
-
-class TestMatrixC:
-    def test_zero_gradients(self):
-        c = matrix_C(PointState(1.0, 0.0, 0.0, 1.0), StateGradients(), 1.0, GAS)
-        assert np.all(c == 0.0)
-
-    def test_density_gradient_entries(self):
-        grads = StateGradients(rho_x=1.0)
-        c = matrix_C(PointState(1.0, 0.0, 0.0, 1.0), grads, 1.0, GAS)
-        assert c[0, 1] == 1.0
-        assert c[1, 0] == -1.0
-        assert c[1, 3] == 1.0
-
-    def test_dilatation_entry(self):
-        gas = GasParams(gamma=2.0)
-        c = matrix_C(PointState(1.0, 0.0, 0.0, 1.0), StateGradients(u_x=1.0), 1.0, gas)
-        assert c[3, 3] == 1.0
-        assert c[0, 0] == 1.0
-
-    def test_rejects_degenerate_h_approx(self):
-        with pytest.raises(ValueError, match="h_approx"):
-            matrix_C(PointState(1.0, 0.0, 0.0, 1.0), StateGradients(), 0.0, GAS)
 
 
 class TestState:
@@ -355,6 +339,28 @@ def _reflect(s):
         for f in s.fields()
     )
     return State(rho, -u, -v, h)
+
+
+class TestRhsMatchesMatrices:
+    """The RHS kernel and the matrices A, B of criterion 2 describe one system."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pointwise_matrices_reproduce_kernel(self, seed):
+        grid = make_grid(16)
+        s = random_state(grid, seed)
+        values = np.stack([f.samples for f in s.fields()])
+        d_x = np.stack([partial_x(f).samples for f in s.fields()])
+        d_y = np.stack([partial_y(f).samples for f in s.fields()])
+        flux = np.empty_like(values)
+        for i, j in np.ndindex(grid.size, grid.size):
+            p = PointState(*values[:, i, j])
+            flux[:, i, j] = -(
+                matrix_A(p, GAS) @ d_x[:, i, j] + matrix_B(p, GAS) @ d_y[:, i, j]
+            )
+        expected = [dealias(Field(grid, samples=component)).samples for component in flux]
+        scale = max(np.max(np.abs(e)) for e in expected)
+        for got, want in zip(rhs(s, GAS).fields(), expected):
+            assert np.max(np.abs(got.samples - want)) <= 1e-12 * scale
 
 
 class TestRhsSymmetries:

@@ -259,7 +259,7 @@ class TestFamilies:
     def test_bounded_density_floor(self):
         grid = make_grid(64)
         for seed in range(30):
-            rho = _bounded_density(grid, seed, RHO_MAX_MODE, 2.0)
+            rho = _bounded_density(grid, seed)
             assert np.min(rho.samples) >= 1.0 - RHO_FLUCTUATION - 1e-12
             assert rho.mean() == pytest.approx(1.0, abs=1e-14)
 

@@ -52,6 +52,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig(experiment="nope")
 
+    def test_unknown_experiment_in_default_config(self):
+        # the experiment table lookup used to raise a bare KeyError
+        with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
+            default_config("frobnicate")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ExperimentConfig(experiment="nonuniform", seed=-1)
+
     def test_n_list_validation(self):
         with pytest.raises(ValueError, match="positive integers"):
             ExperimentConfig(experiment="nonuniform", n_list=())
@@ -136,6 +145,10 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"experiment": "nonuniform", "bogus": 1})
 
+    def test_unknown_experiment(self):
+        with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
+            config_from_dict({"experiment": "frobnicate"})
+
 
     def test_input_not_mutated(self):
         data = {
@@ -156,6 +169,8 @@ class TestConfigFromDict:
             ({"n_list": [4.5, 8]}, "n_list entry must be an integer"),
             ({"gas": {"bogus": 1.0}}, "invalid config"),
             ({"solve": {"T": "1"}}, "invalid config"),
+            ({"solve": {"record_stride": 2.5}}, "record_stride must be an integer"),
+            ({"seed": -1}, "seed must be non-negative"),
         ],
     )
     def test_malformed_values(self, data, match):

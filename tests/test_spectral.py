@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from torusgas.spectral import (
     Field,
+    TorusGrid,
     dealias,
-    field_from_coefficients,
-    field_from_samples,
     constant_field,
     lambda_pow,
     make_grid,
@@ -68,7 +67,9 @@ class TestMakeGrid:
         assert grid.iky[0, 3] == 3j
 
     def test_period_is_two_pi(self):
-        assert make_grid(16).period == TWO_PI
+        assert make_grid(16).period == TorusGrid.period == TWO_PI
+        with pytest.raises(TypeError):
+            TorusGrid(16, period=1.0)  # the derivative tables assume 2*pi
 
     def test_node_formula(self):
         grid = make_grid(10)
@@ -79,7 +80,7 @@ class TestField:
     def test_round_trip_samples(self):
         grid = make_grid(32)
         f = random_band_limited(grid, seed=1)
-        g = field_from_coefficients(grid, f.coefficients)
+        g = Field(grid, coefficients=f.coefficients)
         scale = np.max(np.abs(f.samples))
         assert np.max(np.abs(g.samples - f.samples)) <= 1e-12 * scale
 
@@ -95,33 +96,17 @@ class TestField:
             for j in (0, n // 2):
                 assert c[i, j] == pytest.approx(np.conj(c[-i % n, j]), abs=1e-13)
 
-    def test_full_plane_coefficients_accepted(self):
-        grid = make_grid(16)
-        f = random_band_limited(grid, seed=9, max_mode=5)
-        full = np.fft.fft2(f.samples) / grid.size**2
-        g = field_from_coefficients(grid, full)
-        assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-15
-        assert np.max(np.abs(g.samples - f.samples)) <= 1e-13
-
     def test_rejects_nonfinite_samples(self):
         grid = make_grid(8)
         bad = np.zeros((8, 8))
         bad[3, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            field_from_samples(grid, bad)
-
-    def test_rejects_asymmetric_coefficients(self):
-        grid = make_grid(8)
-        for shape in ((8, 8), (8, 5)):
-            c = np.zeros(shape, dtype=complex)
-            c[1, 0] = 1.0  # no conjugate partner at k = (-1, 0)
-            with pytest.raises(ValueError, match="conjugate symmetry"):
-                field_from_coefficients(grid, c).samples
+            Field(grid, samples=bad)
 
     def test_rejects_shape_mismatch(self):
         grid = make_grid(8)
         with pytest.raises(ValueError, match="shape"):
-            field_from_samples(grid, np.zeros((4, 4)))
+            Field(grid, samples=np.zeros((4, 4)))
 
     def test_immutable(self):
         grid = make_grid(8)
@@ -201,7 +186,7 @@ class TestDerivatives:
         f = synthesize(grid, [(2, 0, 1.0, "sin", 0.0), (0, 1, 0.0, "cos", 0.0)])
         # sin(2x)cos(y) as a two-factor sample product, derivative by hand
         xcol, yrow = grid.meshgrid()
-        g = field_from_samples(grid, np.sin(2.0 * xcol) * np.cos(yrow))
+        g = Field(grid, samples=np.sin(2.0 * xcol) * np.cos(yrow))
         expected = 2.0 * np.cos(2.0 * xcol) * np.cos(yrow)
         assert np.max(np.abs(partial_x(g).samples - expected)) < 1e-12
 
@@ -210,7 +195,7 @@ class TestDerivatives:
         # along it; the perturbation-form residue assembly depends on this.
         grid = make_grid(64)
         _, yrow = grid.meshgrid()
-        f = field_from_samples(grid, np.broadcast_to(np.cos(5.0 * yrow), (64, 64)))
+        f = Field(grid, samples=np.broadcast_to(np.cos(5.0 * yrow), (64, 64)))
         assert np.all(partial_x(f).samples == 0.0)
 
     def test_derivative_commutes_with_lambda(self):
@@ -290,7 +275,7 @@ class TestSobolevNorm:
         # 1/4; the exact norm follows from the mode sum.
         grid = make_grid(64)
         xcol, yrow = grid.meshgrid()
-        f = field_from_samples(grid, np.sin(2.0 * n * xcol) * np.cos(n * yrow))
+        f = Field(grid, samples=np.sin(2.0 * n * xcol) * np.cos(n * yrow))
         table = {
             (2 * n, n): 0.25,
             (2 * n, -n): 0.25,
