@@ -255,15 +255,24 @@ def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return sfft.irfft2(coeffs, s=(grid.size, grid.size), axes=(-2, -1))
 
 
-def rhs_hat(state_hat: np.ndarray, grid: TorusGrid, g: GasParams) -> np.ndarray:
+def rhs_hat(
+    state_hat: np.ndarray, grid: TorusGrid, g: GasParams, background: tuple | None = None
+) -> np.ndarray:
     """Right-hand side -(A(U) U_x + B(U) U_y) of a stacked spectral state.
 
     ``state_hat`` is the output of :func:`state_to_hat`.  Derivatives are
     spectral; products are formed pointwise in physical space and the
     assembled components are dealiased once.  Raises AdmissibleStateError
     when min(rho) or min(h) does not exceed :data:`REGION_FLOOR`.
+
+    With a constant ``background`` (rho, u, v, h), ``state_hat`` holds the
+    deviation U - background, and the background is added to the samples
+    before the admissibility check and the products.  The solver passes
+    none, so its arithmetic is untouched.
     """
     fields = _backward(state_hat, grid)
+    if background is not None:
+        fields += np.asarray(background, dtype=float)[:, None, None]
     rho, u, v, h = fields
     _require_admissible(rho, h)
     d_x = _backward(grid.ikx * state_hat, grid)

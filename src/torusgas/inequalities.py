@@ -7,6 +7,9 @@ the Sobolev algebra property, and the interpolation inequality
 ||u||_s <= ||u||_sigma^alpha ||u||_tau^beta.  A finite run cannot verify
 "there exists C", so each check is restated as a computable ratio whose
 finiteness, refinement stability, and exact equality cases are testable.
+:data:`RATIO_CHECKS` is the one table of the three ratio checks, and
+:func:`family_ratios` the one loop that sweeps a check over its seeded
+family; the interpolation check sweeps its own two-mode family.
 
 Products of band-limited fields are formed on a doubled grid where they
 are alias-free, then restricted to the representable band of the original
@@ -17,6 +20,7 @@ nothing, so the ratios are resolution-independent up to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,9 +36,9 @@ __all__ = [
     "algebra_ratio",
     "interpolation_gap",
     "family_seed",
-    "commutator_family_ratios",
-    "reciprocal_family_ratios",
-    "algebra_family_ratios",
+    "RatioCheck",
+    "RATIO_CHECKS",
+    "family_ratios",
     "interpolation_family_rows",
 ]
 
@@ -234,25 +238,9 @@ def family_seed(base_seed: int, check: str, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def _family_field(grid: TorusGrid, base_seed: int, check: str, index: int) -> Field:
-    """Family member ``index`` of ``check``: a seeded random field."""
-    spec = RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, family_seed(base_seed, check, index))
-    return random_field(grid, spec)
-
-
-def commutator_family_ratios(
-    grid: TorusGrid,
-    n_members: int,
-    base_seed: int,
-    sigma: float,
-    k: float,
-) -> np.ndarray:
-    ratios = np.empty(n_members)
-    for i in range(n_members):
-        f = _family_field(grid, base_seed, "commutator", 2 * i)
-        u = _family_field(grid, base_seed, "commutator", 2 * i + 1)
-        ratios[i] = commutator_ratio(f, u, sigma, k)
-    return ratios
+def _random_member(grid: TorusGrid, seed: int) -> Field:
+    """A seeded random family field."""
+    return random_field(grid, RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed))
 
 
 def _bounded_density(grid: TorusGrid, seed: int) -> Field:
@@ -272,32 +260,48 @@ def _bounded_density(grid: TorusGrid, seed: int) -> Field:
     return Field(grid, samples=1.0 + fluctuation.samples)
 
 
-def reciprocal_family_ratios(
+class RatioCheck(NamedTuple):
+    """One ratio check of the seeded family sweeps.
+
+    ``ratio(first, second, sigma[, order])`` scores a member, ``second``
+    builds its second factor from (grid, seed), and ``takes_order`` says
+    whether ``ratio`` takes the order k or s.
+    """
+
+    name: str
+    ratio: Callable[..., float]
+    second: Callable[[TorusGrid, int], Field]
+    takes_order: bool
+
+
+#: The ratio checks, in report order.
+RATIO_CHECKS = (
+    RatioCheck("commutator", commutator_ratio, _random_member, True),
+    RatioCheck("reciprocal", reciprocal_ratio, _bounded_density, True),
+    RatioCheck("algebra", algebra_ratio, _random_member, False),
+)
+
+
+def family_ratios(
+    check: RatioCheck,
     grid: TorusGrid,
     n_members: int,
     base_seed: int,
     sigma: float,
-    s: float,
+    order: float,
 ) -> np.ndarray:
+    """Ratios of the first ``n_members`` members of a check's family.
+
+    Member i pairs the random field of ``family_seed(base_seed, check.name,
+    2 i)`` with the second factor of index 2 i + 1.  ``order`` is k for the
+    commutator and s for the reciprocal check; algebra ignores it.
+    """
+    orders = (order,) if check.takes_order else ()
     ratios = np.empty(n_members)
     for i in range(n_members):
-        f = _family_field(grid, base_seed, "reciprocal", 2 * i)
-        rho = _bounded_density(grid, family_seed(base_seed, "reciprocal", 2 * i + 1))
-        ratios[i] = reciprocal_ratio(f, rho, sigma, s)
-    return ratios
-
-
-def algebra_family_ratios(
-    grid: TorusGrid,
-    n_members: int,
-    base_seed: int,
-    sigma: float,
-) -> np.ndarray:
-    ratios = np.empty(n_members)
-    for i in range(n_members):
-        f = _family_field(grid, base_seed, "algebra", 2 * i)
-        g = _family_field(grid, base_seed, "algebra", 2 * i + 1)
-        ratios[i] = algebra_ratio(f, g, sigma)
+        first = _random_member(grid, family_seed(base_seed, check.name, 2 * i))
+        second = check.second(grid, family_seed(base_seed, check.name, 2 * i + 1))
+        ratios[i] = check.ratio(first, second, sigma, *orders)
     return ratios
 
 

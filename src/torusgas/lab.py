@@ -65,9 +65,11 @@ class ExperimentConfig:
 
     ``grid_rule`` couples the grid to the family index: N = grid_rule * n,
     which keeps every mode of the families (up to 2n) inside the dealias
-    band.  For the ``inequalities`` experiment ``n_list`` holds the two
-    grid sizes (base, refined) instead of family indices, and
-    ``family_size`` sets the number of seeded members per check.
+    band.  It must be even, so that N is even for every n and the
+    nonuniform pair's mirror centre N/(2n) falls on a node.  For the
+    ``inequalities`` experiment ``n_list`` holds the two grid sizes (base,
+    refined) instead of family indices, and ``family_size`` sets the
+    number of seeded members per check.
     """
 
     experiment: str
@@ -120,6 +122,11 @@ class ExperimentConfig:
             if self.grid_rule < 6:
                 raise ValueError(
                     "grid_rule below 6 cannot resolve family modes up to 2n"
+                )
+            if self.grid_rule % 2:
+                raise ValueError(
+                    f"grid_rule must be even so that N = grid_rule * n is even, "
+                    f"got {self.grid_rule}"
                 )
             if self.grid_rule * max(n_list) > _MAX_GRID:
                 raise ValueError(
@@ -623,12 +630,10 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
     initial state is its mirror image under :func:`_mirror` with shift
     N/(2n) = grid_rule/2, which the run checks sample by sample, so every
     later omega = -1 state is the mirrored omega = +1 state at the same
-    recorded time.  An odd ``grid_rule`` puts the mirror centre between
-    nodes; then both states are evolved on the same step sequence.  The
-    report records, at every recorded time, the pair distance in H^s, the
-    closed-form distance of the approximating members, and the
-    numeric-to-approximate errors of each sign in both H^sigma and H^s.
-    The verdict combines the exact initial-distance formula, the
+    recorded time.  The report records, at every recorded time, the pair
+    distance in H^s, the closed-form distance of the approximating members,
+    and the numeric-to-approximate errors of each sign in both H^sigma and
+    H^s.  The verdict combines the exact initial-distance formula, the
     final-time separation floor, and the triangle-inequality consistency
     of each row.
     """
@@ -642,27 +647,15 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
         init_plus = families.initial_data(fp_plus, g, grid)
         init_minus = families.initial_data(fp_minus, g, grid)
         d0 = state_norm(state_difference(init_plus, init_minus), s)
-        mirrored = cfg.grid_rule % 2 == 0
         shift = cfg.grid_rule // 2
-        if mirrored:
-            _require_mirror_image(_mirror(init_plus, shift), init_minus, n)
-        # One shared step plan keeps the recorded times of the pair aligned.
-        _, dt = solver.plan(init_plus, g, cfg.solve)
-        solve = replace(cfg.solve, dt_fixed=dt)
+        _require_mirror_image(_mirror(init_plus, shift), init_minus, n)
         try:
-            traj_plus, _ = _evolve_recorded(init_plus, g, solve)
-            traj_minus = None if mirrored else _evolve_recorded(init_minus, g, solve)[0]
+            traj_plus, _ = _evolve_recorded(init_plus, g, cfg.solve)
         except SolverError as err:
             raise SolverError(f"nonuniform run at n={n} failed: {err}") from err
         rows = []
-        for idx, t in enumerate(traj_plus.times):
-            state_plus = traj_plus.states[idx]
-            if traj_minus is not None:
-                state_minus = traj_minus.states[idx]
-            elif idx == 0:
-                state_minus = init_minus
-            else:
-                state_minus = _mirror(state_plus, shift)
+        for idx, (t, state_plus) in enumerate(zip(traj_plus.times, traj_plus.states)):
+            state_minus = init_minus if idx == 0 else _mirror(state_plus, shift)
             err_plus = state_difference(
                 state_plus, families.approx_solution(fp_plus, g, grid, t)
             )
@@ -754,24 +747,19 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
     grid = make_grid(base_n)
     refined = make_grid(refined_n)
     sigma, s = cfg.sigma, cfg.s
-    k = s
     tau = float(math.floor(s) + 1)
     members = cfg.family_size
     seed = cfg.seed
+    checks = inequalities.RATIO_CHECKS
 
-    def sweep(task) -> tuple[float, float]:
-        family_ratios, args = task
+    def sweep(check: inequalities.RatioCheck) -> tuple[float, float]:
+        # the commutator's k is s
         return tuple(
-            float(np.max(family_ratios(on, members, seed, sigma, *args)))
+            float(np.max(inequalities.family_ratios(check, on, members, seed, sigma, s)))
             for on in (grid, refined)
         )
 
-    tasks = {
-        "commutator": (inequalities.commutator_family_ratios, (k,)),
-        "reciprocal": (inequalities.reciprocal_family_ratios, (s,)),
-        "algebra": (inequalities.algebra_family_ratios, ()),
-    }
-    maxima = dict(zip(tasks, _map_ordered(sweep, tasks.values(), cfg.threads)))
+    maxima = dict(zip((c.name for c in checks), _map_ordered(sweep, checks, cfg.threads)))
 
     interp, interp_refined = (
         inequalities.interpolation_family_rows(on, members, seed, sigma, s, tau)
@@ -796,12 +784,9 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
         max(row["ratio"] for row in interp),
         max(row["ratio"] for row in interp_refined),
     )
-    orders = {  # check -> (s_or_k, tau) columns
-        "commutator": (k, None),
-        "reciprocal": (s, None),
-        "algebra": (None, None),
-        "interpolation": (s, tau),
-    }
+    # check -> (s_or_k, tau) columns
+    orders = {c.name: (s if c.takes_order else None, None) for c in checks}
+    orders["interpolation"] = (s, tau)
     rows = [
         {
             "check": check,

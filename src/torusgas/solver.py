@@ -57,12 +57,14 @@ class SolveConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not (self.T > 0.0 and math.isfinite(self.T)):
+            raise ValueError(f"final time must be positive and finite, got {self.T}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_fixed is not None and not self.dt_fixed > 0.0:
-            raise ValueError(f"dt_fixed must be positive, got {self.dt_fixed}")
+        if self.dt_fixed is not None and not (
+            self.dt_fixed > 0.0 and math.isfinite(self.dt_fixed)
+        ):
+            raise ValueError(f"dt_fixed must be positive and finite, got {self.dt_fixed}")
         _require_integer("record_stride", self.record_stride)
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")

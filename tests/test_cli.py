@@ -131,6 +131,20 @@ class TestErrors:
         config.write_text(json.dumps({"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}))
         self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "aborted")
 
+    @pytest.mark.parametrize(
+        "solve, match",
+        [({"T": float("inf")}, "final time"), ({"T": 1.0, "dt_fixed": float("inf")}, "dt_fixed")],
+    )
+    def test_non_finite_times(self, tmp_path, capsys, solve, match):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solve": solve}))  # writes Infinity
+        self._fails_cleanly(capsys, ["exact-check", "--config", str(config)], match)
+
+    def test_odd_grid_rule(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_rule": 7}))
+        self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "grid_rule")
+
     def test_negative_seed(self, capsys):
         self._fails_cleanly(capsys, ["inequalities", "--seed", "-1"], "seed")
 

@@ -19,8 +19,10 @@ from torusgas.euler import (
     matrix_B1,
     max_wave_speed,
     rhs,
+    rhs_hat,
     state_difference,
     state_norm,
+    state_to_hat,
     symmetrizer_floor,
 )
 from torusgas.families import (
@@ -361,6 +363,22 @@ class TestRhsMatchesMatrices:
         scale = max(np.max(np.abs(e)) for e in expected)
         for got, want in zip(rhs(s, GAS).fields(), expected):
             assert np.max(np.abs(got.samples - want)) <= 1e-12 * scale
+
+
+class TestRhsBackground:
+    """A deviation plus a constant background gives the full state's RHS."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deviation_form_matches_full_state(self, seed):
+        grid = make_grid(16)
+        s = random_state(grid, seed)
+        background = (1.0, 0.3, -0.2, 1.0)
+        deviation = State(
+            *(Field(grid, samples=f.samples - c) for f, c in zip(s.fields(), background))
+        )
+        want = rhs_hat(state_to_hat(s), grid, GAS)
+        got = rhs_hat(state_to_hat(deviation), grid, GAS, background)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRhsSymmetries:

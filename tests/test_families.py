@@ -190,17 +190,19 @@ class TestInitialData:
 
 class TestResidue:
     def test_product_and_sum_forms_agree(self):
+        # the product-to-sum rewriting
+        # (sin 2a cos b + cos a sin 2b) / (2 n^{3s-1}), a = nx - wt, b = ny - wt
         grid = make_grid(64)
         f = FamilyParams(1, 4, 3.0)
+        xcol, yrow = grid.meshgrid()
         for t in (0.0, 0.3, 1.0):
-            a = residue_field(f, grid, t, form="product")
-            b = residue_field(f, grid, t, form="sum")
-            assert np.max(np.abs(a.samples - b.samples)) <= 1e-14
-
-    def test_unknown_form_rejected(self):
-        grid = make_grid(64)
-        with pytest.raises(ValueError, match="form"):
-            residue_field(FamilyParams(1, 4, 3.0), grid, 0.0, form="other")
+            a = f.n * xcol - f.omega * t
+            b = f.n * yrow - f.omega * t
+            rewritten = 0.5 * f.n ** (1.0 - 3.0 * f.s) * (
+                np.sin(2.0 * a) * np.cos(b) + np.cos(a) * np.sin(2.0 * b)
+            )
+            product = residue_field(f, grid, t).samples
+            assert np.max(np.abs(product - rewritten)) <= 1e-14
 
     @pytest.mark.parametrize("sigma", [0.0, 1.5])
     def test_norm_closed_form(self, sigma):

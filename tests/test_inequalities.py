@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 from torusgas.inequalities import (
     FAMILY_MAX_MODE,
     RHO_FLUCTUATION,
+    RATIO_CHECKS,
     RHO_MAX_MODE,
     RandomFieldSpec,
     _bounded_density,
-    algebra_family_ratios,
     algebra_ratio,
-    commutator_family_ratios,
     commutator_ratio,
+    family_ratios,
     family_seed,
     interpolation_family_rows,
     interpolation_gap,
     product_exact,
     random_field,
-    reciprocal_family_ratios,
     reciprocal_ratio,
 )
 from torusgas.spectral import (
@@ -236,8 +235,10 @@ class TestFamilies:
 
     def test_commutator_family_reproducible(self):
         grid = make_grid(64)
-        a = commutator_family_ratios(grid, 10, 7, 1.5, 3.0)
-        b = commutator_family_ratios(grid, 10, 7, 1.5, 3.0)
+        commutator = RATIO_CHECKS[0]
+        assert commutator.name == "commutator"
+        a = family_ratios(commutator, grid, 10, 7, 1.5, 3.0)
+        b = family_ratios(commutator, grid, 10, 7, 1.5, 3.0)
         assert np.array_equal(a, b)
         assert a.shape == (10,)
         assert np.all(a > 0.0)
@@ -247,13 +248,10 @@ class TestFamilies:
         # sees the same functions and ratios move only by round-off
         coarse = make_grid(64)
         fine = make_grid(128)
-        for sweep, args in [
-            (commutator_family_ratios, (1.5, 3.0)),
-            (reciprocal_family_ratios, (1.5, 3.0)),
-            (algebra_family_ratios, (1.5,)),
-        ]:
-            base = sweep(coarse, 20, 7, *args)
-            refined = sweep(fine, 20, 7, *args)
+        assert [c.name for c in RATIO_CHECKS] == ["commutator", "reciprocal", "algebra"]
+        for check in RATIO_CHECKS:
+            base = family_ratios(check, coarse, 20, 7, 1.5, 3.0)
+            refined = family_ratios(check, fine, 20, 7, 1.5, 3.0)
             assert np.max(np.abs(refined - base) / base) <= 1e-10
 
     def test_bounded_density_floor(self):

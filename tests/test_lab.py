@@ -84,6 +84,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="desk-scale"):
             ExperimentConfig(experiment="residue_scaling", n_list=(1024,))
 
+    @pytest.mark.parametrize(
+        "experiment",
+        ["nonuniform", "residue_scaling", "error_scaling", "exact_check", "higher_norm"],
+    )
+    def test_odd_grid_rule_rejected(self, experiment):
+        # N = grid_rule * n must be even for every n
+        with pytest.raises(ValueError, match="grid_rule must be even"):
+            default_config(experiment, grid_rule=7)
+
     def test_misc_validation(self):
         with pytest.raises(ValueError, match="s must exceed 2"):
             ExperimentConfig(experiment="nonuniform", s=2.0)
@@ -357,8 +366,7 @@ class TestNonuniformMirror:
                 1e-12,
             )
 
-    @staticmethod
-    def _count_evolve(monkeypatch) -> list:
+    def test_one_evolve_per_n(self, monkeypatch):
         sizes = []
         real_evolve = solver.evolve
 
@@ -367,23 +375,9 @@ class TestNonuniformMirror:
             return real_evolve(s0, *args, **kwargs)
 
         monkeypatch.setattr(solver, "evolve", counting_evolve)
-        return sizes
-
-    def test_one_evolve_per_n(self, monkeypatch):
-        sizes = self._count_evolve(monkeypatch)
         cfg = default_config("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
         run_nonuniform(cfg)
         assert sorted(sizes) == [16, 32]
-
-    def test_odd_grid_rule_evolves_both_signs(self, monkeypatch):
-        sizes = self._count_evolve(monkeypatch)
-        cfg = default_config(
-            "nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1), grid_rule=7
-        )
-        report = run_nonuniform(cfg)
-        assert sorted(sizes) == [14, 14, 28, 28]
-        for row in report.rows:
-            assert row["err_minus_s"] == pytest.approx(row["err_plus_s"], rel=1e-10)
 
     def test_broken_mirror_image_raises(self, monkeypatch):
         real_initial_data = families.initial_data

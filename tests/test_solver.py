@@ -43,6 +43,17 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match="record_stride"):
             SolveConfig(T=1.0, record_stride=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"T": float("inf")}, "final time"),
+            ({"T": 1.0, "dt_fixed": float("inf")}, "dt_fixed"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolveConfig(**kwargs)
+
     @pytest.mark.parametrize("stride", [2.5, True, "2"])
     def test_record_stride_must_be_integer(self, stride):
         with pytest.raises(ValueError, match="record_stride must be an integer"):
