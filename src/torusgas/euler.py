@@ -185,9 +185,9 @@ class State:
     h: Field
 
     def __post_init__(self) -> None:
-        sizes = {f.grid.size for f in self.fields()}
-        if len(sizes) != 1:
-            raise ValueError(f"state components live on different grids: {sizes}")
+        grids = {f.grid for f in self.fields()}
+        if len(grids) != 1:
+            raise ValueError(f"state components live on different grids: {grids}")
 
     def fields(self) -> tuple[Field, Field, Field, Field]:
         return (self.rho, self.u, self.v, self.h)

@@ -65,11 +65,17 @@ class FamilyParams:
             raise ValueError(f"s must exceed 2, got {self.s}")
 
 
-def _require_resolved(grid: TorusGrid, top_mode: int, what: str) -> None:
-    if top_mode > grid.dealias_cutoff:
+def _require_resolved(grid: TorusGrid, n: int, harmonic: int, what: str) -> None:
+    """Require the modes n, ..., harmonic*n to be periodic on the cell and dealiased."""
+    if n % grid.cells:
         raise ValueError(
-            f"{what} carries modes up to {top_mode}, beyond the dealias band "
-            f"{grid.dealias_cutoff} of an N={grid.size} grid"
+            f"{what} at n={n} is not periodic on the 2*pi/{grid.cells} cell of the grid"
+        )
+    band = grid.dealias_cutoff * grid.cells
+    if harmonic * n > band:
+        raise ValueError(
+            f"{what} carries modes up to {harmonic * n}, beyond the dealias band "
+            f"{band} of an N={grid.size} grid on a 2*pi/{grid.cells} cell"
         )
 
 
@@ -80,7 +86,7 @@ def _full(grid: TorusGrid, values: np.ndarray) -> Field:
 
 def exact_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) -> State:
     """Exact travelling-wave member at time t."""
-    _require_resolved(grid, f.n, "exact family")
+    _require_resolved(grid, f.n, 1, "exact family")
     _, yrow = grid.meshgrid()
     u = f.n ** (-f.s) * np.cos(f.n * yrow - f.omega * t)
     return State(
@@ -93,7 +99,7 @@ def exact_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) -> 
 
 def exact_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
     """Hand-differentiated time derivative of the exact member."""
-    _require_resolved(grid, f.n, "exact family")
+    _require_resolved(grid, f.n, 1, "exact family")
     _, yrow = grid.meshgrid()
     du = f.omega * f.n ** (-f.s) * np.sin(f.n * yrow - f.omega * t)
     zero = constant_field(grid, 0.0)
@@ -109,7 +115,7 @@ def _approx_deviation(
     constant background (rho0, omega/n, omega/n, h0).  The u deviation has
     shape (1, N) and the v deviation (N, 1); both broadcast to the grid.
     """
-    _require_resolved(grid, 2 * f.n, "approximate family")
+    _require_resolved(grid, f.n, 2, "approximate family")
     xcol, yrow = grid.meshgrid()
     a = f.n * xcol - f.omega * t
     b = f.n * yrow - f.omega * t
@@ -135,7 +141,7 @@ def approx_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) ->
 
 def approx_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
     """Hand-differentiated time derivative of the approximate member."""
-    _require_resolved(grid, 2 * f.n, "approximate family")
+    _require_resolved(grid, f.n, 2, "approximate family")
     xcol, yrow = grid.meshgrid()
     amp = f.omega * f.n ** (-f.s)
     du = amp * np.sin(f.n * yrow - f.omega * t)
@@ -161,7 +167,7 @@ def residue_field(f: FamilyParams, grid: TorusGrid, t: float) -> Field:
 
         n^{1-3s} cos(nx - wt) cos(ny - wt) (sin(nx - wt) + sin(ny - wt)).
     """
-    _require_resolved(grid, 2 * f.n, "residue")
+    _require_resolved(grid, f.n, 2, "residue")
     xcol, yrow = grid.meshgrid()
     a = f.n * xcol - f.omega * t
     b = f.n * yrow - f.omega * t
@@ -196,7 +202,7 @@ def approx_difference(n: int, s: float, grid: TorusGrid, t: float) -> State:
          -n^{-2s} sin(nx + ny) sin 2t).
     """
     FamilyParams(1, n, s)  # validates n and s
-    _require_resolved(grid, 2 * n, "family difference")
+    _require_resolved(grid, n, 2, "family difference")
     xcol, yrow = grid.meshgrid()
     du = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * yrow) * np.sin(t)
     dv = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * xcol) * np.sin(t)

@@ -126,9 +126,9 @@ def product_exact(f: Field, g: Field) -> Field:
     representable on that grid; content beyond |k| = N/2 - 1 (present only
     when the factors fill more than half the band) is truncated.
     """
-    if f.grid.size != g.grid.size:
+    if f.grid != g.grid:
         raise ValueError("product factors live on different grids")
-    fine = make_grid(2 * f.grid.size)
+    fine = make_grid(2 * f.grid.size, f.grid.cells)
     product = _lift(f, fine).samples * _lift(g, fine).samples
     return _restrict(Field(fine, samples=product).coefficients, f.grid, fine)
 
@@ -171,7 +171,7 @@ def reciprocal_ratio(f: Field, rho: Field, sigma: float, s: float) -> float:
         raise ValueError(f"s must exceed 1, got {s}")
     if not sigma <= s:
         raise ValueError(f"sigma must not exceed s, got sigma={sigma}, s={s}")
-    if rho.grid.size != f.grid.size:
+    if rho.grid != f.grid:
         raise ValueError("f and rho live on different grids")
     low = float(np.min(rho.samples))
     if not low > 0.0:

@@ -51,7 +51,8 @@ __all__ = [
     "run_experiment",
 ]
 
-#: Grid sizes beyond this are not desk scale.
+#: Bound on grid_rule * n, the band represented at the largest n, which
+#: error_scaling still allocates as a whole-torus grid; beyond it is not desk scale.
 _MAX_GRID = 4096
 
 #: Target number of recorded snapshots per run; keeps long trajectories
@@ -63,10 +64,11 @@ _TARGET_RECORDS = 16
 class ExperimentConfig:
     """Parameters of one experiment run.
 
-    ``grid_rule`` couples the grid to the family index: N = grid_rule * n,
-    which keeps every mode of the families (up to 2n) inside the dealias
-    band.  It must be even, so that N is even for every n and the
-    nonuniform pair's mirror centre N/(2n) falls on a node.  For the
+    ``grid_rule`` is the number of points per axis on one 2*pi/n cell of
+    the family of index n, the resolution of N = grid_rule * n points on the
+    whole torus; it keeps every mode of the families (up to 2n) inside the
+    dealias band.  It must be even, so that the cell grid is even and the
+    nonuniform pair's mirror centre grid_rule/2 falls on a node.  For the
     ``inequalities`` experiment ``n_list`` holds the two grid sizes (base,
     refined) instead of family indices, and ``family_size`` sets the
     number of seeded members per check.
@@ -347,7 +349,7 @@ def run_residue_scaling(cfg: ExperimentConfig) -> Report:
     sigma, s = cfg.sigma, cfg.s
 
     def measure(n: int) -> float:
-        grid = make_grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule, n)
         residue = families.residue_field(FamilyParams(1, n, s), grid, 0.0)
         return sobolev_norm(residue, sigma)
 
@@ -393,7 +395,7 @@ def run_exact_check(cfg: ExperimentConfig) -> Report:
     g, s = cfg.gas, cfg.s
 
     def deviation_run(n: int, solve: SolveConfig = cfg.solve) -> tuple[float, ...]:
-        grid = make_grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule, n)
         fp = FamilyParams(1, n, s)
         s0 = families.exact_solution(fp, g, grid, 0.0)
         traj, dt = _evolve_recorded(s0, g, solve)
@@ -462,6 +464,7 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
 
     def run_one(n: int, refine: int = 1, solve: SolveConfig = cfg.solve) -> dict:
+        # Whole torus until ROADMAP item 3(c): on a cell, digits of the bench reference move.
         grid = make_grid(refine * cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
@@ -542,7 +545,7 @@ def run_higher_norm(cfg: ExperimentConfig) -> Report:
     tau = float(math.floor(s) + 1)
 
     def run_one(n: int) -> dict:
-        grid = make_grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule, n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
         traj, _ = _evolve_recorded(s0, g, cfg.solve)
@@ -626,14 +629,16 @@ def _require_mirror_image(mirrored: State, target: State, n: int) -> None:
 def run_nonuniform(cfg: ExperimentConfig) -> Report:
     """Evolve data pairs whose initial distance shrinks like 1/n.
 
-    For each n only the omega = +1 initial state is evolved.  The omega = -1
-    initial state is its mirror image under :func:`_mirror` with shift
-    N/(2n) = grid_rule/2, which the run checks sample by sample, so every
-    later omega = -1 state is the mirrored omega = +1 state at the same
-    recorded time.  The report records, at every recorded time, the pair
-    distance in H^s, the closed-form distance of the approximating members,
-    and the numeric-to-approximate errors of each sign in both H^sigma and
-    H^s.  The verdict combines the exact initial-distance formula, the
+    For each n only the omega = +1 initial state is evolved, on one 2*pi/n
+    cell of grid_rule points per axis (every family member is
+    2*pi/n-periodic).  The omega = -1 initial state is its mirror image
+    under :func:`_mirror` with shift grid_rule/2, the half cell, which the
+    run checks sample by sample, so every later omega = -1 state is the
+    mirrored omega = +1 state at the same recorded time.  The report
+    records, at every recorded time, the pair distance in H^s, the
+    closed-form distance of the approximating members, and the
+    numeric-to-approximate errors of each sign in both H^sigma and H^s.
+    The verdict combines the exact initial-distance formula, the
     final-time separation floor, and the triangle-inequality consistency
     of each row.
     """
@@ -641,7 +646,7 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
 
     def run_pair(n: int) -> list[dict]:
-        grid = make_grid(cfg.grid_rule * n)
+        grid = make_grid(cfg.grid_rule, n)
         fp_plus = FamilyParams(1, n, s)
         fp_minus = FamilyParams(-1, n, s)
         init_plus = families.initial_data(fp_plus, g, grid)

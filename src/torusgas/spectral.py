@@ -8,24 +8,28 @@ trigonometric synthesis.
 
 Conventions
 -----------
-Samples are stored as ``f[i, j] = f(x_i, y_j)`` with ``x_i = 2*pi*i/N``.
-Spectral coefficients use the amplitude normalization
+A grid covers one square cell of side 2*pi/cells (``cells = 1``: the whole
+torus); a field on it stands for its periodic extension to the torus.
+Samples are stored as ``f[i, j] = f(x_i, y_j)`` with
+``x_i = (2*pi/cells)*i/N``.  Spectral coefficients use the amplitude
+normalization
 
-    f(x, y) = sum_k c_k exp(i (kx*x + ky*y)),
+    f(x, y) = sum_k c_k exp(i cells (kx*x + ky*y)),
 
 stored on the half-plane of the real FFT: ``c = rfft2(samples) / N**2``
 has shape (N, N/2 + 1), rows in DFT order of kx and columns ky = 0..N/2.
-The omitted coefficients follow from ``c[-k] = conj(c[k])``, so sums over
-the full plane weight the interior columns 0 < ky < N/2 by 2 (the grid's
+So c_k is the torus coefficient at the physical wavenumber cells*k.  The
+omitted coefficients follow from ``c[-k] = conj(c[k])``, so sums over the
+full plane weight the interior columns 0 < ky < N/2 by 2 (the grid's
 ``column_weights``).  The Sobolev norm uses the un-normalized 2pi-periodic
-measure, so the constant field 1 has L2 norm 2*pi.
+measure of the torus, so the constant field 1 has L2 norm 2*pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -48,62 +52,67 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TorusGrid:
-    """Uniform N-by-N grid on the square torus of period 2*pi per axis.
+    """Uniform N-by-N grid on one square cell of side 2*pi/cells.
 
     Owns the spectral tables of the half-plane layout (N, N/2 + 1).  The
-    size is the only constructor argument; the period is the class constant
-    2*pi, which the derivative tables ``ikx`` and ``iky`` assume.
+    grid represents the 2*pi/cells-periodic fields of the torus: bin k holds
+    the physical wavenumber cells*k.  Grids are equal when (size, cells) are.
 
     Attributes
     ----------
     size : int
-        Points per axis; even and at least 4.
+        Points per axis of the cell; even and at least 4.
+    cells : int
+        Cells per axis of the torus; a positive integer.
     period : float
-        Class constant 2*pi, the side length of the torus.
+        Side length 2*pi/cells of the cell.
     x : ndarray
-        Node coordinates ``2*pi*j/size`` for one axis.
+        Node coordinates ``period*j/size`` for one axis.
     wavenumbers : ndarray
-        Integer kx table in standard DFT bin order.  Bin j holds the
-        representative of j mod size taken from {-size/2+1, ..., size/2}.
+        Integer kx table in cell units and standard DFT bin order.  Bin j
+        holds the representative of j mod size taken from
+        {-size/2+1, ..., size/2}.
     ikx, iky : ndarray
-        Derivative multipliers i*kx, shape (N, 1), and i*ky, shape
-        (1, N/2 + 1).  The sign-ambiguous bin N/2 is zeroed in both, which
-        keeps derivatives real and exact on the synthesis band.
+        Derivative multipliers i*cells*kx, shape (N, 1), and i*cells*ky,
+        shape (1, N/2 + 1).  The sign-ambiguous bin N/2 is zeroed in both,
+        which keeps derivatives real and exact on the synthesis band.
     dealias_mask : ndarray
         Boolean (N, N/2 + 1) table of the modes with max(|kx|, ky) <= N/3.
     one_plus_ksq : ndarray
-        The symbol 1 + kx^2 + ky^2, shape (N, N/2 + 1).
+        The symbol 1 + cells^2 (kx^2 + ky^2), shape (N, N/2 + 1).
     column_weights : ndarray
         Multiplicity (1, 2, ..., 2, 1) of each ky column in the full plane.
     """
 
     size: int
-    x: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
-    ikx: np.ndarray = field(init=False, repr=False)
-    iky: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
-    one_plus_ksq: np.ndarray = field(init=False, repr=False)
-    column_weights: np.ndarray = field(init=False, repr=False)
-
-    period: ClassVar[float] = 2.0 * np.pi
+    cells: int = 1
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    ikx: np.ndarray = field(init=False, repr=False, compare=False)
+    iky: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    one_plus_ksq: np.ndarray = field(init=False, repr=False, compare=False)
+    column_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.size
-        if not isinstance(n, (int, np.integer)):
-            raise TypeError(f"grid size must be an integer, got {n!r}")
+        n, c = self.size, self.cells
+        for name, value in (("size", n), ("cells", c)):
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"grid {name} must be an integer, got {value!r}")
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
+        if c < 1:
+            raise ValueError(f"grid cells must be positive, got {c}")
         k = sfft.fftfreq(n, d=1.0 / n).astype(np.int64)
         # fftfreq labels the half-way bin -n/2; relabel it +n/2 so the table
         # is exactly {-n/2+1, ..., n/2}.
         k[n // 2] = n // 2
         ky = np.arange(n // 2 + 1, dtype=np.float64)
-        kx_deriv = k.astype(np.float64)
+        kx_deriv = c * k.astype(np.float64)
         kx_deriv[n // 2] = 0.0
-        ky_deriv = ky.copy()
+        ky_deriv = c * ky
         ky_deriv[-1] = 0.0
         cutoff = self.dealias_cutoff
         weights = np.full(n // 2 + 1, 2.0)
@@ -114,15 +123,21 @@ class TorusGrid:
             "ikx": (1j * kx_deriv)[:, None],
             "iky": (1j * ky_deriv)[None, :],
             "dealias_mask": (np.abs(k)[:, None] <= cutoff) & (ky[None, :] <= cutoff),
-            "one_plus_ksq": 1.0 + k.astype(np.float64)[:, None] ** 2 + ky[None, :] ** 2,
+            "one_plus_ksq": 1.0
+            + c**2 * (k.astype(np.float64)[:, None] ** 2 + ky[None, :] ** 2),
             "column_weights": weights,
         }
         for name, table in tables.items():
             object.__setattr__(self, name, _frozen(table))
 
     @property
+    def period(self) -> float:
+        """Side length 2*pi/cells of the cell."""
+        return 2.0 * np.pi / self.cells
+
+    @property
     def dealias_cutoff(self) -> int:
-        """Largest wavenumber magnitude kept by the two-thirds rule."""
+        """Largest wavenumber magnitude, in cell units, kept by the two-thirds rule."""
         return self.size // 3
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +146,9 @@ class TorusGrid:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: make_grid(64.0) must still be rejected
-def make_grid(size: int) -> TorusGrid:
-    """The uniform torus grid with ``size`` points per axis, built once per size."""
-    return TorusGrid(size)
+def make_grid(size: int, cells: int = 1) -> TorusGrid:
+    """The grid of ``size`` points per axis on a 2*pi/cells cell, built once per pair."""
+    return TorusGrid(size, cells)
 
 
 class Field:
@@ -229,7 +244,7 @@ def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def _require_same_grid(a: Field, b: Field) -> None:
-    if a.grid is not b.grid and a.grid.size != b.grid.size:
+    if a.grid != b.grid:
         raise ValueError("fields live on different grids")
 
 
@@ -249,8 +264,9 @@ def synthesize(
     grid : TorusGrid
     modes : iterable of (kx, ky, amplitude, kind, phase)
         ``kind`` is ``"cos"`` or ``"sin"``; the mode contributes
-        ``amplitude * kind(kx*x + ky*y + phase)``.  Wavenumbers must
-        satisfy ``|kx|, |ky| <= N/2 - 1`` so the mode is represented
+        ``amplitude * kind(kx*x + ky*y + phase)``.  Wavenumbers are physical:
+        they must be multiples of ``grid.cells`` so the mode is periodic on
+        the cell, and satisfy ``|k| <= cells*(N/2 - 1)`` so it is represented
         without aliasing; the sign-ambiguous bin N/2 is rejected.
 
     Returns
@@ -258,14 +274,16 @@ def synthesize(
     Field
         Samples equal to the pointwise sum of the requested modes.
     """
-    n = grid.size
-    limit = n // 2 - 1
+    n, cells = grid.size, grid.cells
+    limit = cells * (n // 2 - 1)
     xcol, yrow = grid.meshgrid()
     total = np.zeros((n, n))
     for mode in modes:
         kx, ky, amplitude, kind, phase = mode
         if int(kx) != kx or int(ky) != ky:
             raise ValueError(f"mode wavenumbers must be integers, got {(kx, ky)}")
+        if int(kx) % cells or int(ky) % cells:
+            raise ValueError(f"mode {(kx, ky)} is not periodic on a 2*pi/{cells} cell")
         if abs(int(kx)) > limit or abs(int(ky)) > limit:
             raise ValueError(
                 f"mode {(kx, ky)} is not representable on an N={n} grid "

@@ -172,6 +172,11 @@ class TestState:
                 constant_field(g1, 1.0),
             )
 
+    def test_cell_and_full_grid_of_one_size_rejected(self):
+        full, cell = make_grid(8), make_grid(8, 2)
+        with pytest.raises(ValueError, match=r"different grids: .*cells=2"):
+            State(*(constant_field(g, 1.0) for g in (full, full, cell, full)))
+
     def test_minima(self):
         grid = make_grid(16)
         s = constant_state(grid, 1.5, 0.0, 0.0, 0.25)

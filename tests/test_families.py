@@ -129,6 +129,17 @@ class TestApproxFamily:
         with pytest.raises(ValueError, match="dealias band"):
             approx_solution(FamilyParams(1, 6, 3.0), GAS, grid, 0.0)
 
+    def test_resolution_rule_on_cells(self):
+        # a 2*pi/4 cell of 8 points keeps physical modes up to 2 * 4 = 8
+        cell = make_grid(8, 4)
+        assert approx_solution(FamilyParams(1, 4, 3.0), GAS, cell, 0.0).grid == cell
+        with pytest.raises(ValueError, match="dealias band 8 of an N=8 grid on a 2\\*pi/4 cell"):
+            approx_solution(FamilyParams(1, 8, 3.0), GAS, cell, 0.0)
+        with pytest.raises(ValueError, match="n=6 is not periodic on the 2\\*pi/4 cell"):
+            approx_solution(FamilyParams(1, 6, 3.0), GAS, make_grid(32, 4), 0.0)
+        with pytest.raises(ValueError, match="n=2 is not periodic"):
+            exact_solution(FamilyParams(1, 2, 3.0), GAS, cell, 0.0)
+
     def test_deviation_slope_at_sigma_s_minus_1(self):
         # At sigma = s-1 the constant drift omega/n and the oscillatory
         # part both scale like n^{sigma-s}; the fitted slope matches.

@@ -86,6 +86,20 @@ class TestProductExact:
         with pytest.raises(ValueError, match="different grids"):
             product_exact(f, g)
 
+    def test_cell_and_full_grid_of_one_size_rejected(self):
+        f = constant_field(make_grid(16), 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            product_exact(f, constant_field(make_grid(16, 2), 1.0))
+
+    def test_product_on_cell_grid(self):
+        # cos(2y)^2 = 1/2 + cos(4y)/2 on a 2*pi/2 cell
+        cell = make_grid(16, 2)
+        f = synthesize(cell, [(0, 2, 1.0, "cos", 0.0)])
+        p = product_exact(f, f)
+        assert p.grid == cell
+        expected = synthesize(cell, [(0, 4, 0.5, "cos", 0.0)]).samples + 0.5
+        assert np.max(np.abs(p.samples - expected)) <= 1e-14
+
 
 class TestCommutatorRatio:
     def test_constant_u_oracle(self):
@@ -151,6 +165,12 @@ class TestReciprocalRatio:
         f = synthesize(grid, [(1, 0, 1.0, "cos", 0.0)])
         rho = synthesize(grid, [(0, 1, 2.0, "cos", 0.0)])  # dips to -2
         with pytest.raises(ValueError, match="strictly positive"):
+            reciprocal_ratio(f, rho, 1.5, 3.0)
+
+    def test_cell_and_full_grid_of_one_size_rejected(self):
+        f = synthesize(make_grid(32), [(2, 0, 1.0, "cos", 0.0)])
+        rho = constant_field(make_grid(32, 2), 1.0)
+        with pytest.raises(ValueError, match="f and rho live on different grids"):
             reciprocal_ratio(f, rho, 1.5, 3.0)
 
     def test_parameter_validation(self):

@@ -22,10 +22,11 @@ from torusgas.lab import (
     run_inequalities,
     run_nonuniform,
     run_residue_scaling,
+    _evolve_recorded,
     _mirror,
 )
 from torusgas.solver import SolveConfig
-from torusgas.spectral import make_grid
+from torusgas.spectral import Field, TorusGrid, make_grid
 class TestFitLoglogSlope:
     def test_exact_power_laws(self):
         xs = [1.0, 2.0, 4.0, 8.0]
@@ -371,13 +372,13 @@ class TestNonuniformMirror:
         real_evolve = solver.evolve
 
         def counting_evolve(s0, *args, **kwargs):
-            sizes.append(s0.grid.size)
+            sizes.append((s0.grid.size, s0.grid.cells))
             return real_evolve(s0, *args, **kwargs)
 
         monkeypatch.setattr(solver, "evolve", counting_evolve)
         cfg = default_config("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
         run_nonuniform(cfg)
-        assert sorted(sizes) == [16, 32]
+        assert sorted(sizes) == [(8, 2), (8, 4)]  # one grid_rule-point cell per n
 
     def test_broken_mirror_image_raises(self, monkeypatch):
         real_initial_data = families.initial_data
@@ -392,6 +393,64 @@ class TestNonuniformMirror:
         cfg = default_config("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
         with pytest.raises(RuntimeError, match="not a mirror image"):
             run_nonuniform(cfg)
+
+
+def _pinned_torus_grid(size: int) -> TorusGrid:
+    """A fresh whole-torus grid whose derivative tables, the ones evolve reads,
+    are set from their closed forms written without cells: i*k, bin N/2 zeroed."""
+    grid = TorusGrid(size)
+    kx, ky = grid.wavenumbers.astype(float), np.arange(size // 2 + 1, dtype=float)
+    kx[size // 2] = ky[-1] = 0.0
+    object.__setattr__(grid, "ikx", (1j * kx)[:, None])
+    object.__setattr__(grid, "iky", (1j * ky)[None, :])
+    return grid
+
+
+class TestCellGridEvolve:
+    """Evolving one 2*pi/n cell is evolving the whole torus."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_cell_run_matches_full_torus_run(self, n):
+        gas, fp = GasParams(), FamilyParams(1, n, 3.0)
+        full, cell = make_grid(8 * n), make_grid(8, n)
+        on_full, on_cell = (
+            _evolve_recorded(families.initial_data(fp, gas, on), gas, SolveConfig(T=1.0))[0]
+            for on in (full, cell)
+        )
+        assert on_full.times == on_cell.times and len(on_cell.times) > 10
+        # the torus coefficient at n*k is the cell coefficient at k
+        lattice = np.ix_((n * cell.wavenumbers) % full.size, n * np.arange(5))
+        for state_full, state_cell in zip(on_full.states, on_cell.states):
+            scale = max(np.max(np.abs(f.samples)) for f in state_cell.fields())
+            for a, b in zip(state_full.fields(), state_cell.fields()):
+                gap = np.max(np.abs(a.coefficients[lattice] - b.coefficients))
+                assert gap <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_full_torus_run_stays_on_multiples_of_n(self, n):
+        gas, grid = GasParams(), make_grid(8 * n)
+        s0 = families.initial_data(FamilyParams(1, n, 3.0), gas, grid)
+        traj, _ = _evolve_recorded(s0, gas, SolveConfig(T=1.0))
+        columns = np.arange(grid.size // 2 + 1)
+        off_lattice = np.ones((grid.size, columns.size), dtype=bool)
+        off_lattice[np.ix_(grid.wavenumbers % n == 0, columns % n == 0)] = False
+        for state in traj.states:
+            scale = max(np.max(np.abs(f.samples)) for f in state.fields())
+            for f in state.fields():
+                assert np.max(np.abs(f.coefficients[off_lattice])) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("omega, n, size", [(1, 2, 16), (-1, 2, 16), (1, 4, 32)])
+    def test_whole_torus_evolve_unchanged_by_cells(self, omega, n, size):
+        gas, solve = GasParams(), SolveConfig(T=0.2)
+        s0 = families.initial_data(FamilyParams(omega, n, 3.0), gas, make_grid(size))
+        runs = [
+            solver.evolve(State(*(Field(on, samples=f.samples) for f in s0.fields())), gas, solve)
+            for on in (make_grid(size), _pinned_torus_grid(size))
+        ]
+        assert runs[0].times == runs[1].times
+        for a, b in zip(runs[0].states, runs[1].states):
+            for fa, fb in zip(a.fields(), b.fields()):
+                assert np.array_equal(fa.samples, fb.samples)
 
 
 class TestInequalitiesRunner:

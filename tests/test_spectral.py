@@ -67,13 +67,76 @@ class TestMakeGrid:
         assert grid.iky[0, 3] == 3j
 
     def test_period_is_two_pi(self):
-        assert make_grid(16).period == TorusGrid.period == TWO_PI
+        assert make_grid(16).period == TWO_PI
+        assert make_grid(16, 4).period == TWO_PI / 4
         with pytest.raises(TypeError):
-            TorusGrid(16, period=1.0)  # the derivative tables assume 2*pi
+            TorusGrid(16, period=1.0)  # the period follows from cells
 
     def test_node_formula(self):
         grid = make_grid(10)
         assert np.allclose(grid.x, TWO_PI * np.arange(10) / 10)
+
+
+class TestCellGrid:
+    """A grid on one 2*pi/cells cell: tables in cell units, scaled by cells."""
+
+    def test_tables_scale_by_cells(self):
+        cell, full = make_grid(8, 4), make_grid(8)
+        k = full.wavenumbers
+        assert np.array_equal(cell.wavenumbers, k)
+        assert np.array_equal(cell.ikx, 4 * full.ikx)
+        assert np.array_equal(cell.iky, 4 * full.iky)
+        assert np.array_equal(cell.one_plus_ksq, 1.0 + 16 * (full.one_plus_ksq - 1.0))
+        assert np.array_equal(cell.dealias_mask, full.dealias_mask)
+        assert cell.dealias_cutoff == 2
+        assert np.allclose(cell.x, full.x / 4, rtol=1e-15)
+
+    def test_identity_is_size_and_cells(self):
+        assert make_grid(8, 2) == TorusGrid(8, 2) == make_grid(8, cells=2)
+        assert make_grid(8, 2) != make_grid(8) and make_grid(8, 2) != make_grid(16, 2)
+        assert make_grid(8, 1) == make_grid(8) and hash(make_grid(8, 1)) == hash(make_grid(8))
+
+    def test_rejects_bad_cells(self):
+        with pytest.raises(ValueError, match="cells must be positive"):
+            make_grid(8, 0)
+        with pytest.raises(TypeError, match="cells must be an integer"):
+            make_grid(8, 2.0)
+
+    def test_cells_one_tables_are_the_whole_torus_formulas(self):
+        grid = make_grid(16)
+        k = grid.wavenumbers.astype(float)
+        ky = np.arange(9, dtype=float)
+        kx_d, ky_d = k.copy(), ky.copy()
+        kx_d[8] = ky_d[8] = 0.0
+        assert np.array_equal(grid.x, TWO_PI * np.arange(16) / 16)
+        assert np.array_equal(grid.ikx, (1j * kx_d)[:, None])
+        assert np.array_equal(grid.iky, (1j * ky_d)[None, :])
+        assert np.array_equal(grid.one_plus_ksq, 1.0 + k[:, None] ** 2 + ky[None, :] ** 2)
+
+    def test_fields_on_cell_and_full_grid_do_not_mix(self):
+        a = constant_field(make_grid(8), 1.0)
+        b = constant_field(make_grid(8, 2), 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            a + b
+        with pytest.raises(ValueError, match="different grids"):
+            a - b
+
+    @pytest.mark.parametrize("cells", [2, 5])
+    def test_cell_field_matches_full_torus_field(self, cells):
+        # mode (kx, ky) of the torus is mode (kx, ky)/cells of the cell
+        modes = [(2 * cells, -cells, 0.7, "cos", 0.3), (0, 3 * cells, -1.1, "sin", 1.0)]
+        cell = synthesize(make_grid(16, cells), modes)
+        full = synthesize(make_grid(16 * cells), modes)
+        assert np.allclose(full.samples[:16, :16], cell.samples, atol=1e-14)
+        rows = (cells * cell.grid.wavenumbers) % full.grid.size
+        cols = cells * np.arange(9)
+        assert np.allclose(full.coefficients[np.ix_(rows, cols)], cell.coefficients, atol=1e-15)
+        for sigma in (0.0, 1.5, 3.0):
+            assert sobolev_norm(cell, sigma) == pytest.approx(
+                sobolev_norm(full, sigma), rel=1e-13
+            )
+        for d in (partial_x, partial_y):
+            assert np.allclose(d(full).samples[:16, :16], d(cell).samples, atol=1e-12)
 
 
 class TestField:
@@ -161,6 +224,14 @@ class TestSynthesize:
         grid = make_grid(16)
         with pytest.raises(ValueError, match="kind"):
             synthesize(grid, [(1, 1, 1.0, "tan", 0.0)])
+
+    def test_mode_not_periodic_on_cell_rejected(self):
+        cell = make_grid(16, 3)
+        with pytest.raises(ValueError, match="not periodic on a 2\\*pi/3 cell"):
+            synthesize(cell, [(3, 1, 1.0, "cos", 0.0)])
+        with pytest.raises(ValueError, match="not representable"):
+            synthesize(cell, [(0, 24, 1.0, "cos", 0.0)])  # cell mode 8, the Nyquist bin
+        assert synthesize(cell, [(21, -21, 1.0, "cos", 0.0)]).mean() == pytest.approx(0.0)
 
     def test_phase_shift(self):
         grid = make_grid(32)
