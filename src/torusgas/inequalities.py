@@ -11,21 +11,33 @@ finiteness, refinement stability, and exact equality cases are testable.
 :func:`family_ratios` the one loop that sweeps a check over its seeded
 family; the interpolation check sweeps its own two-mode family.
 
+A family member is made in two steps.  Its mode rows (wavenumber,
+amplitude, phase) are drawn once from its seed and hold no grid; they are
+then scattered onto each grid, which checks that the modes fit that grid's
+dealias band.  So :func:`family_ratios` scores every member on all its
+grids from one draw, and the refined sweep sees the same functions.
+
 Products of band-limited fields are formed on a doubled grid where they
 are alias-free, then restricted to the representable band of the original
 grid; for the seeded families used by the sweeps the restriction drops
-nothing, so the ratios are resolution-independent up to round-off.
+nothing, so the ratios are resolution-independent up to round-off.  The
+transforms are pruned: the lift transforms along axis 0 only the columns
+that zero-padding fills, the restriction only the columns it keeps, and
+both give the values of the full ``irfft2``/``rfft2`` bit for bit.  The
+commutator lifts its common factor once for both products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import spectral
-from .spectral import Field, TorusGrid, lambda_pow, make_grid, sobolev_norm
+from .spectral import Field, TorusGrid, lambda_pow, sobolev_norm
 
 __all__ = [
     "RandomFieldSpec",
@@ -58,65 +70,108 @@ class RandomFieldSpec:
             raise ValueError("spectrum_decay must be nonnegative")
 
 
-def _random_modes(spec: RandomFieldSpec) -> list[tuple[int, int, float, float]]:
-    """Draw (kx, ky, amplitude, phase) mode rows in a fixed half-plane order.
+class _Modes(NamedTuple):
+    """Mode rows (kx, ky, amplitude, phase) of a real trig polynomial, as columns.
 
-    The order never depends on the grid, so the same seed denotes the same
-    continuum function at every resolution.
+    Every wavenumber lies in the half-plane box |kx|, |ky| <= max_mode; the
+    rows hold no grid, so the same modes denote the same continuum function
+    at every resolution.
     """
+
+    max_mode: int
+    kx: np.ndarray
+    ky: np.ndarray
+    amplitude: np.ndarray
+    phase: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _mode_table(max_mode: int, decay: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kx, ky, weight) of the half-plane modes up to max_mode, in draw order."""
+    m = max_mode
+    rows = [
+        (kx, ky)
+        for kx in range(0, m + 1)
+        for ky in (range(1, m + 1) if kx == 0 else range(-m, m + 1))
+    ]
+    weights = [(1.0 + kx * kx + ky * ky) ** (-0.5 * decay) for kx, ky in rows]
+    table = (*np.array(rows).T, np.array(weights))
+    for column in table:  # shared by every draw of the cache key
+        column.setflags(write=False)
+    return table
+
+
+def _random_modes(spec: RandomFieldSpec) -> _Modes:
+    """Draw the mode rows of a spec: one normal amplitude, then one phase, per mode."""
+    kx, ky, weight = _mode_table(spec.max_mode, spec.spectrum_decay)
     rng = np.random.default_rng(spec.seed)
-    rows = []
-    m = spec.max_mode
-    for kx in range(0, m + 1):
-        ky_values = range(1, m + 1) if kx == 0 else range(-m, m + 1)
-        for ky in ky_values:
-            weight = (1.0 + kx * kx + ky * ky) ** (-0.5 * spec.spectrum_decay)
-            amplitude = rng.standard_normal() * weight
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            rows.append((kx, ky, amplitude, phase))
-    return rows
+    normal, uniform = rng.standard_normal, rng.random
+    # 2 pi * random() is the value uniform(0, 2 pi) draws from the same state
+    draws = np.array([(normal(), uniform()) for _ in range(kx.size)])
+    return _Modes(spec.max_mode, kx, ky, draws[:, 0] * weight, 2.0 * np.pi * draws[:, 1])
 
 
-def _assemble_modes(
-    grid: TorusGrid, rows: list[tuple[int, int, float, float]]
-) -> Field:
+def _assemble_modes(grid: TorusGrid, modes: _Modes) -> np.ndarray:
+    """Half-plane coefficients of the modes on a grid, one scatter into disjoint bins."""
+    if modes.max_mode > grid.dealias_cutoff:
+        raise ValueError(
+            f"max_mode {modes.max_mode} exceeds the dealias band "
+            f"{grid.dealias_cutoff} of an N={grid.size} grid"
+        )
     n = grid.size
+    half = 0.5 * modes.amplitude * np.exp(1j * modes.phase)
+    # a mode with ky < 0 is stored as its conjugate partner in the half-plane
+    flip = modes.ky < 0
+    half = np.where(flip, np.conj(half), half)
+    kx = np.where(flip, -modes.kx, modes.kx) % n
+    ky = np.abs(modes.ky)
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    for kx, ky, amplitude, phase in rows:
-        half = 0.5 * amplitude * np.exp(1j * phase)
-        if ky < 0:  # store the conjugate partner, which lies in the half-plane
-            kx, ky, half = -kx, -ky, np.conj(half)
-        c[kx % n, ky] += half
-        if ky == 0:
-            c[-kx % n, 0] += np.conj(half)
-    return Field(grid, coefficients=c)
+    c[kx, ky] += half
+    axis = ky == 0  # the column ky = 0 also holds the partner at -kx
+    c[-kx[axis] % n, 0] += np.conj(half[axis])
+    return c
 
 
 def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
     """Seeded random trig polynomial on the grid, zero mean."""
-    if spec.max_mode > grid.dealias_cutoff:
-        raise ValueError(
-            f"max_mode {spec.max_mode} exceeds the dealias band "
-            f"{grid.dealias_cutoff} of an N={grid.size} grid"
-        )
-    return _assemble_modes(grid, _random_modes(spec))
+    return Field(grid, coefficients=_assemble_modes(grid, _random_modes(spec)))
 
 
-def _lift(f: Field, fine: TorusGrid) -> Field:
-    """Exact extension of a field to a finer grid by spectral zero-padding."""
-    half = f.grid.size // 2 + 1
-    c = np.zeros((fine.size, fine.size // 2 + 1), dtype=np.complex128)
-    c[f.grid.wavenumbers % fine.size, :half] = f.coefficients
-    return Field(fine, coefficients=c)
+def _lift(f: Field) -> np.ndarray:
+    """Samples of a field on the doubled grid, by spectral zero-padding.
+
+    Only the N/2 + 1 columns that the padding fills are transformed along
+    axis 0; irfft pads the rest with zeros.  The values equal irfft2 of the
+    padded half-plane.
+    """
+    n = f.grid.size
+    padded = np.zeros((2 * n, n // 2 + 1), dtype=np.complex128)
+    padded[f.grid.wavenumbers % (2 * n)] = f.coefficients
+    columns = sfft.ifft(padded, axis=0, norm="forward")
+    return sfft.irfft(columns, n=2 * n, axis=1, norm="forward")
 
 
-def _restrict(coefficients: np.ndarray, coarse: TorusGrid, fine: TorusGrid) -> Field:
-    k = coarse.wavenumbers
-    limit = coarse.size // 2 - 1
+def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half-plane coefficients on ``grid`` of doubled-grid samples, |k| <= N/2 - 1.
+
+    Only the kept columns are transformed along axis 0.  They are scaled by
+    1/(2N)^2 between the two passes, where rfft2 scales, so the values equal
+    the kept bins of rfft2.
+    """
+    n = grid.size
+    limit = n // 2 - 1
+    rows = sfft.rfft(samples, axis=1)[:, : limit + 1] * (1.0 / (4 * n * n))
+    spectrum = sfft.fft(rows, axis=0)
+    k = grid.wavenumbers
     keep = np.abs(k) <= limit
-    c = np.zeros((coarse.size, coarse.size // 2 + 1), dtype=np.complex128)
-    c[keep, : limit + 1] = coefficients[k[keep] % fine.size, : limit + 1]
-    return Field(coarse, coefficients=c)
+    c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    c[keep, : limit + 1] = spectrum[k[keep] % (2 * n)]
+    return c
+
+
+def _require_same_grid(f: Field, g: Field) -> None:
+    if f.grid != g.grid:
+        raise ValueError("product factors live on different grids")
 
 
 def product_exact(f: Field, g: Field) -> Field:
@@ -126,11 +181,8 @@ def product_exact(f: Field, g: Field) -> Field:
     representable on that grid; content beyond |k| = N/2 - 1 (present only
     when the factors fill more than half the band) is truncated.
     """
-    if f.grid != g.grid:
-        raise ValueError("product factors live on different grids")
-    fine = make_grid(2 * f.grid.size, f.grid.cells)
-    product = _lift(f, fine).samples * _lift(g, fine).samples
-    return _restrict(Field(fine, samples=product).coefficients, f.grid, fine)
+    _require_same_grid(f, g)
+    return Field(f.grid, coefficients=_restrict(_lift(f) * _lift(g), f.grid))
 
 
 def _require_band_limited(f: Field, name: str) -> None:
@@ -150,10 +202,16 @@ def commutator_ratio(f: Field, u: Field, sigma: float, k: float) -> float:
         raise ValueError(f"k must exceed 2, got {k}")
     if not 1.0 < sigma <= k:
         raise ValueError(f"sigma must lie in (1, k] = (1, {k}], got {sigma}")
+    _require_same_grid(f, u)
     _require_band_limited(f, "f")
     _require_band_limited(u, "u")
-    left = lambda_pow(product_exact(f, u), sigma)
-    right = product_exact(f, lambda_pow(u, sigma))
+    f_fine = _lift(f)  # shared by both products
+
+    def times_f(g: Field) -> Field:
+        return Field(g.grid, coefficients=_restrict(f_fine * _lift(g), g.grid))
+
+    left = lambda_pow(times_f(u), sigma)
+    right = times_f(lambda_pow(u, sigma))
     numerator = sobolev_norm(left - right, 0.0)
     denominator = sobolev_norm(f, k) * sobolev_norm(u, sigma - 1.0)
     if denominator == 0.0:
@@ -238,70 +296,82 @@ def family_seed(base_seed: int, check: str, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def _random_member(grid: TorusGrid, seed: int) -> Field:
-    """A seeded random family field."""
-    return random_field(grid, RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed))
+def _member_modes(seed: int) -> _Modes:
+    """The modes of a seeded random family field."""
+    return _random_modes(RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed))
 
 
-def _bounded_density(grid: TorusGrid, seed: int) -> Field:
-    """Density 1 + fluctuation with min value >= 1 - RHO_FLUCTUATION.
+def _member(grid: TorusGrid, modes: _Modes) -> Field:
+    """A family field with the given modes, on a grid."""
+    return Field(grid, coefficients=_assemble_modes(grid, modes))
 
-    The fluctuation is scaled by the l1 norm of its mode amplitudes, a
-    resolution-independent bound on its sup norm, so the same seed gives
-    the same continuum density at every grid size.
+
+def _density_modes(seed: int) -> _Modes:
+    """Modes of the fluctuation of a bounded density, scaled to l1 norm RHO_FLUCTUATION.
+
+    The l1 norm of the mode amplitudes bounds the sup norm of the
+    fluctuation at every grid size.
     """
-    rows = _random_modes(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed))
-    total = sum(abs(amplitude) for _, _, amplitude, _ in rows)
-    if total == 0.0:
-        return spectral.constant_field(grid, 1.0)
-    scale = RHO_FLUCTUATION / total
-    scaled = [(kx, ky, amplitude * scale, phase) for kx, ky, amplitude, phase in rows]
-    fluctuation = _assemble_modes(grid, scaled)
-    return Field(grid, samples=1.0 + fluctuation.samples)
+    modes = _random_modes(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed))
+    total = sum(abs(amplitude) for amplitude in modes.amplitude.tolist())
+    scale = RHO_FLUCTUATION / total if total > 0.0 else 0.0
+    return modes._replace(amplitude=modes.amplitude * scale)
+
+
+def _bounded_density(grid: TorusGrid, modes: _Modes) -> Field:
+    """Density 1 + fluctuation with min value >= 1 - RHO_FLUCTUATION."""
+    return Field(grid, samples=1.0 + _member(grid, modes).samples)
 
 
 class RatioCheck(NamedTuple):
     """One ratio check of the seeded family sweeps.
 
-    ``ratio(first, second, sigma[, order])`` scores a member, ``second``
-    builds its second factor from (grid, seed), and ``takes_order`` says
-    whether ``ratio`` takes the order k or s.
+    ``ratio(first, second, sigma[, order])`` scores a member.  ``draw``
+    draws the grid-independent modes of the second factor from a seed, and
+    ``build`` assembles them on a grid.  ``takes_order`` says whether
+    ``ratio`` takes the order k or s.
     """
 
     name: str
     ratio: Callable[..., float]
-    second: Callable[[TorusGrid, int], Field]
+    draw: Callable[[int], _Modes]
+    build: Callable[[TorusGrid, _Modes], Field]
     takes_order: bool
 
 
 #: The ratio checks, in report order.
 RATIO_CHECKS = (
-    RatioCheck("commutator", commutator_ratio, _random_member, True),
-    RatioCheck("reciprocal", reciprocal_ratio, _bounded_density, True),
-    RatioCheck("algebra", algebra_ratio, _random_member, False),
+    RatioCheck("commutator", commutator_ratio, _member_modes, _member, True),
+    RatioCheck("reciprocal", reciprocal_ratio, _density_modes, _bounded_density, True),
+    RatioCheck("algebra", algebra_ratio, _member_modes, _member, False),
 )
 
 
 def family_ratios(
     check: RatioCheck,
-    grid: TorusGrid,
+    grids: Sequence[TorusGrid],
     n_members: int,
     base_seed: int,
     sigma: float,
     order: float,
 ) -> np.ndarray:
-    """Ratios of the first ``n_members`` members of a check's family.
+    """Ratios of the first ``n_members`` members of a check's family, one row per grid.
 
     Member i pairs the random field of ``family_seed(base_seed, check.name,
-    2 i)`` with the second factor of index 2 i + 1.  ``order`` is k for the
-    commutator and s for the reciprocal check; algebra ignores it.
+    2 i)`` with the second factor of index 2 i + 1.  Each member's modes are
+    drawn once and assembled on every grid, so row j equals a sweep on
+    ``grids[j]`` alone.  ``order`` is k for the commutator and s for the
+    reciprocal check; algebra ignores it.
     """
     orders = (order,) if check.takes_order else ()
-    ratios = np.empty(n_members)
+    ratios = np.empty((len(grids), n_members))
     for i in range(n_members):
-        first = _random_member(grid, family_seed(base_seed, check.name, 2 * i))
-        second = check.second(grid, family_seed(base_seed, check.name, 2 * i + 1))
-        ratios[i] = check.ratio(first, second, sigma, *orders)
+        first = _member_modes(family_seed(base_seed, check.name, 2 * i))
+        second = check.draw(family_seed(base_seed, check.name, 2 * i + 1))
+        for j, grid in enumerate(grids):
+            ratios[j, i] = check.ratio(
+                _member(grid, first), check.build(grid, second), sigma, *orders
+            )
     return ratios
 
 
@@ -337,7 +407,7 @@ def interpolation_family_rows(
                 amplitude = 1.0
             phase = float(rng.uniform(0.0, 2.0 * np.pi))
             modes.append((kx, ky, amplitude, phase))
-        u = _assemble_modes(grid, modes)
+        u = _member(grid, _Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes))))
         gap = interpolation_gap(u, sigma, s, tau)
         norm_s = sobolev_norm(u, s)
         ratio = (gap + norm_s) / norm_s if norm_s > 0.0 else 1.0

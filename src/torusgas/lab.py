@@ -51,8 +51,8 @@ __all__ = [
     "run_experiment",
 ]
 
-#: Bound on grid_rule * n, the band represented at the largest n, which
-#: error_scaling still allocates as a whole-torus grid; beyond it is not desk scale.
+#: Bound on the points per axis of the largest grid a run allocates;
+#: beyond it is not desk scale.
 _MAX_GRID = 4096
 
 #: Target number of recorded snapshots per run; keeps long trajectories
@@ -130,11 +130,15 @@ class ExperimentConfig:
                     f"grid_rule must be even so that N = grid_rule * n is even, "
                     f"got {self.grid_rule}"
                 )
-            if self.grid_rule * max(n_list) > _MAX_GRID:
-                raise ValueError(
-                    f"N = {self.grid_rule * max(n_list)} exceeds the desk-scale "
-                    f"limit {_MAX_GRID}"
-                )
+        # cell runs evolve grid_rule points per axis at every n; error_scaling's
+        # control run doubles grid_rule * n at the largest n; the inequality
+        # products run on the doubled refined grid
+        largest = {
+            "error_scaling": 2 * self.grid_rule * max(n_list),
+            "inequalities": 2 * max(n_list),
+        }.get(self.experiment, self.grid_rule)
+        if largest > _MAX_GRID:
+            raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 
@@ -759,10 +763,8 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
 
     def sweep(check: inequalities.RatioCheck) -> tuple[float, float]:
         # the commutator's k is s
-        return tuple(
-            float(np.max(inequalities.family_ratios(check, on, members, seed, sigma, s)))
-            for on in (grid, refined)
-        )
+        ratios = inequalities.family_ratios(check, (grid, refined), members, seed, sigma, s)
+        return tuple(float(top) for top in np.max(ratios, axis=1))
 
     maxima = dict(zip((c.name for c in checks), _map_ordered(sweep, checks, cfg.threads)))
 

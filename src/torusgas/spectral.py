@@ -27,6 +27,7 @@ measure of the torus, so the constant field 1 has L2 norm 2*pi.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -327,11 +328,25 @@ def sobolev_norm(f: Field, sigma: float) -> float:
     under the 2pi-periodic measure.  ``sobolev_norm(f, 0)`` is the plain
     L2 norm.
     """
-    grid = f.grid
-    weight = grid.one_plus_ksq ** float(sigma) * grid.column_weights
     c = f.coefficients
-    total = np.sum(weight * (c.real**2 + c.imag**2))
+    total = np.sum(_norm_weight(f.grid, float(sigma)) * (c.real**2 + c.imag**2))
     return float(2.0 * np.pi * np.sqrt(total))
+
+
+@lru_cache(maxsize=64)
+def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
+    """The weight (1 + |k|^2)^sigma of each half-plane bin times its column multiplicity.
+
+    The cached table lives in its own anonymous mapping, not in the malloc
+    heap: a block that lives on after the run allocated it would keep the
+    heap below it from being returned (error_scaling with two threads peaked
+    8 MiB higher with heap-allocated tables).
+    """
+    weight = grid.one_plus_ksq**sigma * grid.column_weights
+    table = np.frombuffer(mmap.mmap(-1, weight.nbytes), dtype=weight.dtype)
+    table = table.reshape(weight.shape)
+    table[...] = weight
+    return _frozen(table)
 
 
 def dealias(f: Field) -> Field:

@@ -145,6 +145,15 @@ class TestErrors:
         config.write_text(json.dumps({"grid_rule": 7}))
         self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "grid_rule")
 
+    def test_family_modes_beyond_band(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_list": [16, 32], "family_size": 3}))
+        self._fails_cleanly(
+            capsys,
+            ["inequalities", "--config", str(config)],
+            "max_mode 8 exceeds the dealias band 5 of an N=16 grid",
+        )
+
     def test_negative_seed(self, capsys):
         self._fails_cleanly(capsys, ["inequalities", "--seed", "-1"], "seed")
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from torusgas.inequalities import (
     RHO_MAX_MODE,
     RandomFieldSpec,
     _bounded_density,
+    _density_modes,
+    _random_modes,
     algebra_ratio,
     commutator_ratio,
     family_ratios,
@@ -71,7 +74,75 @@ class TestRandomField:
             RandomFieldSpec(max_mode=4, spectrum_decay=-1.0)
 
 
+class TestModeStream:
+    # rows 0, 72 and 143 of RandomFieldSpec(8, 2.0, seed), as drawn by the
+    # per-mode rng.standard_normal() / rng.uniform(0, 2 pi) loop
+    PINNED = {
+        0: [
+            (0, 1, 0.06286511054669665, 1.6951199159934145),
+            (4, 5, 0.007605100482199545, 2.609934880447815),
+            (8, 8, -0.02276004221718692, 2.4591157440751488),
+        ],
+        20161: [
+            (0, 1, -0.9128224871916438, 1.610798233749982),
+            (4, 5, 0.004278304217935966, 2.745217063392288),
+            (8, 8, -0.006038959429219315, 4.891042605990631),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_rows_pinned(self, seed):
+        modes = _random_modes(RandomFieldSpec(8, 2.0, seed))
+        assert modes.max_mode == 8 and modes.kx.size == 144
+        rows = [
+            (int(modes.kx[i]), int(modes.ky[i]), float(modes.amplitude[i]), float(modes.phase[i]))
+            for i in (0, 72, 143)
+        ]
+        assert rows == self.PINNED[seed]
+
+    def test_scatter_matches_mode_loop(self):
+        # one scatter writes disjoint bins, so it equals the per-mode sum
+        grid = make_grid(32)
+        modes = _random_modes(RandomFieldSpec(8, 2.0, 3))
+        expected = np.zeros((32, 17), dtype=np.complex128)
+        for kx, ky, amplitude, phase in zip(*(c.tolist() for c in modes[1:])):
+            half = 0.5 * amplitude * np.exp(1j * phase)
+            if ky < 0:
+                kx, ky, half = -kx, -ky, np.conj(half)
+            expected[kx % 32, ky] += half
+            if ky == 0:
+                expected[-kx % 32, 0] += np.conj(half)
+        f = random_field(grid, RandomFieldSpec(8, 2.0, 3))
+        assert np.array_equal(f.coefficients, expected)
+
+
+def plain_product(f, g):
+    """Lift, irfft2, multiply, rfft2 and restrict, with no pruned transform."""
+    grid = f.grid
+    n, fine = grid.size, 2 * grid.size
+    samples = []
+    for h in (f, g):
+        padded = np.zeros((fine, fine // 2 + 1), dtype=np.complex128)
+        padded[grid.wavenumbers % fine, : n // 2 + 1] = h.coefficients
+        samples.append(sfft.irfft2(padded, s=(fine, fine), norm="forward"))
+    spectrum = sfft.rfft2(samples[0] * samples[1], norm="forward")
+    k = grid.wavenumbers
+    limit = n // 2 - 1
+    keep = np.abs(k) <= limit
+    c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    c[keep, : limit + 1] = spectrum[k[keep] % fine, : limit + 1]
+    return c
+
+
 class TestProductExact:
+    @pytest.mark.parametrize("size, cells", [(8, 1), (32, 1), (64, 1), (16, 4)])
+    def test_pruned_equals_plain_transforms(self, size, cells):
+        # full-band factors, so the restriction truncates
+        grid = make_grid(size, cells)
+        rng = np.random.default_rng(size + cells)
+        f, g = (Field(grid, samples=rng.standard_normal((size, size))) for _ in range(2))
+        assert np.array_equal(product_exact(f, g).coefficients, plain_product(f, g))
+
     def test_matches_closed_form(self):
         # cos(y)^2 = 1/2 + cos(2y)/2
         grid = make_grid(32)
@@ -257,10 +328,10 @@ class TestFamilies:
         grid = make_grid(64)
         commutator = RATIO_CHECKS[0]
         assert commutator.name == "commutator"
-        a = family_ratios(commutator, grid, 10, 7, 1.5, 3.0)
-        b = family_ratios(commutator, grid, 10, 7, 1.5, 3.0)
+        a = family_ratios(commutator, (grid,), 10, 7, 1.5, 3.0)
+        b = family_ratios(commutator, (grid,), 10, 7, 1.5, 3.0)
         assert np.array_equal(a, b)
-        assert a.shape == (10,)
+        assert a.shape == (1, 10)
         assert np.all(a > 0.0)
 
     def test_refinement_stability(self):
@@ -270,14 +341,29 @@ class TestFamilies:
         fine = make_grid(128)
         assert [c.name for c in RATIO_CHECKS] == ["commutator", "reciprocal", "algebra"]
         for check in RATIO_CHECKS:
-            base = family_ratios(check, coarse, 20, 7, 1.5, 3.0)
-            refined = family_ratios(check, fine, 20, 7, 1.5, 3.0)
+            base, refined = family_ratios(check, (coarse, fine), 20, 7, 1.5, 3.0)
             assert np.max(np.abs(refined - base) / base) <= 1e-10
+
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
+    def test_two_grid_sweep_equals_single_grid_sweeps(self, check):
+        grids = (make_grid(32), make_grid(64))
+        both = family_ratios(check, grids, 6, 11, 1.5, 3.0)
+        assert both.shape == (2, 6)
+        for row, grid in zip(both, grids):
+            assert np.array_equal(row, family_ratios(check, (grid,), 6, 11, 1.5, 3.0)[0])
+
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("sizes", [(16, 32), (32, 16)])
+    def test_band_checked_on_every_grid(self, check, sizes):
+        grids = tuple(make_grid(n) for n in sizes)
+        match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
+        with pytest.raises(ValueError, match=match):
+            family_ratios(check, grids, 3, 0, 1.5, 3.0)
 
     def test_bounded_density_floor(self):
         grid = make_grid(64)
         for seed in range(30):
-            rho = _bounded_density(grid, seed)
+            rho = _bounded_density(grid, _density_modes(seed))
             assert np.min(rho.samples) >= 1.0 - RHO_FLUCTUATION - 1e-12
             assert rho.mean() == pytest.approx(1.0, abs=1e-14)
 

@@ -83,7 +83,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="grid_rule below 6"):
             ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), grid_rule=4)
         with pytest.raises(ValueError, match="desk-scale"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(1024,))
+            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), grid_rule=8192)
+
+    @pytest.mark.parametrize(
+        "experiment", ["nonuniform", "residue_scaling", "exact_check", "higher_norm"]
+    )
+    def test_cell_runs_bound_the_cell_grid(self, experiment):
+        # a cell run allocates grid_rule points per axis, whatever n is
+        default_config(experiment, n_list=(4, 8, 16, 1024))
+        default_config(experiment, n_list=(4,), grid_rule=4096)
+        with pytest.raises(ValueError, match="N = 4098 exceeds the desk-scale limit 4096"):
+            default_config(experiment, n_list=(4,), grid_rule=4098)
+
+    def test_error_scaling_bounds_its_control_grid(self):
+        # the control run doubles the whole-torus grid grid_rule * n at the largest n
+        default_config("error_scaling", n_list=(8, 16, 256))
+        with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
+            default_config("error_scaling", n_list=(8, 16, 512))
+
+    def test_inequalities_bounds_its_doubled_grid(self):
+        # products of the refined grid run on twice its size
+        default_config("inequalities", n_list=(64, 2048))
+        with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
+            default_config("inequalities", n_list=(64, 4096))
 
     @pytest.mark.parametrize(
         "experiment",

@@ -322,6 +322,18 @@ def mode_sum_norm(coefficient_table, sigma):
 
 
 class TestSobolevNorm:
+    @pytest.mark.parametrize("size, cells", [(16, 1), (64, 1), (8, 4)])
+    def test_cached_weights_match_formula(self, size, cells):
+        # the weight table is cached per (grid, sigma); norms stay bit for bit
+        grid = make_grid(size, cells)
+        rng = np.random.default_rng(size)
+        f = Field(grid, samples=rng.standard_normal((size, size)))
+        c = f.coefficients
+        for sigma in (0.0, 1.5, 3.0, 0.5, 1.5):
+            weight = grid.one_plus_ksq ** float(sigma) * grid.column_weights
+            expected = float(2.0 * np.pi * np.sqrt(np.sum(weight * (c.real**2 + c.imag**2))))
+            assert sobolev_norm(f, sigma) == expected
+
     @pytest.mark.parametrize("sigma", [0.0, 1.5, 3.0])
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_cos_ny_formula(self, n, sigma):
