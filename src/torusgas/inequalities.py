@@ -6,10 +6,12 @@ reciprocal bound ||f/rho||_sigma <= C (1 + ||rho~||_s^sigma) ||f||_sigma,
 the Sobolev algebra property, and the interpolation inequality
 ||u||_s <= ||u||_sigma^alpha ||u||_tau^beta.  A finite run cannot verify
 "there exists C", so each check is restated as a computable ratio whose
-finiteness, refinement stability, and exact equality cases are testable.
-:data:`RATIO_CHECKS` is the one table of the three ratio checks, and
-:func:`family_ratios` the one loop that sweeps a check over its seeded
-family; the interpolation check sweeps its own two-mode family.
+finiteness, refinement stability, and exact equality cases are testable;
+the interpolation check scores ||u||_sigma^alpha ||u||_tau^beta / ||u||_s,
+which is at least 1.  :data:`RATIO_CHECKS` is the one table of the four
+ratio checks: how each draws its member factors and which orders it
+takes.  :func:`family_ratios` is the one loop that sweeps a check over its
+seeded family.
 
 A family member is made in two steps.  Its mode rows (wavenumber,
 amplitude, phase) are drawn once from its seed and hold no grid; they are
@@ -47,11 +49,11 @@ __all__ = [
     "reciprocal_ratio",
     "algebra_ratio",
     "interpolation_gap",
+    "interpolation_ratio",
     "family_seed",
     "RatioCheck",
     "RATIO_CHECKS",
     "family_ratios",
-    "interpolation_family_rows",
 ]
 
 
@@ -186,9 +188,11 @@ def product_exact(f: Field, g: Field) -> Field:
 
 
 def _require_band_limited(f: Field, name: str) -> None:
-    inside = spectral.dealias(f)
-    leak = sobolev_norm(f - inside, 0.0)
-    total = sobolev_norm(f, 0.0)
+    """Reject a field whose L2 norm beyond the dealias band exceeds 1e-12 of its total."""
+    c = f.coefficients
+    power = (c.real**2 + c.imag**2) * f.grid.column_weights
+    sums = [np.sum(power[~f.grid.dealias_mask]), np.sum(power)]
+    leak, total = 2.0 * np.pi * np.sqrt(sums)
     if leak > 1e-12 * (total + 1e-300):
         raise ValueError(
             f"{name} must be band-limited to the dealias band; "
@@ -274,6 +278,16 @@ def interpolation_gap(u: Field, sigma: float, s: float, tau: float) -> float:
     return norm_sigma**alpha * norm_tau**beta - norm_s
 
 
+def interpolation_ratio(u: Field, sigma: float, s: float, tau: float) -> float:
+    """Bound-to-norm ratio (gap + ||u||_s) / ||u||_s of the interpolation bound.
+
+    At least 1 up to round-off; 1 for u = 0 and for single-mode spectra.
+    """
+    gap = interpolation_gap(u, sigma, s, tau)
+    norm_s = sobolev_norm(u, s)
+    return (gap + norm_s) / norm_s if norm_s > 0.0 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # Seeded family sweeps
 # ---------------------------------------------------------------------------
@@ -323,27 +337,68 @@ def _bounded_density(grid: TorusGrid, modes: _Modes) -> Field:
     return Field(grid, samples=1.0 + _member(grid, modes).samples)
 
 
+def _pair(second: Callable[[int], _Modes]) -> Callable[[int, str, int], tuple[_Modes, ...]]:
+    """Draw of member i: a family field of seed 2 i, then ``second`` of seed 2 i + 1."""
+    return lambda base_seed, name, i: (
+        _member_modes(family_seed(base_seed, name, 2 * i)),
+        second(family_seed(base_seed, name, 2 * i + 1)),
+    )
+
+
+def _interpolation_member(base_seed: int, name: str, i: int) -> tuple[_Modes]:
+    """Modes of one field: a single-mode probe every PROBE_PERIOD-th member, else two modes.
+
+    A member's wavenumbers are distinct and its amplitudes nonzero; a
+    single-mode probe is an exact equality case of the inequality.
+    """
+    rng = np.random.default_rng(family_seed(base_seed, name, i))
+    n_modes = 1 if i % PROBE_PERIOD == 0 else 2
+    modes = []
+    drawn: set[tuple[int, int]] = set()
+    while len(modes) < n_modes:
+        kx = int(rng.integers(0, FAMILY_MAX_MODE + 1))
+        ky = int(rng.integers(1 if kx == 0 else -FAMILY_MAX_MODE, FAMILY_MAX_MODE + 1))
+        if (kx, ky) in drawn:
+            continue
+        drawn.add((kx, ky))
+        amplitude = float(rng.standard_normal())
+        if amplitude == 0.0:
+            amplitude = 1.0
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        modes.append((kx, ky, amplitude, phase))
+    return (_Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes))),)
+
+
 class RatioCheck(NamedTuple):
     """One ratio check of the seeded family sweeps.
 
-    ``ratio(first, second, sigma[, order])`` scores a member.  ``draw``
-    draws the grid-independent modes of the second factor from a seed, and
-    ``build`` assembles them on a grid.  ``takes_order`` says whether
-    ``ratio`` takes the order k or s.
+    ``draw(base_seed, name, i)`` draws the grid-independent modes of member
+    i's factors, and ``build`` holds one builder per factor that assembles
+    its modes on a grid.  ``orders`` names the orders that ``ratio`` takes
+    after sigma; ``ratio(*factors, sigma, *orders)`` scores a member.
     """
 
     name: str
     ratio: Callable[..., float]
-    draw: Callable[[int], _Modes]
-    build: Callable[[TorusGrid, _Modes], Field]
-    takes_order: bool
+    draw: Callable[[int, str, int], tuple[_Modes, ...]]
+    build: tuple[Callable[[TorusGrid, _Modes], Field], ...]
+    orders: tuple[str, ...]
 
 
 #: The ratio checks, in report order.
 RATIO_CHECKS = (
-    RatioCheck("commutator", commutator_ratio, _member_modes, _member, True),
-    RatioCheck("reciprocal", reciprocal_ratio, _density_modes, _bounded_density, True),
-    RatioCheck("algebra", algebra_ratio, _member_modes, _member, False),
+    RatioCheck(
+        "commutator", commutator_ratio, _pair(_member_modes), (_member, _member), ("k",)
+    ),
+    RatioCheck(
+        "reciprocal", reciprocal_ratio, _pair(_density_modes), (_member, _bounded_density),
+        ("s",),
+    ),
+    RatioCheck("algebra", algebra_ratio, _pair(_member_modes), (_member, _member), ()),
+    RatioCheck(
+        "interpolation", interpolation_ratio, _interpolation_member, (_member,),
+        ("s", "tau"),
+    ),
 )
 
 
@@ -353,65 +408,18 @@ def family_ratios(
     n_members: int,
     base_seed: int,
     sigma: float,
-    order: float,
+    *orders: float,
 ) -> np.ndarray:
     """Ratios of the first ``n_members`` members of a check's family, one row per grid.
 
-    Member i pairs the random field of ``family_seed(base_seed, check.name,
-    2 i)`` with the second factor of index 2 i + 1.  Each member's modes are
+    ``orders`` are the values of ``check.orders``.  Each member's modes are
     drawn once and assembled on every grid, so row j equals a sweep on
-    ``grids[j]`` alone.  ``order`` is k for the commutator and s for the
-    reciprocal check; algebra ignores it.
+    ``grids[j]`` alone.
     """
-    orders = (order,) if check.takes_order else ()
     ratios = np.empty((len(grids), n_members))
     for i in range(n_members):
-        first = _member_modes(family_seed(base_seed, check.name, 2 * i))
-        second = check.draw(family_seed(base_seed, check.name, 2 * i + 1))
+        modes = check.draw(base_seed, check.name, i)
         for j, grid in enumerate(grids):
-            ratios[j, i] = check.ratio(
-                _member(grid, first), check.build(grid, second), sigma, *orders
-            )
+            factors = (build(grid, m) for build, m in zip(check.build, modes))
+            ratios[j, i] = check.ratio(*factors, sigma, *orders)
     return ratios
-
-
-def interpolation_family_rows(
-    grid: TorusGrid,
-    n_members: int,
-    base_seed: int,
-    sigma: float,
-    s: float,
-    tau: float,
-) -> list[dict]:
-    """Interpolation sweep rows: mostly two-mode fields, periodic single-mode probes.
-
-    Each row reports the gap, the norm ||u||_s for relative scaling, the
-    bound-to-norm ratio, and whether the member was a single-mode probe
-    (an exact equality case of the inequality).
-    """
-    rows = []
-    for i in range(n_members):
-        rng = np.random.default_rng(family_seed(base_seed, "interpolation", i))
-        is_probe = i % PROBE_PERIOD == 0
-        modes = []
-        n_modes = 1 if is_probe else 2
-        drawn: set[tuple[int, int]] = set()
-        while len(modes) < n_modes:
-            kx = int(rng.integers(0, FAMILY_MAX_MODE + 1))
-            ky = int(rng.integers(1 if kx == 0 else -FAMILY_MAX_MODE, FAMILY_MAX_MODE + 1))
-            if (kx, ky) in drawn:
-                continue
-            drawn.add((kx, ky))
-            amplitude = float(rng.standard_normal())
-            if amplitude == 0.0:
-                amplitude = 1.0
-            phase = float(rng.uniform(0.0, 2.0 * np.pi))
-            modes.append((kx, ky, amplitude, phase))
-        u = _member(grid, _Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes))))
-        gap = interpolation_gap(u, sigma, s, tau)
-        norm_s = sobolev_norm(u, s)
-        ratio = (gap + norm_s) / norm_s if norm_s > 0.0 else 1.0
-        rows.append(
-            {"gap": gap, "norm_s": norm_s, "ratio": ratio, "is_probe": is_probe}
-        )
-    return rows

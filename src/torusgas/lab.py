@@ -120,6 +120,8 @@ class ExperimentConfig:
         if self.experiment == "inequalities":
             if self.family_size < 1:
                 raise ValueError("family_size must be positive")
+            if len(n_list) != 2:
+                raise ValueError("inequalities expects n_list = (base_grid, refined_grid)")
         else:
             if self.grid_rule < 6:
                 raise ValueError(
@@ -247,15 +249,20 @@ def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
 
 
 def _evolve_recorded(
-    s0: State, g: GasParams, solve: SolveConfig
+    s0: State, g: GasParams, solve: SolveConfig, experiment: str, n: int
 ) -> tuple[Trajectory, float]:
     """Evolve with a record stride targeting ~_TARGET_RECORDS snapshots.
 
-    Returns the trajectory and its step size.
+    Returns the trajectory and its step size.  A solver abort is re-raised
+    with the experiment and the family index n in front of its message.
     """
     n_steps, dt = solver.plan(s0, g, solve)
     stride = max(solve.record_stride, math.ceil(n_steps / _TARGET_RECORDS))
-    return solver.evolve(s0, g, replace(solve, record_stride=stride)), dt
+    try:
+        return solver.evolve(s0, g, replace(solve, record_stride=stride)), dt
+    except SolverError as err:
+        label = experiment.replace("_", "-")
+        raise SolverError(f"{label} run at n={n} failed: {err}") from err
 
 
 def _scaling_rows(
@@ -402,7 +409,7 @@ def run_exact_check(cfg: ExperimentConfig) -> Report:
         grid = make_grid(cfg.grid_rule, n)
         fp = FamilyParams(1, n, s)
         s0 = families.exact_solution(fp, g, grid, 0.0)
-        traj, dt = _evolve_recorded(s0, g, solve)
+        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n)
         devs = [
             state_norm(state_difference(state, families.exact_solution(fp, g, grid, t)), s)
             for t, state in zip(traj.times, traj.states)
@@ -472,10 +479,7 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
         grid = make_grid(refine * cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
-        try:
-            traj, dt = _evolve_recorded(s0, g, solve)
-        except SolverError as err:
-            raise SolverError(f"error-scaling run at n={n} failed: {err}") from err
+        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n)
         curve = []
         for t, state in zip(traj.times, traj.states):
             reference = families.approx_solution(fp, g, grid, t)
@@ -552,7 +556,7 @@ def run_higher_norm(cfg: ExperimentConfig) -> Report:
         grid = make_grid(cfg.grid_rule, n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
-        traj, _ = _evolve_recorded(s0, g, cfg.solve)
+        traj, _ = _evolve_recorded(s0, g, cfg.solve, cfg.experiment, n)
         norms = [
             state_norm(base_deviation(state, g), tau) for state in traj.states
         ]
@@ -658,10 +662,7 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
         d0 = state_norm(state_difference(init_plus, init_minus), s)
         shift = cfg.grid_rule // 2
         _require_mirror_image(_mirror(init_plus, shift), init_minus, n)
-        try:
-            traj_plus, _ = _evolve_recorded(init_plus, g, cfg.solve)
-        except SolverError as err:
-            raise SolverError(f"nonuniform run at n={n} failed: {err}") from err
+        traj_plus, _ = _evolve_recorded(init_plus, g, cfg.solve, cfg.experiment, n)
         rows = []
         for idx, (t, state_plus) in enumerate(zip(traj_plus.times, traj_plus.states)):
             state_minus = init_minus if idx == 0 else _mirror(state_plus, shift)
@@ -746,66 +747,52 @@ _STABILITY_TOL = 0.10
 
 
 def run_inequalities(cfg: ExperimentConfig) -> Report:
-    """Seeded-family sweeps of the four inequality checks at two grid sizes."""
+    """Seeded-family sweeps of the four inequality checks at two grid sizes.
+
+    Interpolation is judged on its base-grid ratios, the others on refinement drift.
+    """
     _require_experiment(cfg, "inequalities")
-    if len(cfg.n_list) != 2:
-        raise ValueError(
-            "inequalities expects n_list = (base_grid, refined_grid)"
-        )
     base_n, refined_n = cfg.n_list
-    grid = make_grid(base_n)
-    refined = make_grid(refined_n)
+    grids = (make_grid(base_n), make_grid(refined_n))
     sigma, s = cfg.sigma, cfg.s
-    tau = float(math.floor(s) + 1)
-    members = cfg.family_size
-    seed = cfg.seed
+    # the commutator's k is s
+    order_values = {"k": s, "s": s, "tau": float(math.floor(s) + 1)}
     checks = inequalities.RATIO_CHECKS
+    orders = {c.name: tuple(order_values[o] for o in c.orders) for c in checks}
 
-    def sweep(check: inequalities.RatioCheck) -> tuple[float, float]:
-        # the commutator's k is s
-        ratios = inequalities.family_ratios(check, (grid, refined), members, seed, sigma, s)
-        return tuple(float(top) for top in np.max(ratios, axis=1))
+    def sweep(check: inequalities.RatioCheck) -> np.ndarray:
+        return inequalities.family_ratios(
+            check, grids, cfg.family_size, cfg.seed, sigma, *orders[check.name]
+        )
 
-    maxima = dict(zip((c.name for c in checks), _map_ordered(sweep, checks, cfg.threads)))
+    ratios = dict(zip(orders, _map_ordered(sweep, checks, cfg.threads)))
+    maxima = {name: [float(top) for top in np.max(r, axis=1)] for name, r in ratios.items()}
 
-    interp, interp_refined = (
-        inequalities.interpolation_family_rows(on, members, seed, sigma, s, tau)
-        for on in (grid, refined)
-    )
-    violations = sum(
-        1 for row in interp if row["gap"] < -_GAP_TOL * row["norm_s"]
-    )
-    probes = sum(1 for row in interp if row["is_probe"])
-    equality_cases = sum(
-        1
-        for row in interp
-        if row["is_probe"] and abs(row["ratio"] - 1.0) <= _EQUALITY_TOL
-    )
+    interp = ratios["interpolation"][0]
+    violations = int(np.count_nonzero(interp - 1.0 < -_GAP_TOL))
+    probes = interp[:: inequalities.PROBE_PERIOD]
+    equality_cases = int(np.count_nonzero(np.abs(probes - 1.0) <= _EQUALITY_TOL))
     stability = {
-        check: abs(pair[1] - pair[0]) / pair[0] for check, pair in maxima.items()
+        name: abs(refined - base) / base
+        for name, (base, refined) in maxima.items()
+        if name != "interpolation"
     }
     stable = all(drift <= _STABILITY_TOL for drift in stability.values())
-    passed = violations == 0 and equality_cases == probes and stable
+    passed = violations == 0 and equality_cases == probes.size and stable
 
-    maxima["interpolation"] = (
-        max(row["ratio"] for row in interp),
-        max(row["ratio"] for row in interp_refined),
-    )
-    # check -> (s_or_k, tau) columns
-    orders = {c.name: (s if c.takes_order else None, None) for c in checks}
-    orders["interpolation"] = (s, tau)
+    # a check's orders fill the s_or_k and tau columns, in that order
     rows = [
         {
-            "check": check,
+            "check": name,
             "sigma": sigma,
-            "s_or_k": s_or_k,
-            "tau": tau_column,
-            "family_size": members,
-            "max_ratio": maxima[check][0],
-            "max_ratio_refined": maxima[check][1],
-            "equality_cases": equality_cases if check == "interpolation" else 0,
+            "s_or_k": (*orders[name], None)[0],
+            "tau": (*orders[name], None, None)[1],
+            "family_size": cfg.family_size,
+            "max_ratio": maxima[name][0],
+            "max_ratio_refined": maxima[name][1],
+            "equality_cases": equality_cases if name == "interpolation" else 0,
         }
-        for check, (s_or_k, tau_column) in orders.items()
+        for name in orders
     ]
     return _emit(
         cfg,
@@ -816,7 +803,7 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
             details={
                 "grid_sizes": [base_n, refined_n],
                 "gap_violations": violations,
-                "single_mode_probes": probes,
+                "single_mode_probes": probes.size,
                 "refinement_drift": stability,
                 "stability_tolerance": _STABILITY_TOL,
             },

@@ -131,6 +131,26 @@ class TestErrors:
         config.write_text(json.dumps({"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}))
         self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "aborted")
 
+    def test_solver_error_names_experiment_and_n(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_list": [4, 8, 16], "solve": {"T": 2.0, "dt_fixed": 0.5}})
+        )
+        self._fails_cleanly(
+            capsys,
+            ["higher-norm", "--config", str(config)],
+            "higher-norm run at n=4 failed: aborted at t = 2 (step 4/4)",
+        )
+
+    def test_inequalities_needs_two_grids(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_list": [32, 64, 128], "family_size": 3}))
+        self._fails_cleanly(
+            capsys,
+            ["inequalities", "--config", str(config)],
+            "inequalities expects n_list = (base_grid, refined_grid)",
+        )
+
     @pytest.mark.parametrize(
         "solve, match",
         [({"T": float("inf")}, "final time"), ({"T": 1.0, "dt_fixed": float("inf")}, "dt_fixed")],

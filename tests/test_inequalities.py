@@ -6,8 +6,10 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgas import inequalities
 from torusgas.inequalities import (
     FAMILY_MAX_MODE,
+    PROBE_PERIOD,
     RHO_FLUCTUATION,
     RATIO_CHECKS,
     RHO_MAX_MODE,
@@ -19,8 +21,8 @@ from torusgas.inequalities import (
     commutator_ratio,
     family_ratios,
     family_seed,
-    interpolation_family_rows,
     interpolation_gap,
+    interpolation_ratio,
     product_exact,
     random_field,
     reciprocal_ratio,
@@ -217,6 +219,15 @@ class TestCommutatorRatio:
         with pytest.raises(ValueError, match="band-limited"):
             commutator_ratio(f, u, 2.0, 3.0)
 
+    def test_leakage_weighs_interior_columns_twice(self):
+        # cos(x) puts 1/2 of the power in bins (+-1, 0); cos(6y) the other
+        # 1/2 in the interior column ky = 6, beyond cutoff 5 on N = 16
+        grid = make_grid(16)
+        f = synthesize(grid, [(1, 0, 1.0, "cos", 0.0), (0, 6, 1.0, "cos", 0.0)])
+        u = synthesize(grid, [(0, 1, 1.0, "cos", 0.0)])
+        with pytest.raises(ValueError, match="relative leakage 7.07e-01"):
+            commutator_ratio(f, u, 2.0, 3.0)
+
 
 class TestReciprocalRatio:
     def test_constant_density_oracle(self):
@@ -314,6 +325,26 @@ class TestInterpolationGap:
         assert gap >= -1e-10 * max(sobolev_norm(u, 3.0), 1.0)
 
 
+class TestInterpolationRatio:
+    def test_ratio_is_gap_over_norm_plus_one(self):
+        grid = make_grid(64)
+        u = synthesize(grid, [(0, 1, 1.0, "cos", 0.0), (4, 2, 1.0, "cos", 0.0)])
+        norm_s = sobolev_norm(u, 3.0)
+        expected = (interpolation_gap(u, 1.5, 3.0, 4.0) + norm_s) / norm_s
+        assert interpolation_ratio(u, 1.5, 3.0, 4.0) == expected > 1.0
+
+    def test_zero_field(self):
+        assert interpolation_ratio(constant_field(make_grid(32), 0.0), 1.5, 3.0, 4.0) == 1.0
+
+
+#: The value of each declared order in the sweeps below.
+ORDER_VALUES = {"k": 3.0, "s": 3.0, "tau": 4.0}
+
+
+def declared_orders(check):
+    return tuple(ORDER_VALUES[order] for order in check.orders)
+
+
 class TestFamilies:
     def test_family_seed_deterministic_and_distinct(self):
         assert family_seed(7, "algebra", 3) == family_seed(7, "algebra", 3)
@@ -339,18 +370,33 @@ class TestFamilies:
         # sees the same functions and ratios move only by round-off
         coarse = make_grid(64)
         fine = make_grid(128)
-        assert [c.name for c in RATIO_CHECKS] == ["commutator", "reciprocal", "algebra"]
+        assert [c.name for c in RATIO_CHECKS] == [
+            "commutator",
+            "reciprocal",
+            "algebra",
+            "interpolation",
+        ]
         for check in RATIO_CHECKS:
-            base, refined = family_ratios(check, (coarse, fine), 20, 7, 1.5, 3.0)
+            orders = declared_orders(check)
+            base, refined = family_ratios(check, (coarse, fine), 20, 7, 1.5, *orders)
             assert np.max(np.abs(refined - base) / base) <= 1e-10
+
+    def test_declared_orders(self):
+        assert {c.name: c.orders for c in RATIO_CHECKS} == {
+            "commutator": ("k",),
+            "reciprocal": ("s",),
+            "algebra": (),
+            "interpolation": ("s", "tau"),
+        }
 
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     def test_two_grid_sweep_equals_single_grid_sweeps(self, check):
         grids = (make_grid(32), make_grid(64))
-        both = family_ratios(check, grids, 6, 11, 1.5, 3.0)
+        orders = declared_orders(check)
+        both = family_ratios(check, grids, 6, 11, 1.5, *orders)
         assert both.shape == (2, 6)
         for row, grid in zip(both, grids):
-            assert np.array_equal(row, family_ratios(check, (grid,), 6, 11, 1.5, 3.0)[0])
+            assert np.array_equal(row, family_ratios(check, (grid,), 6, 11, 1.5, *orders)[0])
 
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     @pytest.mark.parametrize("sizes", [(16, 32), (32, 16)])
@@ -358,7 +404,22 @@ class TestFamilies:
         grids = tuple(make_grid(n) for n in sizes)
         match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
         with pytest.raises(ValueError, match=match):
-            family_ratios(check, grids, 3, 0, 1.5, 3.0)
+            family_ratios(check, grids, 3, 0, 1.5, *declared_orders(check))
+
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
+    def test_each_member_drawn_once(self, check, monkeypatch):
+        # the draws look up family_seed at call time, so this counts them
+        seeds = []
+
+        def counting_seed(base_seed, name, index):
+            seeds.append((name, index))
+            return family_seed(base_seed, name, index)
+
+        monkeypatch.setattr(inequalities, "family_seed", counting_seed)
+        grids = (make_grid(32), make_grid(64))
+        family_ratios(check, grids, 4, 7, 1.5, *declared_orders(check))
+        per_member = 1 if check.name == "interpolation" else 2
+        assert seeds == [(check.name, i) for i in range(4 * per_member)]
 
     def test_bounded_density_floor(self):
         grid = make_grid(64)
@@ -367,17 +428,15 @@ class TestFamilies:
             assert np.min(rho.samples) >= 1.0 - RHO_FLUCTUATION - 1e-12
             assert rho.mean() == pytest.approx(1.0, abs=1e-14)
 
-    def test_interpolation_rows(self):
-        grid = make_grid(64)
-        rows = interpolation_family_rows(grid, 60, 7, 1.5, 3.0, 4.0)
-        assert len(rows) == 60
-        probes = [r for r in rows if r["is_probe"]]
-        assert len(probes) == 3  # members 0, 25, 50
-        for row in probes:
-            assert abs(row["gap"]) <= 1e-12 * max(row["norm_s"], 1.0)
-        for row in rows:
-            assert row["gap"] >= -1e-10 * max(row["norm_s"], 1.0)
-            assert row["ratio"] >= 1.0 - 1e-10
+    def test_interpolation_ratio_row(self):
+        interpolation = RATIO_CHECKS[-1]
+        assert interpolation.name == "interpolation"
+        (ratios,) = family_ratios(interpolation, (make_grid(64),), 60, 7, 1.5, 3.0, 4.0)
+        assert ratios.shape == (60,)
+        probes = ratios[::PROBE_PERIOD]
+        assert probes.size == 3  # members 0, 25, 50
+        assert np.all(np.abs(probes - 1.0) <= 1e-12)
+        assert np.all(ratios >= 1.0 - 1e-10)
 
     def test_family_max_mode_fits_default_grids(self):
         assert FAMILY_MAX_MODE <= make_grid(64).dealias_cutoff

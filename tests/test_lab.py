@@ -147,6 +147,11 @@ class TestExperimentConfig:
         assert default_config("inequalities").family_size == 500
         assert default_config("nonuniform", seed=3).seed == 3
 
+    def test_needs_two_grids(self):
+        for n_list in ((64,), (32, 64, 128)):
+            with pytest.raises(ValueError, match="base_grid, refined_grid"):
+                default_config("inequalities", n_list=n_list, family_size=5)
+
 
 class TestConfigFromDict:
     def test_round_trip(self):
@@ -436,7 +441,9 @@ class TestCellGridEvolve:
         gas, fp = GasParams(), FamilyParams(1, n, 3.0)
         full, cell = make_grid(8 * n), make_grid(8, n)
         on_full, on_cell = (
-            _evolve_recorded(families.initial_data(fp, gas, on), gas, SolveConfig(T=1.0))[0]
+            _evolve_recorded(
+                families.initial_data(fp, gas, on), gas, SolveConfig(T=1.0), "nonuniform", n
+            )[0]
             for on in (full, cell)
         )
         assert on_full.times == on_cell.times and len(on_cell.times) > 10
@@ -452,7 +459,7 @@ class TestCellGridEvolve:
     def test_full_torus_run_stays_on_multiples_of_n(self, n):
         gas, grid = GasParams(), make_grid(8 * n)
         s0 = families.initial_data(FamilyParams(1, n, 3.0), gas, grid)
-        traj, _ = _evolve_recorded(s0, gas, SolveConfig(T=1.0))
+        traj, _ = _evolve_recorded(s0, gas, SolveConfig(T=1.0), "nonuniform", n)
         columns = np.arange(grid.size // 2 + 1)
         off_lattice = np.ones((grid.size, columns.size), dtype=bool)
         off_lattice[np.ix_(grid.wavenumbers % n == 0, columns % n == 0)] = False
@@ -498,11 +505,6 @@ class TestInequalitiesRunner:
         )
         assert lines[1].startswith("commutator,1.5,3.0,,40,")
         assert lines[3].startswith("algebra,1.5,,,40,")
-
-    def test_needs_two_grids(self):
-        cfg = default_config("inequalities", n_list=(32, 64, 128), family_size=5)
-        with pytest.raises(ValueError, match="base_grid, refined_grid"):
-            run_inequalities(cfg)
 
 
 class TestRunExperiment:
