@@ -14,8 +14,9 @@ takes.  :func:`family_ratios` is the one loop that sweeps a check over its
 seeded family.
 
 A family member is made in two steps.  Its mode rows (wavenumber,
-amplitude, phase) are drawn once from its seed and hold no grid; they are
-then scattered onto each grid, which checks that the modes fit that grid's
+amplitude, phase) are drawn once from its seed and turned into half-plane
+coefficients with signed wavenumbers; these hold no grid and are then
+scattered onto each grid, which checks that the modes fit that grid's
 dealias band.  So :func:`family_ratios` scores every member on all its
 grids from one draw, and the refined sweep sees the same functions.
 
@@ -24,8 +25,9 @@ are alias-free, then restricted to the representable band of the original
 grid; for the seeded families used by the sweeps the restriction drops
 nothing, so the ratios are resolution-independent up to round-off.  The
 transforms are pruned: the lift transforms along axis 0 only the columns
-that zero-padding fills, the restriction only the columns it keeps, and
-both give the values of the full ``irfft2``/``rfft2`` bit for bit.  The
+up to the last one the factor fills and hands irfft its exact input
+length, the restriction transforms only the columns it keeps, and both
+give the values of the full ``irfft2``/``rfft2`` bit for bit.  The
 commutator lifts its common factor once for both products.
 """
 
@@ -107,49 +109,75 @@ def _random_modes(spec: RandomFieldSpec) -> _Modes:
     """Draw the mode rows of a spec: one normal amplitude, then one phase, per mode."""
     kx, ky, weight = _mode_table(spec.max_mode, spec.spectrum_decay)
     rng = np.random.default_rng(spec.seed)
-    normal, uniform = rng.standard_normal, rng.random
     # 2 pi * random() is the value uniform(0, 2 pi) draws from the same state
-    draws = np.array([(normal(), uniform()) for _ in range(kx.size)])
-    return _Modes(spec.max_mode, kx, ky, draws[:, 0] * weight, 2.0 * np.pi * draws[:, 1])
+    draws = np.array([draw() for draw in (rng.standard_normal, rng.random) * kx.size])
+    return _Modes(spec.max_mode, kx, ky, draws[0::2] * weight, 2.0 * np.pi * draws[1::2])
 
 
-def _assemble_modes(grid: TorusGrid, modes: _Modes) -> np.ndarray:
-    """Half-plane coefficients of the modes on a grid, one scatter into disjoint bins."""
-    if modes.max_mode > grid.dealias_cutoff:
+class _HalfPlane(NamedTuple):
+    """Half-plane bins (signed kx, ky >= 0) and values of the modes of a real trig polynomial.
+
+    A mode with ky < 0 is stored as its conjugate partner, and a mode in the
+    column ky = 0 also fills the bin of its partner at -kx.  The rows hold
+    no grid: they fit every grid whose dealias band holds max_mode.
+    """
+
+    max_mode: int
+    kx: np.ndarray
+    ky: np.ndarray
+    value: np.ndarray
+
+
+def _half_plane(modes: _Modes) -> _HalfPlane:
+    """The half-plane rows of the modes, computed once for every grid."""
+    half = 0.5 * modes.amplitude * np.exp(1j * modes.phase)
+    flip = modes.ky < 0
+    half = np.where(flip, np.conj(half), half)
+    kx = np.where(flip, -modes.kx, modes.kx)
+    ky = np.abs(modes.ky)
+    axis = ky == 0
+    return _HalfPlane(
+        modes.max_mode,
+        np.concatenate([kx, -kx[axis]]),
+        np.concatenate([ky, ky[axis]]),
+        np.concatenate([half, np.conj(half[axis])]),
+    )
+
+
+def _scatter(grid: TorusGrid, rows: _HalfPlane) -> np.ndarray:
+    """Half-plane coefficients of the rows on a grid, one scatter into disjoint bins."""
+    if rows.max_mode > grid.dealias_cutoff:
         raise ValueError(
-            f"max_mode {modes.max_mode} exceeds the dealias band "
+            f"max_mode {rows.max_mode} exceeds the dealias band "
             f"{grid.dealias_cutoff} of an N={grid.size} grid"
         )
     n = grid.size
-    half = 0.5 * modes.amplitude * np.exp(1j * modes.phase)
-    # a mode with ky < 0 is stored as its conjugate partner in the half-plane
-    flip = modes.ky < 0
-    half = np.where(flip, np.conj(half), half)
-    kx = np.where(flip, -modes.kx, modes.kx) % n
-    ky = np.abs(modes.ky)
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    c[kx, ky] += half
-    axis = ky == 0  # the column ky = 0 also holds the partner at -kx
-    c[-kx[axis] % n, 0] += np.conj(half[axis])
+    c[rows.kx % n, rows.ky] += rows.value
     return c
 
 
 def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
     """Seeded random trig polynomial on the grid, zero mean."""
-    return Field(grid, coefficients=_assemble_modes(grid, _random_modes(spec)))
+    return Field(grid, coefficients=_scatter(grid, _half_plane(_random_modes(spec))))
 
 
 def _lift(f: Field) -> np.ndarray:
     """Samples of a field on the doubled grid, by spectral zero-padding.
 
-    Only the N/2 + 1 columns that the padding fills are transformed along
-    axis 0; irfft pads the rest with zeros.  The values equal irfft2 of the
-    padded half-plane.
+    Only the columns up to the last nonzero one are transformed along axis
+    0 (a family member fills 9 of the N/2 + 1), and irfft gets its exact
+    input length N + 1, so it pads nothing.  Each column transforms on its
+    own, so the values equal irfft2 of the padded half-plane bit for bit.
     """
     n = f.grid.size
-    padded = np.zeros((2 * n, n // 2 + 1), dtype=np.complex128)
-    padded[f.grid.wavenumbers % (2 * n)] = f.coefficients
-    columns = sfft.ifft(padded, axis=0, norm="forward")
+    c = f.coefficients
+    filled = np.flatnonzero(c.any(axis=0))
+    m = filled[-1] + 1 if filled.size else 0
+    padded = np.zeros((2 * n, m), dtype=np.complex128)
+    padded[f.grid.wavenumbers % (2 * n)] = c[:, :m]
+    columns = np.zeros((2 * n, n + 1), dtype=np.complex128)
+    columns[:, :m] = sfft.ifft(padded, axis=0, norm="forward")
     return sfft.irfft(columns, n=2 * n, axis=1, norm="forward")
 
 
@@ -158,16 +186,16 @@ def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
     Only the kept columns are transformed along axis 0.  They are scaled by
     1/(2N)^2 between the two passes, where rfft2 scales, so the values equal
-    the kept bins of rfft2.
+    the kept bins of rfft2.  The kept rows k = 0..N/2 - 1 and -(N/2 - 1)..-1
+    are two slices of the spectrum.
     """
     n = grid.size
     limit = n // 2 - 1
     rows = sfft.rfft(samples, axis=1)[:, : limit + 1] * (1.0 / (4 * n * n))
     spectrum = sfft.fft(rows, axis=0)
-    k = grid.wavenumbers
-    keep = np.abs(k) <= limit
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
-    c[keep, : limit + 1] = spectrum[k[keep] % (2 * n)]
+    c[: limit + 1, : limit + 1] = spectrum[: limit + 1]
+    c[n - limit :, : limit + 1] = spectrum[2 * n - limit :]
     return c
 
 
@@ -266,6 +294,12 @@ def interpolation_gap(u: Field, sigma: float, s: float, tau: float) -> float:
     alpha = (tau - s)/(tau - sigma) and beta = (s - sigma)/(tau - sigma).
     Nonnegative up to round-off; exactly zero for single-mode spectra.
     """
+    bound, norm_s = _interpolation_sides(u, sigma, s, tau)
+    return bound - norm_s
+
+
+def _interpolation_sides(u: Field, sigma: float, s: float, tau: float) -> tuple[float, float]:
+    """The bound ||u||_sigma^alpha ||u||_tau^beta and the norm ||u||_s it bounds."""
     if not sigma < s < tau:
         raise ValueError(
             f"orders must satisfy sigma < s < tau, got {sigma}, {s}, {tau}"
@@ -274,8 +308,7 @@ def interpolation_gap(u: Field, sigma: float, s: float, tau: float) -> float:
     beta = (s - sigma) / (tau - sigma)
     norm_sigma = sobolev_norm(u, sigma)
     norm_tau = sobolev_norm(u, tau)
-    norm_s = sobolev_norm(u, s)
-    return norm_sigma**alpha * norm_tau**beta - norm_s
+    return norm_sigma**alpha * norm_tau**beta, sobolev_norm(u, s)
 
 
 def interpolation_ratio(u: Field, sigma: float, s: float, tau: float) -> float:
@@ -283,8 +316,8 @@ def interpolation_ratio(u: Field, sigma: float, s: float, tau: float) -> float:
 
     At least 1 up to round-off; 1 for u = 0 and for single-mode spectra.
     """
-    gap = interpolation_gap(u, sigma, s, tau)
-    norm_s = sobolev_norm(u, s)
+    bound, norm_s = _interpolation_sides(u, sigma, s, tau)
+    gap = bound - norm_s
     return (gap + norm_s) / norm_s if norm_s > 0.0 else 1.0
 
 
@@ -310,18 +343,18 @@ def family_seed(base_seed: int, check: str, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def _member_modes(seed: int) -> _Modes:
-    """The modes of a seeded random family field."""
-    return _random_modes(RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed))
+def _member_modes(seed: int) -> _HalfPlane:
+    """The half-plane rows of a seeded random family field."""
+    return _half_plane(_random_modes(RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed)))
 
 
-def _member(grid: TorusGrid, modes: _Modes) -> Field:
-    """A family field with the given modes, on a grid."""
-    return Field(grid, coefficients=_assemble_modes(grid, modes))
+def _member(grid: TorusGrid, rows: _HalfPlane) -> Field:
+    """A family field with the given half-plane rows, on a grid."""
+    return Field(grid, coefficients=_scatter(grid, rows))
 
 
-def _density_modes(seed: int) -> _Modes:
-    """Modes of the fluctuation of a bounded density, scaled to l1 norm RHO_FLUCTUATION.
+def _density_modes(seed: int) -> _HalfPlane:
+    """Rows of the fluctuation of a bounded density, scaled to l1 norm RHO_FLUCTUATION.
 
     The l1 norm of the mode amplitudes bounds the sup norm of the
     fluctuation at every grid size.
@@ -329,15 +362,17 @@ def _density_modes(seed: int) -> _Modes:
     modes = _random_modes(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed))
     total = sum(abs(amplitude) for amplitude in modes.amplitude.tolist())
     scale = RHO_FLUCTUATION / total if total > 0.0 else 0.0
-    return modes._replace(amplitude=modes.amplitude * scale)
+    return _half_plane(modes._replace(amplitude=modes.amplitude * scale))
 
 
-def _bounded_density(grid: TorusGrid, modes: _Modes) -> Field:
+def _bounded_density(grid: TorusGrid, rows: _HalfPlane) -> Field:
     """Density 1 + fluctuation with min value >= 1 - RHO_FLUCTUATION."""
-    return Field(grid, samples=1.0 + _member(grid, modes).samples)
+    return Field(grid, samples=1.0 + _member(grid, rows).samples)
 
 
-def _pair(second: Callable[[int], _Modes]) -> Callable[[int, str, int], tuple[_Modes, ...]]:
+def _pair(
+    second: Callable[[int], _HalfPlane],
+) -> Callable[[int, str, int], tuple[_HalfPlane, ...]]:
     """Draw of member i: a family field of seed 2 i, then ``second`` of seed 2 i + 1."""
     return lambda base_seed, name, i: (
         _member_modes(family_seed(base_seed, name, 2 * i)),
@@ -345,8 +380,8 @@ def _pair(second: Callable[[int], _Modes]) -> Callable[[int, str, int], tuple[_M
     )
 
 
-def _interpolation_member(base_seed: int, name: str, i: int) -> tuple[_Modes]:
-    """Modes of one field: a single-mode probe every PROBE_PERIOD-th member, else two modes.
+def _interpolation_member(base_seed: int, name: str, i: int) -> tuple[_HalfPlane]:
+    """Rows of one field: a single-mode probe every PROBE_PERIOD-th member, else two modes.
 
     A member's wavenumbers are distinct and its amplitudes nonzero; a
     single-mode probe is an exact equality case of the inequality.
@@ -366,22 +401,23 @@ def _interpolation_member(base_seed: int, name: str, i: int) -> tuple[_Modes]:
             amplitude = 1.0
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         modes.append((kx, ky, amplitude, phase))
-    return (_Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes))),)
+    return (_half_plane(_Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes)))),)
 
 
 class RatioCheck(NamedTuple):
     """One ratio check of the seeded family sweeps.
 
-    ``draw(base_seed, name, i)`` draws the grid-independent modes of member
-    i's factors, and ``build`` holds one builder per factor that assembles
-    its modes on a grid.  ``orders`` names the orders that ``ratio`` takes
-    after sigma; ``ratio(*factors, sigma, *orders)`` scores a member.
+    ``draw(base_seed, name, i)`` draws the grid-independent half-plane rows
+    of member i's factors, and ``build`` holds one builder per factor that
+    scatters its rows onto a grid.  ``orders`` names the orders that
+    ``ratio`` takes after sigma; ``ratio(*factors, sigma, *orders)`` scores
+    a member.
     """
 
     name: str
     ratio: Callable[..., float]
-    draw: Callable[[int, str, int], tuple[_Modes, ...]]
-    build: tuple[Callable[[TorusGrid, _Modes], Field], ...]
+    draw: Callable[[int, str, int], tuple[_HalfPlane, ...]]
+    build: tuple[Callable[[TorusGrid, _HalfPlane], Field], ...]
     orders: tuple[str, ...]
 
 
@@ -412,14 +448,14 @@ def family_ratios(
 ) -> np.ndarray:
     """Ratios of the first ``n_members`` members of a check's family, one row per grid.
 
-    ``orders`` are the values of ``check.orders``.  Each member's modes are
-    drawn once and assembled on every grid, so row j equals a sweep on
+    ``orders`` are the values of ``check.orders``.  Each member's rows are
+    drawn once and scattered onto every grid, so row j equals a sweep on
     ``grids[j]`` alone.
     """
     ratios = np.empty((len(grids), n_members))
     for i in range(n_members):
-        modes = check.draw(base_seed, check.name, i)
+        members = check.draw(base_seed, check.name, i)
         for j, grid in enumerate(grids):
-            factors = (build(grid, m) for build, m in zip(check.build, modes))
+            factors = (build(grid, rows) for build, rows in zip(check.build, members))
             ratios[j, i] = check.ratio(*factors, sigma, *orders)
     return ratios

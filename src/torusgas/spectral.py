@@ -312,8 +312,13 @@ def partial_y(f: Field) -> Field:
 
 def lambda_pow(f: Field, sigma: float) -> Field:
     """Apply the Fourier multiplier (1 + |k|^2)^(sigma/2)."""
-    weight = f.grid.one_plus_ksq ** (0.5 * float(sigma))
-    return Field(f.grid, coefficients=f.coefficients * weight)
+    return Field(f.grid, coefficients=f.coefficients * _lambda_weight(f.grid, float(sigma)))
+
+
+@lru_cache(maxsize=64)
+def _lambda_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
+    """The multiplier (1 + |k|^2)^(sigma/2) of each half-plane bin, in anonymous memory."""
+    return _anonymous(grid.one_plus_ksq ** (0.5 * sigma))
 
 
 def sobolev_norm(f: Field, sigma: float) -> float:
@@ -342,10 +347,14 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     heap below it from being returned (error_scaling with two threads peaked
     8 MiB higher with heap-allocated tables).
     """
-    weight = grid.one_plus_ksq**sigma * grid.column_weights
-    table = np.frombuffer(mmap.mmap(-1, weight.nbytes), dtype=weight.dtype)
-    table = table.reshape(weight.shape)
-    table[...] = weight
+    return _anonymous(grid.one_plus_ksq**sigma * grid.column_weights)
+
+
+def _anonymous(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of the values in its own anonymous mapping."""
+    table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)
+    table = table.reshape(values.shape)
+    table[...] = values
     return _frozen(table)
 
 

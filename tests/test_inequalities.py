@@ -16,6 +16,7 @@ from torusgas.inequalities import (
     RandomFieldSpec,
     _bounded_density,
     _density_modes,
+    _lift,
     _random_modes,
     algebra_ratio,
     commutator_ratio,
@@ -30,6 +31,7 @@ from torusgas.inequalities import (
 from torusgas.spectral import (
     Field,
     constant_field,
+    lambda_pow,
     make_grid,
     sobolev_norm,
     synthesize,
@@ -118,22 +120,61 @@ class TestModeStream:
         assert np.array_equal(f.coefficients, expected)
 
 
+def plain_lift(f):
+    """irfft2 of the half-plane zero-padded to the doubled grid."""
+    n, fine = f.grid.size, 2 * f.grid.size
+    padded = np.zeros((fine, fine // 2 + 1), dtype=np.complex128)
+    padded[f.grid.wavenumbers % fine, : n // 2 + 1] = f.coefficients
+    return sfft.irfft2(padded, s=(fine, fine), norm="forward")
+
+
 def plain_product(f, g):
     """Lift, irfft2, multiply, rfft2 and restrict, with no pruned transform."""
     grid = f.grid
     n, fine = grid.size, 2 * grid.size
-    samples = []
-    for h in (f, g):
-        padded = np.zeros((fine, fine // 2 + 1), dtype=np.complex128)
-        padded[grid.wavenumbers % fine, : n // 2 + 1] = h.coefficients
-        samples.append(sfft.irfft2(padded, s=(fine, fine), norm="forward"))
-    spectrum = sfft.rfft2(samples[0] * samples[1], norm="forward")
+    spectrum = sfft.rfft2(plain_lift(f) * plain_lift(g), norm="forward")
     k = grid.wavenumbers
     limit = n // 2 - 1
     keep = np.abs(k) <= limit
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     c[keep, : limit + 1] = spectrum[k[keep] % fine, : limit + 1]
     return c
+
+
+def lift_cases(grid):
+    """Fields that fill none, some and all of the half-plane columns, with their L^1.5 images.
+
+    On a grid whose band holds FAMILY_MAX_MODE the fields include one member
+    factor of every RATIO_CHECKS builder; on a smaller one, a random field
+    that fills the band.
+    """
+    n = grid.size
+    last = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    last[[0, 3, -3], -1] = [0.5, 1.0 - 2.0j, 0.25j]
+    last[2, 1] = -1.5
+    fields = {
+        "zero": Field(grid, coefficients=np.zeros_like(last)),
+        "zero_samples": constant_field(grid, 0.0),
+        "last_column": Field(grid, coefficients=last),
+    }
+    if FAMILY_MAX_MODE <= grid.dealias_cutoff:
+        for check in RATIO_CHECKS:
+            factors = zip(check.build, check.draw(0, check.name, 1))
+            for j, (build, rows) in enumerate(factors):
+                fields[f"{check.name}_{j}"] = build(grid, rows)
+    else:
+        spec = RandomFieldSpec(grid.dealias_cutoff, seed=5)
+        fields["random"] = random_field(grid, spec)
+    images = {f"L_{name}": lambda_pow(f, 1.5) for name, f in fields.items()}
+    return {**fields, **images}
+
+
+class TestLift:
+    @pytest.mark.parametrize("size, cells", [(64, 1), (128, 1), (16, 4)])
+    def test_pruned_lift_equals_irfft2_bytes(self, size, cells):
+        # tobytes also tells +0.0 from -0.0
+        for name, f in lift_cases(make_grid(size, cells)).items():
+            assert _lift(f).tobytes() == plain_lift(f).tobytes(), name
 
 
 class TestProductExact:
@@ -437,6 +478,36 @@ class TestFamilies:
         assert probes.size == 3  # members 0, 25, 50
         assert np.all(np.abs(probes - 1.0) <= 1e-12)
         assert np.all(ratios >= 1.0 - 1e-10)
+
+    # family_ratios(check, (make_grid(64), make_grid(128)), 3, 0, 1.5,
+    # *declared_orders(check)), one float.hex list per grid; a change to the
+    # transforms or the draws must reproduce these bits
+    PINNED_SWEEPS = {
+        "commutator": [
+            ["0x1.90ea9d71592ccp-8", "0x1.6a15407d02b8ep-8", "0x1.9a4808c145321p-8"],
+            ["0x1.90ea9d71592cbp-8", "0x1.6a15407d02b8ep-8", "0x1.9a4808c145321p-8"],
+        ],
+        "reciprocal": [
+            ["0x1.63a5debcac72bp-5", "0x1.94e23ccbb3663p-6", "0x1.90f718c42aad8p-6"],
+            ["0x1.63a5debcac72bp-5", "0x1.94e23ccbb367cp-6", "0x1.90f718c42ab6ep-6"],
+        ],
+        "algebra": [
+            ["0x1.5503fc07790c4p-5", "0x1.9cb3092cf93f1p-5", "0x1.5a4947e0ed743p-5"],
+            ["0x1.5503fc07790c4p-5", "0x1.9cb3092cf93f1p-5", "0x1.5a4947e0ed743p-5"],
+        ],
+        "interpolation": [
+            ["0x1.ffffffffffffep-1", "0x1.050c413ed82abp+0", "0x1.0002c970623d0p+0"],
+            ["0x1.ffffffffffffep-1", "0x1.050c413ed82abp+0", "0x1.0002c970623d0p+0"],
+        ],
+    }
+
+    @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
+    def test_sweep_bytes_pinned(self, check):
+        grids = (make_grid(64), make_grid(128))
+        ratios = family_ratios(check, grids, 3, 0, 1.5, *declared_orders(check))
+        assert [[float(r).hex() for r in row] for row in ratios] == self.PINNED_SWEEPS[
+            check.name
+        ]
 
     def test_family_max_mode_fits_default_grids(self):
         assert FAMILY_MAX_MODE <= make_grid(64).dealias_cutoff
