@@ -36,7 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", help="directory for the CSV and summary.json"
     )
     common.add_argument("--seed", type=int, help="base seed for random families")
-    common.add_argument("--threads", type=int, help="worker threads for sweeps")
+    common.add_argument(
+        "--threads",
+        type=int,
+        help="worker threads: FFT workers for each error-scaling run, pool "
+        "workers over the sweep items elsewhere; artifacts do not depend on it",
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, name in _SUBCOMMANDS.items():
         subparsers.add_parser(

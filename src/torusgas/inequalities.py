@@ -165,20 +165,10 @@ def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
 def _lift(f: Field) -> np.ndarray:
     """Samples of a field on the doubled grid, by spectral zero-padding.
 
-    Only the columns up to the last nonzero one are transformed along axis
-    0 (a family member fills 9 of the N/2 + 1), and irfft gets its exact
-    input length N + 1, so it pads nothing.  Each column transforms on its
-    own, so the values equal irfft2 of the padded half-plane bit for bit.
+    The inverse is :func:`spectral._pruned_irfft2`: it transforms only the
+    filled columns and equals irfft2 of the padded half-plane bit for bit.
     """
-    n = f.grid.size
-    c = f.coefficients
-    filled = np.flatnonzero(c.any(axis=0))
-    m = filled[-1] + 1 if filled.size else 0
-    padded = np.zeros((2 * n, m), dtype=np.complex128)
-    padded[f.grid.wavenumbers % (2 * n)] = c[:, :m]
-    columns = np.zeros((2 * n, n + 1), dtype=np.complex128)
-    columns[:, :m] = sfft.ifft(padded, axis=0, norm="forward")
-    return sfft.irfft(columns, n=2 * n, axis=1, norm="forward")
+    return spectral._pruned_irfft2(f.coefficients, 2 * f.grid.size)
 
 
 def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -189,8 +189,7 @@ class Field:
     def samples(self) -> np.ndarray:
         """Physical-space values, shape (N, N), read-only."""
         if self._samples is None:
-            n = self.grid.size
-            real = sfft.irfft2(self._coefficients, s=(n, n), norm="forward")
+            real = _pruned_irfft2(self._coefficients, self.grid.size)
             object.__setattr__(self, "_samples", _frozen(real))
         return self._samples
 
@@ -233,6 +232,28 @@ class Field:
         if self._coefficients is not None:
             return float(self._coefficients[0, 0].real)
         return float(np.mean(self._samples))
+
+
+def _pruned_irfft2(c: np.ndarray, size: int) -> np.ndarray:
+    """Samples on a size-by-size grid of half-plane coefficients, zero-padded.
+
+    ``c`` has shape (N, N/2 + 1) with N <= size, rows in DFT order; row
+    N/2 holds the positive kx = N/2.  Only the columns up to the last
+    nonzero one are transformed along axis 0 (a family member fills 9 of
+    the N/2 + 1), and irfft gets its exact input length size/2 + 1, so it
+    pads nothing.  Each column transforms on its own, so the values equal
+    ``irfft2`` of the padded half-plane with ``norm="forward"`` bit for bit.
+    """
+    n = c.shape[0]
+    filled = np.flatnonzero(c.any(axis=0))
+    m = filled[-1] + 1 if filled.size else 0
+    half = n // 2 + 1  # rows kx = 0..N/2; the other N/2 - 1 are negative
+    padded = np.zeros((size, m), dtype=np.complex128)
+    padded[:half] = c[:half, :m]
+    padded[size - n + half :] = c[half:, :m]
+    columns = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+    columns[:, :m] = sfft.ifft(padded, axis=0, norm="forward")
+    return sfft.irfft(columns, n=size, axis=1, norm="forward")
 
 
 def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:

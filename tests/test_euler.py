@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from torusgas.families import (
     exact_time_derivative,
     residue_field,
 )
-from torusgas.solver import SolveConfig, cfl_dt, evolve
+from torusgas.solver import SolveConfig, cfl_dt, evolve, step_rk4
 from torusgas.spectral import (
     Field,
     constant_field,
@@ -455,3 +456,21 @@ class TestEvolveSymmetries:
     @settings(max_examples=10, deadline=None)
     def test_point_reflection(self, seed, size):
         self._assert_commutes(_reflect, random_state(make_grid(size), seed))
+
+
+class TestTransformWorkers:
+    """Values do not depend on the scipy.fft worker count: each 1-D line transforms alone."""
+
+    def test_rhs_and_step_bitwise_across_workers(self):
+        grid = make_grid(256)
+        s = random_state(grid, 3)
+        state_hat = state_to_hat(s) * grid.dealias_mask
+        dt = cfl_dt(s, GAS, 0.25, grid)
+        results = []
+        for workers in (1, 2):
+            with sfft.set_workers(workers):
+                results.append((rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS)))
+        (rhs_one, step_one), (rhs_two, step_two) = results
+        assert np.array_equal(rhs_one, rhs_two)
+        for a, b in zip(step_one.fields(), step_two.fields()):
+            assert np.array_equal(a.samples, b.samples)

@@ -176,6 +176,17 @@ class TestLift:
         for name, f in lift_cases(make_grid(size, cells)).items():
             assert _lift(f).tobytes() == plain_lift(f).tobytes(), name
 
+    @pytest.mark.parametrize("size, cells", [(64, 1), (128, 1), (16, 4)])
+    def test_pruned_samples_equal_irfft2_bytes(self, size, cells):
+        # Field.samples shares the lift's pruned inverse; add a full-plane field
+        grid = make_grid(size, cells)
+        full = np.random.default_rng(size).standard_normal((size, size))
+        cases = {**lift_cases(grid), "full": Field(grid, samples=full)}
+        for name, f in cases.items():
+            c = f.coefficients
+            want = sfft.irfft2(c, s=(size, size), norm="forward")
+            assert Field(grid, coefficients=c).samples.tobytes() == want.tobytes(), name
+
 
 class TestProductExact:
     @pytest.mark.parametrize("size, cells", [(8, 1), (32, 1), (64, 1), (16, 4)])
