@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import spectral
-from .spectral import Field, TorusGrid
+from .spectral import Field, TorusGrid, _irfft, _rfft
 
 __all__ = [
     "GasParams",
@@ -242,7 +241,7 @@ def base_deviation(s: State, g: GasParams) -> State:
 
 def state_to_hat(s: State) -> np.ndarray:
     """Stacked unnormalized rfft2 coefficients of (rho, u, v, h), shape (4, N, N/2 + 1)."""
-    return sfft.rfft2(np.stack([f.samples for f in s.fields()]), axes=(-2, -1))
+    return _rfft(np.stack([f.samples for f in s.fields()]), (-2, -1), scale=False)
 
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
@@ -252,7 +251,7 @@ def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
 
 
 def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return sfft.irfft2(coeffs, s=(grid.size, grid.size), axes=(-2, -1))
+    return _irfft(coeffs, (-2, -1), grid.size, scale=True)
 
 
 def rhs_hat(
@@ -284,7 +283,7 @@ def rhs_hat(
     out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
     out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
     out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
-    out_hat = sfft.rfft2(out, axes=(-2, -1))
+    out_hat = _rfft(out, (-2, -1), scale=False)
     out_hat *= grid.dealias_mask
     return out_hat
 

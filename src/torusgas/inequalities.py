@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import spectral
 from .spectral import Field, TorusGrid, lambda_pow, sobolev_norm
@@ -181,8 +180,8 @@ def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """
     n = grid.size
     limit = n // 2 - 1
-    rows = sfft.rfft(samples, axis=1)[:, : limit + 1] * (1.0 / (4 * n * n))
-    spectrum = sfft.fft(rows, axis=0)
+    rows = spectral._rfft(samples, (1,), scale=False)[:, : limit + 1]
+    spectrum = spectral._fft(rows * (1.0 / (4 * n * n)), 0, forward=True)
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     c[: limit + 1, : limit + 1] = spectrum[: limit + 1]
     c[n - limit :, : limit + 1] = spectrum[2 * n - limit :]

@@ -23,6 +23,23 @@ omitted coefficients follow from ``c[-k] = conj(c[k])``, so sums over the
 full plane weight the interior columns 0 < ky < N/2 by 2 (the grid's
 ``column_weights``).  The Sobolev norm uses the un-normalized 2pi-periodic
 measure of the torus, so the constant field 1 has L2 norm 2*pi.
+
+Transforms
+----------
+Every transform of the package goes through :func:`_rfft`, :func:`_irfft`
+and :func:`_fft`, which call the pocketfft kernel that ``scipy.fft``'s
+public functions end in (``scipy.fft._pocketfft.pypocketfft``) with the
+arguments those functions would pass: the same axes, scipy's normalization
+codes (0: none, 2: divide by the product of the transformed lengths) and
+``scipy.fft.get_workers()`` threads, so ``scipy.fft.set_workers`` still
+sets the thread count.  The values are those of the public functions bit
+for bit.  The calls skip the public functions' Python dispatch and
+argument checks, about 13 us a call on a 2-core Xeon: twice the kernel's
+own time on the 8x8 cells of the nonuniform runs, which make thousands of
+such calls.  The kernel module is private to scipy.  This was verified on
+scipy 1.17.1, and ``tests/test_spectral.py`` compares the bytes of every
+call shape with the public functions, so an upgrade that changes the
+kernel's arguments fails there.
 """
 
 from __future__ import annotations
@@ -34,6 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.fft as sfft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 __all__ = [
     "TorusGrid",
@@ -46,6 +64,33 @@ __all__ = [
     "sobolev_norm",
     "dealias",
 ]
+
+
+def _rfft(x: np.ndarray, axes: tuple[int, ...], *, scale: bool) -> np.ndarray:
+    """``scipy.fft.rfftn(x, axes=axes)`` of real ``x``; ``scale`` is ``norm="forward"``."""
+    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, None, sfft.get_workers())
+
+
+def _irfft(c: np.ndarray, axes: tuple[int, ...], size: int, *, scale: bool) -> np.ndarray:
+    """``scipy.fft.irfftn`` of half-spectrum ``c``, last axis of length ``size``.
+
+    ``c`` holds size//2 + 1 bins along its last axis.  ``scale`` divides by
+    the product of the output lengths (the default norm); without it this
+    is ``norm="forward"``.
+    """
+    inorm = 2 if scale else 0
+    return _pocketfft.c2r(c, axes, size, False, inorm, None, sfft.get_workers())
+
+
+def _fft(
+    x: np.ndarray, axis: int, *, forward: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unscaled complex DFT along one axis: ``scipy.fft.fft``, or ``ifft`` with ``norm="forward"``.
+
+    With ``out`` (same shape, complex, any strides, not overlapping ``x``)
+    the values are written there.
+    """
+    return _pocketfft.c2c(x, (axis,), forward, 0, out, sfft.get_workers())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -197,7 +242,7 @@ class Field:
     def coefficients(self) -> np.ndarray:
         """Normalized half-plane Fourier coefficients, shape (N, N/2 + 1), read-only."""
         if self._coefficients is None:
-            c = sfft.rfft2(self._samples, norm="forward")
+            c = _rfft(self._samples, (0, 1), scale=True)
             object.__setattr__(self, "_coefficients", _frozen(c))
         return self._coefficients
 
@@ -240,9 +285,10 @@ def _pruned_irfft2(c: np.ndarray, size: int) -> np.ndarray:
     ``c`` has shape (N, N/2 + 1) with N <= size, rows in DFT order; row
     N/2 holds the positive kx = N/2.  Only the columns up to the last
     nonzero one are transformed along axis 0 (a family member fills 9 of
-    the N/2 + 1), and irfft gets its exact input length size/2 + 1, so it
-    pads nothing.  Each column transforms on its own, so the values equal
-    ``irfft2`` of the padded half-plane with ``norm="forward"`` bit for bit.
+    the N/2 + 1), straight into the zero columns that irfft then reads at
+    its exact input length size/2 + 1.  Each column transforms on its own,
+    so the values equal ``irfft2`` of the padded half-plane with
+    ``norm="forward"`` bit for bit.
     """
     n = c.shape[0]
     filled = np.flatnonzero(c.any(axis=0))
@@ -252,8 +298,8 @@ def _pruned_irfft2(c: np.ndarray, size: int) -> np.ndarray:
     padded[:half] = c[:half, :m]
     padded[size - n + half :] = c[half:, :m]
     columns = np.zeros((size, size // 2 + 1), dtype=np.complex128)
-    columns[:, :m] = sfft.ifft(padded, axis=0, norm="forward")
-    return sfft.irfft(columns, n=size, axis=1, norm="forward")
+    _fft(padded, 0, forward=False, out=columns[:, :m])
+    return _irfft(columns, (1,), size, scale=False)
 
 
 def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:

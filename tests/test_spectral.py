@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgas.inequalities import RandomFieldSpec, product_exact, random_field
+from torusgas.lab import default_config, run_nonuniform
 from torusgas.spectral import (
     Field,
     TorusGrid,
+    _fft,
+    _irfft,
+    _pruned_irfft2,
+    _rfft,
     dealias,
     constant_field,
     lambda_pow,
@@ -424,3 +431,98 @@ class TestDealias:
     def test_cutoff_value(self):
         assert make_grid(64).dealias_cutoff == 21
         assert make_grid(32).dealias_cutoff == 10
+
+
+#: scipy.fft's public transforms; the package calls none of them.
+PUBLIC_TRANSFORMS = (
+    "fft", "ifft", "rfft", "irfft",
+    "fft2", "ifft2", "rfft2", "irfft2",
+    "fftn", "ifftn", "rfftn", "irfftn",
+)  # fmt: skip
+
+
+def assert_same_bytes(got, want, what):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+class TestKernelAdapter:
+    """The pocketfft adapter against the public scipy.fft functions it replaces.
+
+    Every call shape the package makes must give the public function's bytes.
+    The adapter calls scipy's private kernel module with the arguments the
+    public functions pass, so a scipy release that changes those arguments
+    (normalization codes, axis handling) fails here.  Sizes 6, 48 and 100 are
+    not powers of two, so one 1/N^2 factor and two per-axis 1/N factors round
+    differently there.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [6, 8, 48, 64, 100, 512])
+    def test_every_call_shape_equals_public_bytes(self, size, workers):
+        rng = np.random.default_rng(size)
+        batch = rng.standard_normal((4, size, size))  # a state's four fields
+        one = batch[0]
+        hat = sfft.rfft2(batch, axes=(-2, -1))
+        m = size // 4  # filled half-plane columns of a pruned inverse
+        columns = hat[0, :, :m].copy()
+        with sfft.set_workers(workers):
+            cases = {
+                "rfft2 batch": (
+                    _rfft(batch, (-2, -1), scale=False),
+                    sfft.rfft2(batch, axes=(-2, -1)),
+                ),
+                "rfft2 forward": (
+                    _rfft(one, (0, 1), scale=True),
+                    sfft.rfft2(one, norm="forward"),
+                ),
+                "rfft axis 1": (_rfft(one, (1,), scale=False), sfft.rfft(one, axis=1)),
+                "irfft2 batch": (
+                    _irfft(hat, (-2, -1), size, scale=True),
+                    sfft.irfft2(hat, s=(size, size), axes=(-2, -1)),
+                ),
+                "irfft2 forward": (
+                    _irfft(hat[0], (0, 1), size, scale=False),
+                    sfft.irfft2(hat[0], s=(size, size), norm="forward"),
+                ),
+                "irfft axis 1": (
+                    _irfft(hat[0], (1,), size, scale=False),
+                    sfft.irfft(hat[0], n=size, axis=1, norm="forward"),
+                ),
+                "fft axis 0": (
+                    _fft(columns, 0, forward=True),
+                    sfft.fft(columns, axis=0),
+                ),
+                "ifft axis 0": (
+                    _fft(columns, 0, forward=False),
+                    sfft.ifft(columns, axis=0, norm="forward"),
+                ),
+            }
+            for filled in (m, 0):  # the column view, and no filled column at all
+                out = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+                _fft(columns[:, :filled], 0, forward=False, out=out[:, :filled])
+                want = sfft.ifft(columns[:, :filled], axis=0, norm="forward")
+                cases[f"ifft into {filled} columns"] = (out[:, :filled].copy(), want)
+                assert not out[:, filled:].any()
+            zero = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+            cases["pruned inverse of zero"] = (
+                _pruned_irfft2(zero, 2 * size),
+                sfft.irfft2(np.zeros((2 * size, size + 1), complex), norm="forward"),
+            )
+        for what, (got, want) in cases.items():
+            assert_same_bytes(got, want, what)
+
+    def test_runs_reach_no_public_transform(self, monkeypatch):
+        # the nonuniform experiment and a doubled-grid product, the two paths
+        # that make the most transforms, with every public transform disabled
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.fft public transform called")
+
+        for name in PUBLIC_TRANSFORMS:
+            monkeypatch.setattr(sfft, name, refuse)
+        report = run_nonuniform(default_config("nonuniform", n_list=(4, 8)))
+        assert {row["n"] for row in report.rows} == {4, 8}
+        grid = make_grid(32)
+        f, g = (random_field(grid, RandomFieldSpec(max_mode=6, seed=k)) for k in (1, 2))
+        product = product_exact(f, g)
+        assert np.isfinite(product.samples).all()
