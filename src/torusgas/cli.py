@@ -39,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="worker threads: FFT workers for each error-scaling run, pool "
-        "workers over the sweep items elsewhere; artifacts do not depend on it",
+        help="worker threads: pool workers over the four inequality checks, FFT "
+        "workers for each error-scaling run, unused by the other experiments; "
+        "artifacts do not depend on it",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, name in _SUBCOMMANDS.items():

@@ -24,7 +24,8 @@ Products of band-limited fields are formed on a doubled grid where they
 are alias-free, then restricted to the representable band of the original
 grid; for the seeded families used by the sweeps the restriction drops
 nothing, so the ratios are resolution-independent up to round-off.  The
-transforms are pruned: the lift transforms along axis 0 only the columns
+transforms are pruned, and the pruning lives here, where the lift and its
+restriction pay for it: the lift transforms along axis 0 only the columns
 up to the last one the factor fills and hands irfft its exact input
 length, the restriction transforms only the columns it keeps, and both
 give the values of the full ``irfft2``/``rfft2`` bit for bit.  The
@@ -164,10 +165,23 @@ def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
 def _lift(f: Field) -> np.ndarray:
     """Samples of a field on the doubled grid, by spectral zero-padding.
 
-    The inverse is :func:`spectral._pruned_irfft2`: it transforms only the
-    filled columns and equals irfft2 of the padded half-plane bit for bit.
+    Only the columns up to the last nonzero one are transformed along axis
+    0 (a family member fills 9 of the N/2 + 1), straight into the zero
+    columns that irfft then reads at its exact input length N + 1.  Each
+    column transforms on its own, so the values equal ``irfft2`` of the
+    padded half-plane with ``norm="forward"`` bit for bit.
     """
-    return spectral._pruned_irfft2(f.coefficients, 2 * f.grid.size)
+    c = f.coefficients
+    n = c.shape[0]
+    filled = np.flatnonzero(c.any(axis=0))
+    m = filled[-1] + 1 if filled.size else 0
+    half = n // 2 + 1  # rows kx = 0..N/2; the other N/2 - 1 are negative
+    padded = np.zeros((2 * n, m), dtype=np.complex128)
+    padded[:half] = c[:half, :m]
+    padded[n + half :] = c[half:, :m]
+    columns = np.zeros((2 * n, n + 1), dtype=np.complex128)
+    spectral._fft(padded, 0, forward=False, out=columns[:, :m])
+    return spectral._irfft(columns, (1,), 2 * n, scale=False)
 
 
 def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -6,10 +6,11 @@ When an output directory is set, the report is written as
 ``<experiment>.csv`` plus a ``summary.json`` with the pass verdict, the
 fitted exponents of scaling studies, the run parameters and the details.
 Reports are deterministic: identical config and seed give byte-identical
-files.  Sweeps parallelize over a thread pool with a merge ordered by n,
-except error scaling, whose one costly control run instead splits its
-transforms over the threads.  :data:`EXPERIMENTS` is the one table of
-experiments: each name maps to its runner, default ``n_list`` and CLI help.
+files.  ``threads`` counts pool workers over the four checks of the
+inequality sweeps and scipy.fft workers for error scaling's transforms;
+the other experiments run on one thread.  :data:`EXPERIMENTS` is the one
+table of experiments: each name maps to its runner, default ``n_list`` and
+CLI help.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -34,7 +35,7 @@ from .euler import (
     state_norm,
 )
 from .families import FamilyParams
-from .solver import SolveConfig, SolverError, Trajectory, _require_integer
+from .solver import SolveConfig, SolverError, Trajectory
 from .spectral import Field, make_grid, sobolev_norm
 
 __all__ = [
@@ -75,11 +76,12 @@ class ExperimentConfig:
     refined) instead of family indices, and ``family_size`` sets the
     number of seeded members per check.
 
-    ``threads`` is a worker count.  For ``error_scaling`` the workers are
+    ``threads`` is a worker count.  For ``inequalities`` the workers are
+    pool workers over the four checks; for ``error_scaling`` they are
     scipy.fft workers that split the transforms of each run in turn (the
-    main runs, then the control run); for the other experiments they are
-    pool workers over the sweep items.  The artifacts do not depend on it,
-    apart from the ``threads`` entry of ``summary.json``.
+    main runs, then the control run).  The other experiments ignore it.
+    The artifacts do not depend on it, apart from the ``threads`` entry of
+    ``summary.json``.
     """
 
     experiment: str
@@ -151,6 +153,11 @@ class ExperimentConfig:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _lookup(experiment: str) -> _Experiment:
@@ -248,26 +255,24 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _evolve_recorded(
-    s0: State, g: GasParams, solve: SolveConfig, experiment: str, n: int
+    s0: State,
+    g: GasParams,
+    solve: SolveConfig,
+    experiment: str,
+    n: int,
+    stride: int | None = None,
 ) -> tuple[Trajectory, float]:
-    """Evolve with a record stride targeting ~_TARGET_RECORDS snapshots.
+    """Evolve with a record stride, by default one targeting ~_TARGET_RECORDS snapshots.
 
     Returns the trajectory and its step size.  A solver abort is re-raised
     with the experiment and the family index n in front of its message.
     """
     n_steps, dt = solver.plan(s0, g, solve)
-    stride = max(solve.record_stride, math.ceil(n_steps / _TARGET_RECORDS))
+    if stride is None:
+        stride = math.ceil(n_steps / _TARGET_RECORDS)
     try:
-        return solver.evolve(s0, g, replace(solve, record_stride=stride)), dt
+        return solver.evolve(s0, g, solve, stride), dt
     except SolverError as err:
         label = experiment.replace("_", "-")
         raise SolverError(f"{label} run at n={n} failed: {err}") from err
@@ -372,7 +377,7 @@ def run_residue_scaling(cfg: ExperimentConfig) -> Report:
         residue = families.residue_field(FamilyParams(1, n, s), grid, 0.0)
         return sobolev_norm(residue, sigma)
 
-    measured = _map_ordered(measure, cfg.n_list, cfg.threads)
+    measured = [measure(n) for n in cfg.n_list]
     envelope_exponent = 2.0 * sigma - 3.0 * s + 1.0
     fitted, rows = _fit_over_n(cfg, measured, envelope_exponent)
     predicted = sigma - 3.0 * s + 1.0
@@ -426,7 +431,7 @@ def run_exact_check(cfg: ExperimentConfig) -> Report:
         # evolve records exactly T last, so devs[-1] is the final-time deviation
         return max(devs), max_div, devs[-1], dt
 
-    per_n = _map_ordered(deviation_run, cfg.n_list, cfg.threads)
+    per_n = [deviation_run(n) for n in cfg.n_list]
     max_dev = max(row[0] for row in per_n)
     max_div = max(row[1] for row in per_n)
 
@@ -482,13 +487,15 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
     _require_experiment(cfg, "error_scaling")
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
 
-    def run_one(n: int, refine: int = 1, solve: SolveConfig = cfg.solve) -> dict:
+    def run_one(
+        n: int, refine: int = 1, solve: SolveConfig = cfg.solve, stride: int | None = None
+    ) -> dict:
         # Whole torus until ROADMAP item 1: on a cell, digits of the bench
         # reference move, so the cell move waits for its re-capture.
         grid = make_grid(refine * cfg.grid_rule * n)
         fp = FamilyParams(1, n, s)
         s0 = families.initial_data(fp, g, grid)
-        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n)
+        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n, stride)
         curve = []
         for t, state in zip(traj.times, traj.states):
             reference = families.approx_solution(fp, g, grid, t)
@@ -502,10 +509,11 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
     n_top = cfg.n_list[-1]
     with sfft.set_workers(cfg.threads):
         results = [run_one(n) for n in cfg.n_list]
-        # Control: rerun the largest n on a doubled grid with half the step.
+        # Control: rerun the largest n on a doubled grid with half the step,
+        # recording only its initial and final states.
         top = results[-1]
-        fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0, record_stride=10**9)
-        err_control = run_one(n_top, 2, fine_solve)["err_final"]
+        fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0)
+        err_control = run_one(n_top, 2, fine_solve, 10**9)["err_final"]
     beta = max(2.0 * sigma - 3.0 * s + 2.0, sigma - 2.0 * s)
     fitted, rows = _fit_over_n(cfg, [r["err_final"] for r in results], beta)
     control_gap = abs(err_control - top["err_final"]) / top["err_final"]
@@ -575,7 +583,7 @@ def run_higher_norm(cfg: ExperimentConfig) -> Report:
         ]
         return {"n": n, "max_norm": max(norms), "norm_t0": norms[0]}
 
-    results = _map_ordered(run_one, cfg.n_list, cfg.threads)
+    results = [run_one(n) for n in cfg.n_list]
     predicted = tau - s
     fitted, rows = _fit_over_n(cfg, [r["max_norm"] for r in results], predicted)
     slope_t0 = fit_loglog_slope(
@@ -703,7 +711,7 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
             )
         return rows
 
-    rows = [row for pair in _map_ordered(run_pair, cfg.n_list, cfg.threads) for row in pair]
+    rows = [row for n in cfg.n_list for row in run_pair(n)]
     d0 = {row["n"]: row["d0"] for row in rows}
     d0_errors = {n: abs(d0[n] - 4.0 * math.sqrt(2.0) * math.pi / n) for n in cfg.n_list}
     d0_exact = all(err <= _D0_TOL for err in d0_errors.values())
@@ -778,7 +786,12 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
             check, grids, cfg.family_size, cfg.seed, sigma, *orders[check.name]
         )
 
-    ratios = dict(zip(orders, _map_ordered(sweep, checks, cfg.threads)))
+    # the package's one pool: each check costs seconds; map keeps report order
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            ratios = dict(zip(orders, pool.map(sweep, checks)))
+    else:
+        ratios = dict(zip(orders, map(sweep, checks)))
     maxima = {name: [float(top) for top in np.max(r, axis=1)] for name, r in ratios.items()}
 
     interp = ratios["interpolation"][0]

@@ -45,16 +45,13 @@ class SolverError(RuntimeError):
 class SolveConfig:
     """Run controls for :func:`evolve`.
 
-    ``dt_fixed`` overrides the CFL choice when present.  ``record_stride``
-    keeps every k-th step in the trajectory (the initial and final states
-    are always kept).  A run aborts when min(rho) or min(h) falls to the
-    fixed floor ``euler.REGION_FLOOR``.
+    ``dt_fixed`` overrides the CFL choice when present.  A run aborts when
+    min(rho) or min(h) falls to the fixed floor ``euler.REGION_FLOOR``.
     """
 
     T: float
     cfl: float = 0.25
     dt_fixed: float | None = None
-    record_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (self.T > 0.0 and math.isfinite(self.T)):
@@ -65,14 +62,6 @@ class SolveConfig:
             self.dt_fixed > 0.0 and math.isfinite(self.dt_fixed)
         ):
             raise ValueError(f"dt_fixed must be positive and finite, got {self.dt_fixed}")
-        _require_integer("record_stride", self.record_stride)
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be a positive integer")
-
-
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -139,8 +128,18 @@ def step_rk4(s: State, dt: float, g: GasParams) -> State:
     return state_from_hat(_rk4_update(_pack(s), dt, s.grid, g), s.grid)
 
 
-def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
-    """Integrate from s0 at t = 0 to t = T, recording per stride."""
+def evolve(
+    s0: State, g: GasParams, cfg: SolveConfig, record_stride: int = 1
+) -> Trajectory:
+    """Integrate from s0 at t = 0 to t = T.
+
+    Every ``record_stride``-th step is kept in the trajectory; the initial
+    and final states are always kept.
+    """
+    if isinstance(record_stride, bool) or not isinstance(record_stride, (int, np.integer)):
+        raise ValueError(f"record_stride must be an integer, got {record_stride!r}")
+    if record_stride < 1:
+        raise ValueError("record_stride must be a positive integer")
     grid = s0.grid
     n_steps, dt = plan(s0, g, cfg)
 
@@ -159,7 +158,7 @@ def evolve(s0: State, g: GasParams, cfg: SolveConfig) -> Trajectory:
                 f"non-finite state at t = {step * dt:.6g} (step {step}/{n_steps}, "
                 f"dt = {dt:.3e}, N = {grid.size})"
             )
-        if step % cfg.record_stride == 0 or step == n_steps:
+        if step % record_stride == 0 or step == n_steps:
             t = cfg.T if step == n_steps else step * dt
             times.append(t)
             states.append(state_from_hat(state_hat, grid))

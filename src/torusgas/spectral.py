@@ -39,7 +39,9 @@ own time on the 8x8 cells of the nonuniform runs, which make thousands of
 such calls.  The kernel module is private to scipy.  This was verified on
 scipy 1.17.1, and ``tests/test_spectral.py`` compares the bytes of every
 call shape with the public functions, so an upgrade that changes the
-kernel's arguments fails there.
+kernel's arguments fails there.  ``Field.samples`` is one plain inverse
+transform; the column-pruned inverse of the doubled-grid products lives
+in :mod:`torusgas.inequalities`, beside the restriction it pairs with.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ class Field:
     def samples(self) -> np.ndarray:
         """Physical-space values, shape (N, N), read-only."""
         if self._samples is None:
-            real = _pruned_irfft2(self._coefficients, self.grid.size)
+            real = _irfft(self._coefficients, (0, 1), self.grid.size, scale=False)
             object.__setattr__(self, "_samples", _frozen(real))
         return self._samples
 
@@ -277,29 +279,6 @@ class Field:
         if self._coefficients is not None:
             return float(self._coefficients[0, 0].real)
         return float(np.mean(self._samples))
-
-
-def _pruned_irfft2(c: np.ndarray, size: int) -> np.ndarray:
-    """Samples on a size-by-size grid of half-plane coefficients, zero-padded.
-
-    ``c`` has shape (N, N/2 + 1) with N <= size, rows in DFT order; row
-    N/2 holds the positive kx = N/2.  Only the columns up to the last
-    nonzero one are transformed along axis 0 (a family member fills 9 of
-    the N/2 + 1), straight into the zero columns that irfft then reads at
-    its exact input length size/2 + 1.  Each column transforms on its own,
-    so the values equal ``irfft2`` of the padded half-plane with
-    ``norm="forward"`` bit for bit.
-    """
-    n = c.shape[0]
-    filled = np.flatnonzero(c.any(axis=0))
-    m = filled[-1] + 1 if filled.size else 0
-    half = n // 2 + 1  # rows kx = 0..N/2; the other N/2 - 1 are negative
-    padded = np.zeros((size, m), dtype=np.complex128)
-    padded[:half] = c[:half, :m]
-    padded[size - n + half :] = c[half:, :m]
-    columns = np.zeros((size, size // 2 + 1), dtype=np.complex128)
-    _fft(padded, 0, forward=False, out=columns[:, :m])
-    return _irfft(columns, (1,), size, scale=False)
 
 
 def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -379,13 +358,8 @@ def partial_y(f: Field) -> Field:
 
 def lambda_pow(f: Field, sigma: float) -> Field:
     """Apply the Fourier multiplier (1 + |k|^2)^(sigma/2)."""
-    return Field(f.grid, coefficients=f.coefficients * _lambda_weight(f.grid, float(sigma)))
-
-
-@lru_cache(maxsize=64)
-def _lambda_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
-    """The multiplier (1 + |k|^2)^(sigma/2) of each half-plane bin, in anonymous memory."""
-    return _anonymous(grid.one_plus_ksq ** (0.5 * sigma))
+    weight = f.grid.one_plus_ksq ** (0.5 * float(sigma))
+    return Field(f.grid, coefficients=f.coefficients * weight)
 
 
 def sobolev_norm(f: Field, sigma: float) -> float:
@@ -410,15 +384,12 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     """The weight (1 + |k|^2)^sigma of each half-plane bin times its column multiplicity.
 
     The cached table lives in its own anonymous mapping, not in the malloc
-    heap: a block that lives on after the run allocated it would keep the
-    heap below it from being returned (error_scaling with two threads peaked
-    8 MiB higher with heap-allocated tables).
+    heap, where a block that lives on after the run that allocated it keeps
+    the heap below it from being returned.  error_scaling at T = 0.25 with
+    two threads peaked at 159.7 MiB with mapped tables and at 161.2 MiB with
+    heap tables (medians of 4 runs each on a 2-core Xeon).
     """
-    return _anonymous(grid.one_plus_ksq**sigma * grid.column_weights)
-
-
-def _anonymous(values: np.ndarray) -> np.ndarray:
-    """A read-only copy of the values in its own anonymous mapping."""
+    values = grid.one_plus_ksq**sigma * grid.column_weights
     table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)
     table = table.reshape(values.shape)
     table[...] = values

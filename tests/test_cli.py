@@ -125,6 +125,14 @@ class TestErrors:
             capsys, ["residue-scaling", "--config", str(config)], "threads"
         )
 
+    def test_removed_solve_key(self, tmp_path, capsys):
+        # the record stride is set by the runners, not by a config
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solve": {"record_stride": 2}}))
+        self._fails_cleanly(
+            capsys, ["nonuniform", "--config", str(config)], "record_stride"
+        )
+
     def test_solver_error(self, tmp_path, capsys):
         # an oversized step drives the density negative in the fourth step
         config = tmp_path / "config.json"

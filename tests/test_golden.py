@@ -4,14 +4,18 @@
 config in ``CONFIGS``.  A rerun must reproduce them under the benchmark's
 artifact contract (floats to 10 significant digits with a 1e-12 absolute
 floor; strings, integers and booleans exactly), checked with the
-comparison in ``bench/compare.py``.
+comparison in ``bench/compare.py``.  The same configs show that the
+thread count leaves every artifact unchanged, and that only the inequality
+sweeps start a thread pool.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+import scipy.fft as sfft
 
+from torusgas import lab
 from torusgas.lab import config_from_dict, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +42,36 @@ def test_golden_artifacts(experiment, tmp_path):
     cfg = config_from_dict({**CONFIGS[experiment], "output_dir": str(tmp_path)}, experiment)
     run_experiment(cfg)
     assert compare.compare_dirs(tmp_path, GOLDEN / experiment) == []
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path):
+    # inequalities maps its checks over a pool, error_scaling splits its
+    # transforms over FFT workers; the merge and the sums must not see either
+    workers = sfft.get_workers()
+    texts = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        data = {**CONFIGS[experiment], "threads": threads, "output_dir": str(out)}
+        run_experiment(config_from_dict(data, experiment))
+        names = (f"{experiment}.csv", "summary.json")
+        texts[threads] = [(out / name).read_text() for name in names]
+    assert sfft.get_workers() == workers
+    (csv_one, summary_one), (csv_two, summary_two) = texts[1], texts[2]
+    assert csv_one == csv_two
+    assert summary_one.count('"threads": 1\n') == 1
+    assert summary_one.replace('"threads": 1\n', '"threads": 2\n') == summary_two
+
+
+def test_only_inequalities_starts_a_pool(monkeypatch):
+    # threads=2 means scipy.fft workers for error_scaling and nothing for the
+    # n-sweeps, which run faster on one thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", refuse)
+    for experiment in sorted(set(CONFIGS) - {"inequalities"}):
+        run_experiment(config_from_dict({**CONFIGS[experiment], "threads": 2}, experiment))
+    with pytest.raises(AssertionError, match="thread pool started"):
+        data = {**CONFIGS["inequalities"], "threads": 2}
+        run_experiment(config_from_dict(data, "inequalities"))

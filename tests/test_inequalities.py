@@ -178,7 +178,8 @@ class TestLift:
 
     @pytest.mark.parametrize("size, cells", [(64, 1), (128, 1), (16, 4)])
     def test_pruned_samples_equal_irfft2_bytes(self, size, cells):
-        # Field.samples shares the lift's pruned inverse; add a full-plane field
+        # Field.samples is one plain irfft2, not the lift's pruned inverse;
+        # add a full-plane field
         grid = make_grid(size, cells)
         full = np.random.default_rng(size).standard_normal((size, size))
         cases = {**lift_cases(grid), "full": Field(grid, samples=full)}

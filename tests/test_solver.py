@@ -31,7 +31,7 @@ def constant_state(grid, rho=1.0, u=0.0, v=0.0, h=1.0):
 class TestSolveConfig:
     def test_defaults(self):
         cfg = SolveConfig(T=1.0)
-        assert cfg.cfl == 0.25 and cfg.dt_fixed is None and cfg.record_stride == 1
+        assert cfg.cfl == 0.25 and cfg.dt_fixed is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="final time"):
@@ -40,8 +40,12 @@ class TestSolveConfig:
             SolveConfig(T=1.0, cfl=1.5)
         with pytest.raises(ValueError, match="dt_fixed"):
             SolveConfig(T=1.0, dt_fixed=-0.1)
-        with pytest.raises(ValueError, match="record_stride"):
-            SolveConfig(T=1.0, record_stride=0)
+        # the record stride is evolve's argument, not a config field
+        with pytest.raises(TypeError, match="record_stride"):
+            SolveConfig(T=1.0, record_stride=2)
+        s0 = constant_state(make_grid(8))
+        with pytest.raises(ValueError, match="record_stride must be a positive"):
+            evolve(s0, GAS, SolveConfig(T=1.0), record_stride=0)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -56,8 +60,9 @@ class TestSolveConfig:
 
     @pytest.mark.parametrize("stride", [2.5, True, "2"])
     def test_record_stride_must_be_integer(self, stride):
+        s0 = constant_state(make_grid(8))
         with pytest.raises(ValueError, match="record_stride must be an integer"):
-            SolveConfig(T=1.0, record_stride=stride)
+            evolve(s0, GAS, SolveConfig(T=1.0), record_stride=stride)
 
 
 class TestTrajectory:
@@ -162,7 +167,7 @@ class TestEvolve:
     def test_stationary_preservation_many_steps(self):
         grid = make_grid(16)
         s0 = constant_state(grid)
-        traj = evolve(s0, GAS, SolveConfig(T=1.0, dt_fixed=1e-3, record_stride=10**9))
+        traj = evolve(s0, GAS, SolveConfig(T=1.0, dt_fixed=1e-3), record_stride=10**9)
         drift = max(
             np.max(np.abs(after.samples - before.samples))
             for before, after in zip(s0.fields(), traj.final_state.fields())
@@ -178,8 +183,8 @@ class TestEvolve:
 
     def test_record_stride(self):
         grid = make_grid(16)
-        cfg = SolveConfig(T=1.0, dt_fixed=0.1, record_stride=3)
-        traj = evolve(constant_state(grid), GAS, cfg)
+        cfg = SolveConfig(T=1.0, dt_fixed=0.1)
+        traj = evolve(constant_state(grid), GAS, cfg, record_stride=3)
         assert traj.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
 
     def test_exact_family_deviation(self):
@@ -198,8 +203,8 @@ class TestEvolve:
         VT = exact_solution(f, GAS, grid, 1.0)
         errors = []
         for halvings in range(2):
-            cfg = SolveConfig(T=1.0, dt_fixed=0.02 / 2**halvings, record_stride=10**9)
-            final = evolve(V0, GAS, cfg).final_state
+            cfg = SolveConfig(T=1.0, dt_fixed=0.02 / 2**halvings)
+            final = evolve(V0, GAS, cfg, record_stride=10**9).final_state
             errors.append(state_norm(state_difference(final, VT), 3.0))
         order = np.log2(errors[0] / errors[1])
         assert order >= 3.8
@@ -208,11 +213,12 @@ class TestEvolve:
         # the family is band-limited, so once resolved the semidiscrete
         # system is the same at N and 2N; finals agree on shared nodes
         f = FamilyParams(1, 4, 3.0)
-        cfg = SolveConfig(T=0.5, dt_fixed=0.01, record_stride=10**9)
+        cfg = SolveConfig(T=0.5, dt_fixed=0.01)
         finals = {}
         for size in (32, 64):
             grid = make_grid(size)
-            finals[size] = evolve(exact_solution(f, GAS, grid, 0.0), GAS, cfg).final_state
+            s0 = exact_solution(f, GAS, grid, 0.0)
+            finals[size] = evolve(s0, GAS, cfg, record_stride=10**9).final_state
         for coarse, fine in zip(finals[32].fields(), finals[64].fields()):
             assert np.max(np.abs(fine.samples[::2, ::2] - coarse.samples)) <= 1e-10
 

@@ -8,14 +8,13 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgas.inequalities import RandomFieldSpec, product_exact, random_field
+from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
 from torusgas.lab import default_config, run_nonuniform
 from torusgas.spectral import (
     Field,
     TorusGrid,
     _fft,
     _irfft,
-    _pruned_irfft2,
     _rfft,
     dealias,
     constant_field,
@@ -504,9 +503,9 @@ class TestKernelAdapter:
                 want = sfft.ifft(columns[:, :filled], axis=0, norm="forward")
                 cases[f"ifft into {filled} columns"] = (out[:, :filled].copy(), want)
                 assert not out[:, filled:].any()
-            zero = np.zeros((size, size // 2 + 1), dtype=np.complex128)
+            zero = Field(make_grid(size), samples=np.zeros((size, size)))
             cases["pruned inverse of zero"] = (
-                _pruned_irfft2(zero, 2 * size),
+                _lift(zero),
                 sfft.irfft2(np.zeros((2 * size, size + 1), complex), norm="forward"),
             )
         for what, (got, want) in cases.items():
