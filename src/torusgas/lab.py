@@ -7,10 +7,10 @@ When an output directory is set, the report is written as
 fitted exponents of scaling studies, the run parameters and the details.
 Reports are deterministic: identical config and seed give byte-identical
 files.  ``threads`` counts pool workers over the four checks of the
-inequality sweeps and scipy.fft workers for error scaling's transforms;
-the other experiments run on one thread.  :data:`EXPERIMENTS` is the one
-table of experiments: each name maps to its runner, default ``n_list`` and
-CLI help.
+inequality sweeps and FFT workers (:func:`spectral.fft_workers`) for error
+scaling's transforms; the other experiments run on one thread.
+:data:`EXPERIMENTS` is the one table of experiments: each name maps to its
+runner, default ``n_list`` and CLI help.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import families, inequalities, solver
 from .euler import (
@@ -36,7 +35,7 @@ from .euler import (
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, make_grid, sobolev_norm
+from .spectral import Field, fft_workers, make_grid, sobolev_norm
 
 __all__ = [
     "EXPERIMENTS",
@@ -78,10 +77,10 @@ class ExperimentConfig:
 
     ``threads`` is a worker count.  For ``inequalities`` the workers are
     pool workers over the four checks; for ``error_scaling`` they are
-    scipy.fft workers that split the transforms of each run in turn (the
-    main runs, then the control run).  The other experiments ignore it.
-    The artifacts do not depend on it, apart from the ``threads`` entry of
-    ``summary.json``.
+    FFT workers (:func:`spectral.fft_workers`) that split the transforms of
+    each run in turn (the main runs, then the control run).  The other
+    experiments ignore it.  The artifacts do not depend on it, apart from
+    the ``threads`` entry of ``summary.json``.
     """
 
     experiment: str
@@ -160,6 +159,12 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_known_keys(data: dict, cls: type, what: str) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _lookup(experiment: str) -> _Experiment:
     if experiment not in EXPERIMENTS:
         raise ValueError(
@@ -190,9 +195,15 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
         raise ValueError(
             f"config is for experiment {name!r} but {experiment!r} was requested"
         )
-    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _require_known_keys(data, ExperimentConfig, "config")
+    for key, section in (("gas", GasParams), ("solve", SolveConfig)):
+        if key in data:
+            if not isinstance(data[key], dict):
+                raise ValueError(
+                    f"config key {key!r} must be a JSON object, "
+                    f"got {type(data[key]).__name__}"
+                )
+            _require_known_keys(data[key], section, key)
     try:
         if "gas" in data:
             data["gas"] = GasParams(**data["gas"])
@@ -507,7 +518,7 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
     # transform into independent 1-D lines, so the values do not depend on
     # the worker count.
     n_top = cfg.n_list[-1]
-    with sfft.set_workers(cfg.threads):
+    with fft_workers(cfg.threads):
         results = [run_one(n) for n in cfg.n_list]
         # Control: rerun the largest n on a doubled grid with half the step,
         # recording only its initial and final states.

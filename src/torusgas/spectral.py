@@ -28,32 +28,40 @@ Transforms
 ----------
 Every transform of the package goes through :func:`_rfft`, :func:`_irfft`
 and :func:`_fft`, which call the pocketfft kernel that ``scipy.fft``'s
-public functions end in (``scipy.fft._pocketfft.pypocketfft``) with the
-arguments those functions would pass: the same axes, scipy's normalization
-codes (0: none, 2: divide by the product of the transformed lengths) and
-``scipy.fft.get_workers()`` threads, so ``scipy.fft.set_workers`` still
-sets the thread count.  The values are those of the public functions bit
-for bit.  The calls skip the public functions' Python dispatch and
-argument checks, about 13 us a call on a 2-core Xeon: twice the kernel's
-own time on the 8x8 cells of the nonuniform runs, which make thousands of
-such calls.  The kernel module is private to scipy.  This was verified on
-scipy 1.17.1, and ``tests/test_spectral.py`` compares the bytes of every
-call shape with the public functions, so an upgrade that changes the
-kernel's arguments fails there.  ``Field.samples`` is one plain inverse
-transform; the column-pruned inverse of the doubled-grid products lives
-in :mod:`torusgas.inequalities`, beside the restriction it pairs with.
+public functions end in with the arguments those functions would pass:
+the same axes and scipy's normalization codes (0: none, 2: divide by the
+product of the transformed lengths).  The values are those of the public
+functions bit for bit.  The calls skip the public functions' Python
+dispatch and argument checks, about 13 us a call on a 2-core Xeon: twice
+the kernel's own time on the 8x8 cells of the nonuniform runs, which make
+thousands of such calls.  The kernel is the extension module
+``scipy/fft/_pocketfft/pypocketfft``, loaded from its file by
+:func:`_load_kernel` without importing ``scipy`` or ``scipy.fft``: their
+package imports took about 0.4 s of a 0.59 s ``import torusgas.cli`` on a
+2-core Xeon and load nothing the transforms use.  The kernel module is
+private to scipy.  This was verified on scipy 1.17.1, and
+``tests/test_spectral.py`` compares the bytes of every call shape with the
+public functions, so an upgrade that moves the file or changes the
+kernel's arguments fails there.  Transforms run on one thread unless a
+caller asks for more with :func:`fft_workers`; the values do not depend
+on the count.  ``Field.samples`` is one plain inverse transform; the
+column-pruned inverse of the doubled-grid products lives in
+:mod:`torusgas.inequalities`, beside the restriction it pairs with.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import mmap
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 __all__ = [
     "TorusGrid",
@@ -65,12 +73,56 @@ __all__ = [
     "lambda_pow",
     "sobolev_norm",
     "dealias",
+    "fft_workers",
 ]
+
+
+def _load_kernel():
+    """Load scipy's pocketfft extension module from its file.
+
+    Neither ``scipy`` nor ``scipy.fft`` is imported, and the module is not
+    entered in ``sys.modules``: importing ``scipy.fft`` later loads its own
+    module object from the same file.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("torusgas needs scipy, which is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    spec = importlib.machinery.PathFinder.find_spec("pypocketfft", [directory])
+    if spec is None:
+        raise ImportError(f"pocketfft kernel pypocketfft not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_kernel()
+
+#: Threads of each transform; 1 in every thread and context that has not
+#: entered :func:`fft_workers`, so pool threads transform on one thread.
+_workers: ContextVar[int] = ContextVar("fft_workers", default=1)
+
+
+@contextmanager
+def fft_workers(count: int) -> Iterator[None]:
+    """Run the transforms made inside the block on ``count`` threads.
+
+    pocketfft splits a transform into independent 1-D lines, so the values
+    do not depend on ``count``.  The previous count is restored on exit,
+    also when the block raises.
+    """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"FFT worker count must be a positive integer, got {count!r}")
+    token = _workers.set(int(count))
+    try:
+        yield
+    finally:
+        _workers.reset(token)
 
 
 def _rfft(x: np.ndarray, axes: tuple[int, ...], *, scale: bool) -> np.ndarray:
     """``scipy.fft.rfftn(x, axes=axes)`` of real ``x``; ``scale`` is ``norm="forward"``."""
-    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, None, sfft.get_workers())
+    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, None, _workers.get())
 
 
 def _irfft(c: np.ndarray, axes: tuple[int, ...], size: int, *, scale: bool) -> np.ndarray:
@@ -81,7 +133,7 @@ def _irfft(c: np.ndarray, axes: tuple[int, ...], size: int, *, scale: bool) -> n
     is ``norm="forward"``.
     """
     inorm = 2 if scale else 0
-    return _pocketfft.c2r(c, axes, size, False, inorm, None, sfft.get_workers())
+    return _pocketfft.c2r(c, axes, size, False, inorm, None, _workers.get())
 
 
 def _fft(
@@ -92,7 +144,7 @@ def _fft(
     With ``out`` (same shape, complex, any strides, not overlapping ``x``)
     the values are written there.
     """
-    return _pocketfft.c2c(x, (axis,), forward, 0, out, sfft.get_workers())
+    return _pocketfft.c2c(x, (axis,), forward, 0, out, _workers.get())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -153,10 +205,8 @@ class TorusGrid:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
         if c < 1:
             raise ValueError(f"grid cells must be positive, got {c}")
-        k = sfft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        # fftfreq labels the half-way bin -n/2; relabel it +n/2 so the table
-        # is exactly {-n/2+1, ..., n/2}.
-        k[n // 2] = n // 2
+        k = np.arange(n, dtype=np.int64)
+        k[n // 2 + 1 :] -= n  # DFT bin order; the half-way bin is +n/2
         ky = np.arange(n // 2 + 1, dtype=np.float64)
         kx_deriv = c * k.astype(np.float64)
         kx_deriv[n // 2] = 0.0
@@ -386,8 +436,9 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     The cached table lives in its own anonymous mapping, not in the malloc
     heap, where a block that lives on after the run that allocated it keeps
     the heap below it from being returned.  error_scaling at T = 0.25 with
-    two threads peaked at 159.7 MiB with mapped tables and at 161.2 MiB with
-    heap tables (medians of 4 runs each on a 2-core Xeon).
+    two threads, run as the benchmark's ``error_scaling_short`` through
+    ``bench/child.py``, peaked at 134.4 MiB with mapped tables and at
+    135.8 MiB with heap tables (medians of 3 runs each on a 2-core Xeon).
     """
     values = grid.one_plus_ksq**sigma * grid.column_weights
     table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)

@@ -47,6 +47,41 @@ class TestParser:
             assert experiment.help in result.stdout
 
 
+class TestStartup:
+    def test_run_loads_no_scipy_fft(self, tmp_path):
+        # the transforms load scipy's pocketfft kernel from its file; the
+        # scipy.fft package import (about 0.4 s) and what it pulls in stay out
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_list": [4, 8]}))
+        script = f"""
+import json, sys
+import numpy as np
+import torusgas.cli
+code = torusgas.cli.main(["nonuniform", "--config", {str(config)!r}])
+heavy = ("scipy.fft", "scipy.special", "scipy._lib", "numpy.testing", "numpy.f2py")
+loaded = sorted(m for m in sys.modules if m.startswith(heavy))
+import scipy.fft
+from torusgas.spectral import _rfft
+x = np.random.default_rng(1).standard_normal((12, 12))
+same = _rfft(x, (0, 1), scale=False).tobytes() == scipy.fft.rfft2(x).tobytes()
+print(json.dumps({{"code": code, "loaded": loaded, "same": same}}))
+"""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        verdict, last = result.stdout.splitlines()[-2:]
+        report = json.loads(last)
+        assert verdict.startswith("nonuniform: ") and report["code"] in (0, 1)
+        assert report["loaded"] == []
+        assert report["same"]
+
+
 class TestMain:
     def test_pass_run(self, tmp_path, capsys):
         config = tmp_path / "config.json"

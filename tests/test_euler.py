@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +38,7 @@ from torusgas.spectral import (
     Field,
     constant_field,
     dealias,
+    fft_workers,
     make_grid,
     partial_x,
     partial_y,
@@ -459,7 +459,7 @@ class TestEvolveSymmetries:
 
 
 class TestTransformWorkers:
-    """Values do not depend on the scipy.fft worker count: each 1-D line transforms alone."""
+    """Values do not depend on the FFT worker count: each 1-D line transforms alone."""
 
     def test_rhs_and_step_bitwise_across_workers(self):
         grid = make_grid(256)
@@ -468,7 +468,7 @@ class TestTransformWorkers:
         dt = cfl_dt(s, GAS, 0.25, grid)
         results = []
         for workers in (1, 2):
-            with sfft.set_workers(workers):
+            with fft_workers(workers):
                 results.append((rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS)))
         (rhs_one, step_one), (rhs_two, step_two) = results
         assert np.array_equal(rhs_one, rhs_two)

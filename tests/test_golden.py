@@ -13,9 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-import scipy.fft as sfft
 
-from torusgas import lab
+from torusgas import lab, spectral
 from torusgas.lab import config_from_dict, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,18 +44,20 @@ def test_golden_artifacts(experiment, tmp_path):
 
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
-def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path):
+def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path, kernel_threads):
     # inequalities maps its checks over a pool, error_scaling splits its
     # transforms over FFT workers; the merge and the sums must not see either
-    workers = sfft.get_workers()
     texts = {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
         data = {**CONFIGS[experiment], "threads": threads, "output_dir": str(out)}
+        kernel_threads.clear()
         run_experiment(config_from_dict(data, experiment))
         names = (f"{experiment}.csv", "summary.json")
         texts[threads] = [(out / name).read_text() for name in names]
-    assert sfft.get_workers() == workers
+        # only error_scaling's transforms take the workers; pool threads use one
+        assert set(kernel_threads) == {threads if experiment == "error_scaling" else 1}
+    assert spectral._workers.get() == 1
     (csv_one, summary_one), (csv_two, summary_two) = texts[1], texts[2]
     assert csv_one == csv_two
     assert summary_one.count('"threads": 1\n') == 1
@@ -64,7 +65,7 @@ def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path):
 
 
 def test_only_inequalities_starts_a_pool(monkeypatch):
-    # threads=2 means scipy.fft workers for error_scaling and nothing for the
+    # threads=2 means FFT workers for error_scaling and nothing for the
     # n-sweeps, which run faster on one thread
     def refuse(*args, **kwargs):
         raise AssertionError("thread pool started")

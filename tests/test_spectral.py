@@ -1,6 +1,8 @@
 """Grid construction, Fourier calculus, and norm conventions."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgas import spectral
 from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
 from torusgas.lab import default_config, run_nonuniform
 from torusgas.spectral import (
@@ -18,6 +21,7 @@ from torusgas.spectral import (
     _rfft,
     dealias,
     constant_field,
+    fft_workers,
     lambda_pow,
     make_grid,
     partial_x,
@@ -50,7 +54,7 @@ class TestMakeGrid:
 
     def test_wavenumber_table_n8(self):
         grid = make_grid(8)
-        assert sorted(grid.wavenumbers.tolist()) == [-3, -2, -1, 0, 1, 2, 3, 4]
+        assert grid.wavenumbers.tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
 
     def test_rejects_odd_size(self):
         with pytest.raises(ValueError, match="even"):
@@ -465,7 +469,7 @@ class TestKernelAdapter:
         hat = sfft.rfft2(batch, axes=(-2, -1))
         m = size // 4  # filled half-plane columns of a pruned inverse
         columns = hat[0, :, :m].copy()
-        with sfft.set_workers(workers):
+        with sfft.set_workers(workers), fft_workers(workers):
             cases = {
                 "rfft2 batch": (
                     _rfft(batch, (-2, -1), scale=False),
@@ -525,3 +529,59 @@ class TestKernelAdapter:
         f, g = (random_field(grid, RandomFieldSpec(max_mode=6, seed=k)) for k in (1, 2))
         product = product_exact(f, g)
         assert np.isfinite(product.samples).all()
+
+
+class TestWorkerCount:
+    """``fft_workers`` sets the thread count that reaches the kernel."""
+
+    @staticmethod
+    def transform():
+        _rfft(np.ones((8, 8)), (0, 1), scale=True)
+
+    def test_count_reaches_kernel_and_nests(self, kernel_threads):
+        self.transform()
+        with fft_workers(2):
+            self.transform()
+            with fft_workers(1):
+                self.transform()
+            self.transform()
+        self.transform()
+        assert kernel_threads == [1, 2, 1, 2, 1]
+
+    def test_count_restored_after_exception(self, kernel_threads):
+        with pytest.raises(RuntimeError, match="inside"):
+            with fft_workers(2):
+                self.transform()
+                raise RuntimeError("inside")
+        self.transform()
+        assert kernel_threads == [2, 1]
+
+    def test_pool_thread_sees_one(self, kernel_threads):
+        with fft_workers(2), ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(self.transform).result(timeout=60)
+            self.transform()
+        assert kernel_threads == [1, 2]
+
+    @pytest.mark.parametrize("count", [0, -1, 1.5, "2"])
+    def test_rejects_bad_count(self, count):
+        with pytest.raises(ValueError, match="positive integer"):
+            with fft_workers(count):
+                pass
+
+    def test_missing_kernel_is_a_one_line_import_error(self, monkeypatch):
+        find_spec = spectral.importlib.machinery.PathFinder.find_spec
+
+        def without_kernel(name, path=None, target=None):
+            if name == "pypocketfft":
+                return None
+            return find_spec(name, path, target)
+
+        monkeypatch.setattr(
+            spectral.importlib.machinery.PathFinder, "find_spec", without_kernel
+        )
+        with pytest.raises(ImportError) as info:
+            spectral._load_kernel()
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith("pocketfft kernel pypocketfft not found in ")
+        assert message.endswith(os.path.join("scipy", "fft", "_pocketfft"))
