@@ -2,9 +2,10 @@
 
 Each subcommand names an experiment; a JSON config may override the
 defaults, and the common flags select the output directory, the base
-seed, and the worker-thread count.  The process exits 0 when the
-experiment's verdict is a pass, 1 when it is a fail, and 2 with a one-line
-message on stderr when the config, the solver or the report output fails.
+seed, and the pool workers of the inequality sweeps.  The process exits 0
+when the experiment's verdict is a pass, 1 when it is a fail, and 2 with a
+one-line message on stderr when the config, the solver or the report
+output fails.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="worker threads: pool workers over the four inequality checks, FFT "
-        "workers for each error-scaling run, unused by the other experiments; "
-        "artifacts do not depend on it",
+        help="pool workers over the four inequality checks, unused by the other "
+        "experiments; artifacts do not depend on it",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, name in _SUBCOMMANDS.items():

@@ -17,6 +17,7 @@ A1 = A0 A and B1 = A0 B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,11 @@ class GasParams:
     def __post_init__(self) -> None:
         if not 1.0 < self.gamma < 3.0:
             raise ValueError(f"gamma must lie in (1, 3), got {self.gamma}")
-        if self.rho0 <= 0.0 or self.h0 <= 0.0:
-            raise ValueError("base state requires rho0 > 0 and h0 > 0")
+        if not (0.0 < self.rho0 < math.inf and 0.0 < self.h0 < math.inf):
+            raise ValueError(
+                f"base state requires finite rho0 > 0 and h0 > 0, "
+                f"got rho0={self.rho0}, h0={self.h0}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ When an output directory is set, the report is written as
 fitted exponents of scaling studies, the run parameters and the details.
 Reports are deterministic: identical config and seed give byte-identical
 files.  ``threads`` counts pool workers over the four checks of the
-inequality sweeps and FFT workers (:func:`spectral.fft_workers`) for error
-scaling's transforms; the other experiments run on one thread.
+inequality sweeps; the other experiments ignore it.
 :data:`EXPERIMENTS` is the one table of experiments: each name maps to its
 runner, default ``n_list`` and CLI help.
 """
@@ -35,7 +34,7 @@ from .euler import (
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, fft_workers, make_grid, sobolev_norm
+from .spectral import Field, make_grid, sobolev_norm
 
 __all__ = [
     "EXPERIMENTS",
@@ -75,12 +74,9 @@ class ExperimentConfig:
     refined) instead of family indices, and ``family_size`` sets the
     number of seeded members per check.
 
-    ``threads`` is a worker count.  For ``inequalities`` the workers are
-    pool workers over the four checks; for ``error_scaling`` they are
-    FFT workers (:func:`spectral.fft_workers`) that split the transforms of
-    each run in turn (the main runs, then the control run).  The other
-    experiments ignore it.  The artifacts do not depend on it, apart from
-    the ``threads`` entry of ``summary.json``.
+    ``threads`` is the number of pool workers over the four checks of
+    ``inequalities``; the other experiments ignore it.  The artifacts do
+    not depend on it, apart from the ``threads`` entry of ``summary.json``.
     """
 
     experiment: str
@@ -103,6 +99,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for n in self.n_list:
             _require_integer("n_list entry", n)
+        for name in ("s", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.s > 2.0:
             raise ValueError(f"s must exceed 2, got {self.s}")
         n_list = tuple(int(n) for n in self.n_list)
@@ -152,6 +151,8 @@ class ExperimentConfig:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
 
 def _require_integer(name: str, value) -> None:
@@ -513,18 +514,13 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
             curve.append((t, state_norm(state_difference(state, reference), sigma)))
         return {"err_final": curve[-1][1], "curve": curve, "dt": dt}
 
-    # The control run below costs more than all main runs together, so the
-    # threads go to the transforms of each run in turn.  pocketfft splits a
-    # transform into independent 1-D lines, so the values do not depend on
-    # the worker count.
     n_top = cfg.n_list[-1]
-    with fft_workers(cfg.threads):
-        results = [run_one(n) for n in cfg.n_list]
-        # Control: rerun the largest n on a doubled grid with half the step,
-        # recording only its initial and final states.
-        top = results[-1]
-        fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0)
-        err_control = run_one(n_top, 2, fine_solve, 10**9)["err_final"]
+    results = [run_one(n) for n in cfg.n_list]
+    # Control: rerun the largest n on a doubled grid with half the step,
+    # recording only its initial and final states.
+    top = results[-1]
+    fine_solve = replace(cfg.solve, dt_fixed=top["dt"] / 2.0)
+    err_control = run_one(n_top, 2, fine_solve, 10**9)["err_final"]
     beta = max(2.0 * sigma - 3.0 * s + 2.0, sigma - 2.0 * s)
     fitted, rows = _fit_over_n(cfg, [r["err_final"] for r in results], beta)
     control_gap = abs(err_control - top["err_final"]) / top["err_final"]
@@ -562,7 +558,7 @@ def _fit_growth_envelope(curve: list[tuple[float, float]], scale: float) -> dict
     """
     interior = [(t, e) for t, e in curve if t > 0.0 and e > 0.0]
     if len(interior) < 2:
-        return {"c": None, "K": None}
+        return {"c": None, "K": None, "spread": None}
     best = None
     for c in np.geomspace(0.01, 50.0, 120):
         k_values = [e / (scale * math.expm1(c * t)) for t, e in interior]

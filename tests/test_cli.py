@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from torusgas import lab
 from torusgas.cli import build_parser, main
 from torusgas.lab import EXPERIMENTS
 
@@ -142,6 +143,11 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and match in lines[0]
 
+    def _config_fails(self, tmp_path, capsys, command, data, match):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))  # writes nan and inf as NaN and Infinity
+        self._fails_cleanly(capsys, [command, "--config", str(config)], match)
+
     def test_missing_config(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         self._fails_cleanly(
@@ -154,68 +160,56 @@ class TestErrors:
         self._fails_cleanly(capsys, ["residue-scaling", "--config", str(config)], "error")
 
     def test_invalid_config(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"threads": "4"}))
-        self._fails_cleanly(
-            capsys, ["residue-scaling", "--config", str(config)], "threads"
-        )
+        self._config_fails(tmp_path, capsys, "residue-scaling", {"threads": "4"}, "threads")
 
     def test_removed_solve_key(self, tmp_path, capsys):
         # the record stride is set by the runners, not by a config
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"solve": {"record_stride": 2}}))
-        self._fails_cleanly(
-            capsys, ["nonuniform", "--config", str(config)], "record_stride"
-        )
+        data = {"solve": {"record_stride": 2}}
+        self._config_fails(tmp_path, capsys, "nonuniform", data, "record_stride")
 
     def test_solver_error(self, tmp_path, capsys):
         # an oversized step drives the density negative in the fourth step
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}))
-        self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "aborted")
+        data = {"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}
+        self._config_fails(tmp_path, capsys, "nonuniform", data, "aborted")
 
     def test_solver_error_names_experiment_and_n(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"n_list": [4, 8, 16], "solve": {"T": 2.0, "dt_fixed": 0.5}})
-        )
-        self._fails_cleanly(
-            capsys,
-            ["higher-norm", "--config", str(config)],
-            "higher-norm run at n=4 failed: aborted at t = 2 (step 4/4)",
-        )
+        data = {"n_list": [4, 8, 16], "solve": {"T": 2.0, "dt_fixed": 0.5}}
+        match = "higher-norm run at n=4 failed: aborted at t = 2 (step 4/4)"
+        self._config_fails(tmp_path, capsys, "higher-norm", data, match)
 
     def test_inequalities_needs_two_grids(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_list": [32, 64, 128], "family_size": 3}))
-        self._fails_cleanly(
-            capsys,
-            ["inequalities", "--config", str(config)],
-            "inequalities expects n_list = (base_grid, refined_grid)",
-        )
+        data = {"n_list": [32, 64, 128], "family_size": 3}
+        match = "inequalities expects n_list = (base_grid, refined_grid)"
+        self._config_fails(tmp_path, capsys, "inequalities", data, match)
 
     @pytest.mark.parametrize(
         "solve, match",
         [({"T": float("inf")}, "final time"), ({"T": 1.0, "dt_fixed": float("inf")}, "dt_fixed")],
     )
     def test_non_finite_times(self, tmp_path, capsys, solve, match):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"solve": solve}))  # writes Infinity
-        self._fails_cleanly(capsys, ["exact-check", "--config", str(config)], match)
+        self._config_fails(tmp_path, capsys, "exact-check", {"solve": solve}, match)
+
+    @pytest.mark.parametrize(
+        "command, data, match",
+        [
+            ("residue-scaling", {"gas": {"rho0": float("nan")}}, "rho0=nan"),
+            ("exact-check", {"gas": {"h0": float("inf")}}, "h0=inf"),
+            ("higher-norm", {"sigma": float("nan")}, "sigma must be finite, got nan"),
+            ("nonuniform", {"s": float("inf")}, "s must be finite, got inf"),
+            ("residue-scaling", {"output_dir": 5}, "output_dir must be a string, got 5"),
+        ],
+    )
+    def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):
+        monkeypatch.setattr(lab, "run_experiment", pytest.fail)  # a started run fails the test
+        self._config_fails(tmp_path, capsys, command, data, match)
 
     def test_odd_grid_rule(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"grid_rule": 7}))
-        self._fails_cleanly(capsys, ["nonuniform", "--config", str(config)], "grid_rule")
+        self._config_fails(tmp_path, capsys, "nonuniform", {"grid_rule": 7}, "grid_rule")
 
     def test_family_modes_beyond_band(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_list": [16, 32], "family_size": 3}))
-        self._fails_cleanly(
-            capsys,
-            ["inequalities", "--config", str(config)],
-            "max_mode 8 exceeds the dealias band 5 of an N=16 grid",
-        )
+        data = {"n_list": [16, 32], "family_size": 3}
+        match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
+        self._config_fails(tmp_path, capsys, "inequalities", data, match)
 
     def test_negative_seed(self, capsys):
         self._fails_cleanly(capsys, ["inequalities", "--seed", "-1"], "seed")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgas import spectral
 from torusgas.euler import (
     AdmissibleStateError,
     GasParams,
@@ -38,7 +39,6 @@ from torusgas.spectral import (
     Field,
     constant_field,
     dealias,
-    fft_workers,
     make_grid,
     partial_x,
     partial_y,
@@ -461,15 +461,16 @@ class TestEvolveSymmetries:
 class TestTransformWorkers:
     """Values do not depend on the FFT worker count: each 1-D line transforms alone."""
 
-    def test_rhs_and_step_bitwise_across_workers(self):
+    def test_rhs_and_step_bitwise_across_workers(self, monkeypatch):
+        # the four fields of a 256 x 256 state are above the cut of the thread rule
         grid = make_grid(256)
         s = random_state(grid, 3)
         state_hat = state_to_hat(s) * grid.dealias_mask
         dt = cfl_dt(s, GAS, 0.25, grid)
         results = []
-        for workers in (1, 2):
-            with fft_workers(workers):
-                results.append((rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS)))
+        for cores in (1, 2):
+            monkeypatch.setattr(spectral, "_CORES", cores)
+            results.append((rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS)))
         (rhs_one, step_one), (rhs_two, step_two) = results
         assert np.array_equal(rhs_one, rhs_two)
         for a, b in zip(step_one.fields(), step_two.fields()):

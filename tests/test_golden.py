@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from torusgas import lab, spectral
+from torusgas import lab
 from torusgas.lab import config_from_dict, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,9 +45,9 @@ def test_golden_artifacts(experiment, tmp_path):
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
 def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path, kernel_threads):
-    # inequalities maps its checks over a pool, error_scaling splits its
-    # transforms over FFT workers; the merge and the sums must not see either
-    texts = {}
+    # inequalities maps its checks over a pool; the merge and the sums must
+    # not see it, and the transforms' own thread counts must not depend on it
+    texts, transform_threads = {}, {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
         data = {**CONFIGS[experiment], "threads": threads, "output_dir": str(out)}
@@ -55,9 +55,8 @@ def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path, kernel_th
         run_experiment(config_from_dict(data, experiment))
         names = (f"{experiment}.csv", "summary.json")
         texts[threads] = [(out / name).read_text() for name in names]
-        # only error_scaling's transforms take the workers; pool threads use one
-        assert set(kernel_threads) == {threads if experiment == "error_scaling" else 1}
-    assert spectral._workers.get() == 1
+        transform_threads[threads] = sorted(kernel_threads)
+    assert transform_threads[1] == transform_threads[2]
     (csv_one, summary_one), (csv_two, summary_two) = texts[1], texts[2]
     assert csv_one == csv_two
     assert summary_one.count('"threads": 1\n') == 1
@@ -65,8 +64,8 @@ def test_thread_count_leaves_artifacts_unchanged(experiment, tmp_path, kernel_th
 
 
 def test_only_inequalities_starts_a_pool(monkeypatch):
-    # threads=2 means FFT workers for error_scaling and nothing for the
-    # n-sweeps, which run faster on one thread
+    # threads=2 means pool workers for the inequality sweeps and nothing for
+    # the n-sweeps, which run faster on one thread
     def refuse(*args, **kwargs):
         raise AssertionError("thread pool started")
 

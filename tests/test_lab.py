@@ -321,6 +321,12 @@ class TestErrorScaling:
         measured = [row["measured_value"] for row in report.rows]
         assert measured == sorted(measured, reverse=True)
 
+    def test_too_short_for_a_growth_fit(self):
+        # T = 0.002 records only t = 0 and T: one interior point, no fit
+        cfg = default_config("error_scaling", n_list=(4, 8, 16), solve=SolveConfig(T=0.002))
+        fit = run_error_scaling(cfg).details["growth_fit"]
+        assert fit == {"c": None, "K": None, "spread": None}
+
 
 class TestHigherNorm:
     def test_small_sweep(self):

@@ -2,7 +2,6 @@
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas import spectral
+from torusgas.euler import GasParams, rhs_hat, state_to_hat
+from torusgas.families import FamilyParams, initial_data
 from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
 from torusgas.lab import default_config, run_nonuniform
 from torusgas.spectral import (
@@ -21,7 +22,6 @@ from torusgas.spectral import (
     _rfft,
     dealias,
     constant_field,
-    fft_workers,
     lambda_pow,
     make_grid,
     partial_x,
@@ -460,16 +460,17 @@ class TestKernelAdapter:
     differently there.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("size", [6, 8, 48, 64, 100, 512])
-    def test_every_call_shape_equals_public_bytes(self, size, workers):
+    def test_every_call_shape_equals_public_bytes(self, size, cores, monkeypatch):
+        monkeypatch.setattr(spectral, "_CORES", cores)
         rng = np.random.default_rng(size)
         batch = rng.standard_normal((4, size, size))  # a state's four fields
         one = batch[0]
         hat = sfft.rfft2(batch, axes=(-2, -1))
         m = size // 4  # filled half-plane columns of a pruned inverse
         columns = hat[0, :, :m].copy()
-        with sfft.set_workers(workers), fft_workers(workers):
+        with sfft.set_workers(cores):
             cases = {
                 "rfft2 batch": (
                     _rfft(batch, (-2, -1), scale=False),
@@ -530,44 +531,6 @@ class TestKernelAdapter:
         product = product_exact(f, g)
         assert np.isfinite(product.samples).all()
 
-
-class TestWorkerCount:
-    """``fft_workers`` sets the thread count that reaches the kernel."""
-
-    @staticmethod
-    def transform():
-        _rfft(np.ones((8, 8)), (0, 1), scale=True)
-
-    def test_count_reaches_kernel_and_nests(self, kernel_threads):
-        self.transform()
-        with fft_workers(2):
-            self.transform()
-            with fft_workers(1):
-                self.transform()
-            self.transform()
-        self.transform()
-        assert kernel_threads == [1, 2, 1, 2, 1]
-
-    def test_count_restored_after_exception(self, kernel_threads):
-        with pytest.raises(RuntimeError, match="inside"):
-            with fft_workers(2):
-                self.transform()
-                raise RuntimeError("inside")
-        self.transform()
-        assert kernel_threads == [2, 1]
-
-    def test_pool_thread_sees_one(self, kernel_threads):
-        with fft_workers(2), ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(self.transform).result(timeout=60)
-            self.transform()
-        assert kernel_threads == [1, 2]
-
-    @pytest.mark.parametrize("count", [0, -1, 1.5, "2"])
-    def test_rejects_bad_count(self, count):
-        with pytest.raises(ValueError, match="positive integer"):
-            with fft_workers(count):
-                pass
-
     def test_missing_kernel_is_a_one_line_import_error(self, monkeypatch):
         find_spec = spectral.importlib.machinery.PathFinder.find_spec
 
@@ -585,3 +548,37 @@ class TestWorkerCount:
         assert "\n" not in message
         assert message.startswith("pocketfft kernel pypocketfft not found in ")
         assert message.endswith(os.path.join("scipy", "fft", "_pocketfft"))
+
+
+class TestThreadRule:
+    """Transforms of at least 2**17 elements run on every core, all others on one."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CORES", 2)
+
+    @staticmethod
+    def rhs_threads(grid, kernel_threads):
+        state = initial_data(FamilyParams(1, 8, 3.0), GasParams(), grid)
+        state_hat = state_to_hat(state) * grid.dealias_mask
+        kernel_threads.clear()
+        rhs_hat(state_hat, grid, GasParams())
+        return set(kernel_threads)
+
+    def test_below_the_cut_one_thread(self, kernel_threads):
+        assert self.rhs_threads(make_grid(8, cells=8), kernel_threads) == {1}
+        kernel_threads.clear()
+        _fft(np.ones(2**17 - 1, complex), 0, forward=True)
+        for base in (64, 128):  # each product makes six transforms
+            grid = make_grid(base)
+            f, g = (random_field(grid, RandomFieldSpec(max_mode=6, seed=k)) for k in (1, 2))
+            product_exact(f, g)
+        assert kernel_threads == [1] * 13
+
+    def test_at_the_cut_all_cores(self, kernel_threads):
+        assert self.rhs_threads(make_grid(256), kernel_threads) == {2}
+        kernel_threads.clear()
+        _fft(np.ones(2**17, complex), 0, forward=True)
+        big = Field(make_grid(512), coefficients=np.zeros((512, 257), complex))
+        assert big.samples.shape == (512, 512)
+        assert kernel_threads == [2, 2]
