@@ -52,21 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> lab.ExperimentConfig:
-    experiment = _SUBCOMMANDS[args.command]
+    data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        cfg = lab.config_from_dict(data, experiment)
-    else:
-        cfg = lab.default_config(experiment)
-    overrides = {}
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = lab.config_from_dict(data, _SUBCOMMANDS[args.command])
+    flags = {"output_dir": args.out, "seed": args.seed, "threads": args.threads}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             f"predicted {summary['predicted_slope']:+.4f})"
         )
     print(line)
-    if cfg.output_dir:
+    if cfg.output_dir is not None:
         print(f"reports written to {cfg.output_dir}")
     return 0 if summary["pass"] else 1
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import Field, TorusGrid, _irfft, _rfft
+from .spectral import Field, TorusGrid, _irfft, _is_real, _rfft
 
 __all__ = [
     "GasParams",
@@ -68,6 +68,10 @@ class GasParams:
     h0: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "rho0", "h0"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not 1.0 < self.gamma < 3.0:
             raise ValueError(f"gamma must lie in (1, 3), got {self.gamma}")
         if not (0.0 < self.rho0 < math.inf and 0.0 < self.h0 < math.inf):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import GasParams, State, rhs_hat, state_difference, state_from_hat, state_to_hat
-from .spectral import Field, TorusGrid, constant_field, sobolev_norm
+from .spectral import Field, TorusGrid, _is_integer, constant_field, sobolev_norm
 
 __all__ = [
     "FamilyParams",
@@ -59,7 +59,7 @@ class FamilyParams:
     def __post_init__(self) -> None:
         if self.omega not in (-1, 1):
             raise ValueError(f"omega must be +1 or -1, got {self.omega}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if not self.s > 2.0:
             raise ValueError(f"s must exceed 2, got {self.s}")

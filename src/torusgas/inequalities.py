@@ -202,11 +202,6 @@ def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return c
 
 
-def _require_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise ValueError("product factors live on different grids")
-
-
 def product_exact(f: Field, g: Field) -> Field:
     """Pointwise product computed alias-free on a doubled grid, restricted.
 
@@ -214,7 +209,7 @@ def product_exact(f: Field, g: Field) -> Field:
     representable on that grid; content beyond |k| = N/2 - 1 (present only
     when the factors fill more than half the band) is truncated.
     """
-    _require_same_grid(f, g)
+    spectral._require_same_grid(f, g)
     return Field(f.grid, coefficients=_restrict(_lift(f) * _lift(g), f.grid))
 
 
@@ -237,7 +232,7 @@ def commutator_ratio(f: Field, u: Field, sigma: float, k: float) -> float:
         raise ValueError(f"k must exceed 2, got {k}")
     if not 1.0 < sigma <= k:
         raise ValueError(f"sigma must lie in (1, k] = (1, {k}], got {sigma}")
-    _require_same_grid(f, u)
+    spectral._require_same_grid(f, u)
     _require_band_limited(f, "f")
     _require_band_limited(u, "u")
     f_fine = _lift(f)  # shared by both products
@@ -264,8 +259,7 @@ def reciprocal_ratio(f: Field, rho: Field, sigma: float, s: float) -> float:
         raise ValueError(f"s must exceed 1, got {s}")
     if not sigma <= s:
         raise ValueError(f"sigma must not exceed s, got sigma={sigma}, s={s}")
-    if rho.grid != f.grid:
-        raise ValueError("f and rho live on different grids")
+    spectral._require_same_grid(f, rho)
     low = float(np.min(rho.samples))
     if not low > 0.0:
         raise ValueError(f"rho must be strictly positive, found min {low:.6e}")

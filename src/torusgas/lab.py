@@ -5,15 +5,19 @@ Each runner consumes an :class:`ExperimentConfig` and returns a
 When an output directory is set, the report is written as
 ``<experiment>.csv`` plus a ``summary.json`` with the pass verdict, the
 fitted exponents of scaling studies, the run parameters and the details.
-Reports are deterministic: identical config and seed give byte-identical
-files.  ``threads`` counts pool workers over the four checks of the
-inequality sweeps; the other experiments ignore it.
+Both come straight from the standard library: :func:`csv.writer` writes
+floats at full precision (their repr) and None as an empty cell, and
+:func:`json.dump` writes the summary with sorted keys and a two-space
+indent.  Reports are deterministic: identical config and seed give
+byte-identical files.  ``threads`` counts pool workers over the four
+checks of the inequality sweeps; the other experiments ignore it.
 :data:`EXPERIMENTS` is the one table of experiments: each name maps to its
 runner, default ``n_list`` and CLI help.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +38,7 @@ from .euler import (
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, make_grid, sobolev_norm
+from .spectral import Field, _is_integer, _is_real, make_grid, sobolev_norm
 
 __all__ = [
     "EXPERIMENTS",
@@ -93,15 +97,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _lookup(self.experiment)
-        for name in ("seed", "threads", "grid_rule", "family_size"):
-            _require_integer(name, getattr(self, name))
+        named = ("seed", "threads", "grid_rule", "family_size")
+        integers = [(name, getattr(self, name)) for name in named]
+        for name, value in integers + [("n_list entry", n) for n in self.n_list]:
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for n in self.n_list:
-            _require_integer("n_list entry", n)
         for name in ("s", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.s > 2.0:
             raise ValueError(f"s must exceed 2, got {self.s}")
         n_list = tuple(int(n) for n in self.n_list)
@@ -153,11 +161,8 @@ class ExperimentConfig:
             raise ValueError("threads must be positive")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-
-
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.output_dir == "":
+            raise ValueError("output_dir must not be empty")
 
 
 def _require_known_keys(data: dict, cls: type, what: str) -> None:
@@ -315,27 +320,16 @@ def _fit_over_n(
     return fitted, rows
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    # repr keeps full float precision so runs can be compared exactly
-    return repr(value)
-
-
 def _emit(cfg: ExperimentConfig, report: Report) -> Report:
     """Write ``<experiment>.csv`` and ``summary.json`` when an output dir is set."""
     if cfg.output_dir is None:
         return report
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{report.experiment}.csv", "w", encoding="ascii") as handle:
-        handle.write(",".join(report.rows[0]) + "\n")
-        for row in report.rows:
-            handle.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
+    with open(out / f"{report.experiment}.csv", "w", encoding="ascii", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(report.rows[0])
+        writer.writerows(row.values() for row in report.rows)
     summary = report.summary()
     # An explicit key list: summary.json's key set is part of the artifact
     # contract, and dataclasses.asdict(cfg) would change it.
@@ -352,21 +346,11 @@ def _emit(cfg: ExperimentConfig, report: Report) -> Report:
         "seed": cfg.seed,
         "threads": cfg.threads,
     }
-    summary["details"] = _jsonable(report.details)
+    summary["details"] = report.details
     with open(out / "summary.json", "w", encoding="ascii") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return report
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _require_experiment(cfg: ExperimentConfig, name: str) -> None:

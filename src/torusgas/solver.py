@@ -24,7 +24,7 @@ from .euler import (
     state_from_hat,
     state_to_hat,
 )
-from .spectral import TorusGrid
+from .spectral import TorusGrid, _is_integer, _is_real
 
 __all__ = [
     "SolveConfig",
@@ -54,6 +54,10 @@ class SolveConfig:
     dt_fixed: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("T", "cfl", "dt_fixed"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "dt_fixed" and value is None)):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"final time must be positive and finite, got {self.T}")
         if not 0.0 < self.cfl <= 1.0:
@@ -136,7 +140,7 @@ def evolve(
     Every ``record_stride``-th step is kept in the trajectory; the initial
     and final states are always kept.
     """
-    if isinstance(record_stride, bool) or not isinstance(record_stride, (int, np.integer)):
+    if not _is_integer(record_stride):
         raise ValueError(f"record_stride must be an integer, got {record_stride!r}")
     if record_stride < 1:
         raise ValueError("record_stride must be a positive integer")

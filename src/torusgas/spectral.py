@@ -37,17 +37,17 @@ the kernel's own time on the 8x8 cells of the nonuniform runs, which make
 thousands of such calls.  The kernel is the extension module
 ``scipy/fft/_pocketfft/pypocketfft``, loaded from its file by
 :func:`_load_kernel` without importing ``scipy`` or ``scipy.fft``: their
-package imports took about 0.4 s of a 0.59 s ``import torusgas.cli`` on a
-2-core Xeon and load nothing the transforms use.  The kernel module is
-private to scipy.  This was verified on scipy 1.17.1, and
-``tests/test_spectral.py`` compares the bytes of every call shape with the
-public functions, so an upgrade that moves the file or changes the
-kernel's arguments fails there.  A transform whose input has at least
-2**17 elements runs on every core the process may use, any other on one
-thread; the values do not depend on the count.  Two threads pay only on
-large inputs: on a 2-core Xeon they made ``euler.rhs_hat`` of a state at
-N = 256 and 512 up to 32% faster, or no faster while the other core was
-busy, and every smaller one slower, by up to 2.2x on the 8x8 cells.
+package imports take about 0.4 s on a 2-core Xeon and load nothing the
+transforms use.  The kernel module is private to scipy.  The adapter is
+verified on scipy 1.17.1, and ``tests/test_spectral.py`` compares the
+bytes of every call shape with the public functions, so an upgrade that
+moves the file or changes the kernel's arguments fails there.  A
+transform whose input has at least 2**17 elements runs on every core the
+process may use, any other on one thread; the values do not depend on the
+count.  Two threads pay only on large inputs: on a 2-core Xeon they make
+``euler.rhs_hat`` of a state at N = 256 and 512 up to 32% faster, or no
+faster while the other core is busy, and every smaller one slower, by up
+to 2.2x on the 8x8 cells.
 ``Field.samples`` is one plain inverse transform; the column-pruned
 inverse of the doubled-grid products lives in :mod:`torusgas.inequalities`,
 beside the restriction it pairs with.
@@ -58,6 +58,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import mmap
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -145,6 +146,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """The package's integer rule: any :class:`numbers.Integral` but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The package's real-number rule: any :class:`numbers.Real` but a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform N-by-N grid on one square cell of side 2*pi/cells.
@@ -192,7 +203,7 @@ class TorusGrid:
     def __post_init__(self) -> None:
         n, c = self.size, self.cells
         for name, value in (("size", n), ("cells", c)):
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise TypeError(f"grid {name} must be an integer, got {value!r}")
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
@@ -303,25 +314,8 @@ class Field:
             return Field(self.grid, coefficients=self.coefficients - other.coefficients)
         return Field(self.grid, samples=self.samples - other.samples)
 
-    def __mul__(self, scalar: float) -> "Field":
-        s = float(scalar)
-        if self._prefers_spectral():
-            return Field(self.grid, coefficients=self.coefficients * s)
-        return Field(self.grid, samples=self.samples * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return self * (-1.0)
-
     def _prefers_spectral(self) -> bool:
         return self._coefficients is not None and self._samples is None
-
-    def mean(self) -> float:
-        """Mean value over the torus (the k = 0 coefficient)."""
-        if self._coefficients is not None:
-            return float(self._coefficients[0, 0].real)
-        return float(np.mean(self._samples))
 
 
 def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:

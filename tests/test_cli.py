@@ -197,6 +197,13 @@ class TestErrors:
             ("higher-norm", {"sigma": float("nan")}, "sigma must be finite, got nan"),
             ("nonuniform", {"s": float("inf")}, "s must be finite, got inf"),
             ("residue-scaling", {"output_dir": 5}, "output_dir must be a string, got 5"),
+            ("residue-scaling", {"output_dir": ""}, "output_dir must not be empty"),
+            (
+                "higher-norm",
+                {"n_list": [4, 8, 16], "solve": {"T": True}, "gas": {"rho0": True}},
+                "rho0 must be a real number, got True",
+            ),
+            ("higher-norm", {"solve": {"T": True}}, "T must be a real number, got True"),
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):
@@ -210,6 +217,11 @@ class TestErrors:
         data = {"n_list": [16, 32], "family_size": 3}
         match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
         self._config_fails(tmp_path, capsys, "inequalities", data, match)
+
+    def test_empty_out_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(lab, "run_experiment", pytest.fail)  # a started run fails the test
+        argv = ["residue-scaling", "--out", ""]
+        self._fails_cleanly(capsys, argv, "output_dir must not be empty")
 
     def test_negative_seed(self, capsys):
         self._fails_cleanly(capsys, ["inequalities", "--seed", "-1"], "seed")

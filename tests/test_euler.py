@@ -84,6 +84,11 @@ class TestGasParams:
         with pytest.raises(ValueError, match="h0 > 0"):
             GasParams(h0=-1.0)
 
+    @pytest.mark.parametrize("name", ["rho0", "h0"])
+    def test_bool_is_not_a_number(self, name):
+        with pytest.raises(TypeError, match=f"{name} must be a real number, got True"):
+            GasParams(**{name: True})
+
 
 class TestPointState:
     def test_accepts_admissible(self):
@@ -341,12 +346,13 @@ def _swap_axes(s):
 
 
 def _reflect(s):
-    # (x, y) -> (-x, -y) maps node i to node -i mod N on both axes
-    rho, u, v, h = (
-        Field(s.grid, samples=np.roll(np.flip(f.samples), 1, axis=(0, 1)))
-        for f in s.fields()
+    # (x, y) -> (-x, -y) maps node i to node -i mod N on both axes; the velocity changes sign
+    return State(
+        *(
+            Field(s.grid, samples=sign * np.roll(np.flip(f.samples), 1, axis=(0, 1)))
+            for sign, f in zip((1.0, -1.0, -1.0, 1.0), s.fields())
+        )
     )
-    return State(rho, -u, -v, h)
 
 
 class TestRhsMatchesMatrices:

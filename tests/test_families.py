@@ -50,6 +50,8 @@ class TestFamilyParams:
             FamilyParams(omega=1, n=0, s=3.0)
         with pytest.raises(ValueError, match="positive integer"):
             FamilyParams(omega=1, n=2.5, s=3.0)
+        with pytest.raises(ValueError, match="positive integer, got True"):
+            FamilyParams(omega=1, n=True, s=3.0)
 
     def test_s_range(self):
         with pytest.raises(ValueError, match="s must exceed 2"):

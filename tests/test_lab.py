@@ -23,6 +23,7 @@ from torusgas.lab import (
     run_inequalities,
     run_nonuniform,
     run_residue_scaling,
+    _emit,
     _evolve_recorded,
     _mirror,
 )
@@ -132,6 +133,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="n_list entry must be an integer"):
             ExperimentConfig(experiment="nonuniform", n_list=(4, True))
 
+    @pytest.mark.parametrize("name", ["s", "sigma"])
+    def test_bool_is_not_a_number(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got True"):
+            ExperimentConfig(experiment="nonuniform", **{name: True})
+
     @pytest.mark.parametrize("name", ["seed", "threads", "grid_rule", "family_size"])
     @pytest.mark.parametrize("value", ["4", 8.0, 2.5, None])
     def test_non_integer_fields_rejected(self, name, value):
@@ -210,6 +216,8 @@ class TestConfigFromDict:
             ({"solve": {"record_stride": 2}}, "unknown solve keys: ['record_stride']"),
             ({"seed": -1}, "seed must be non-negative"),
             ({"gas": 1.4}, "config key 'gas' must be a JSON object, got float"),
+            ({"solve": {"T": True}}, "invalid config: T must be a real number, got True"),
+            ({"gas": {"rho0": True}}, "invalid config: rho0 must be a real number, got True"),
         ],
     )
     def test_malformed_values(self, data, match):
@@ -246,6 +254,72 @@ class TestReports:
             "predicted_slope": -6.5,
             "tolerance": 0.05,
         }
+
+    def test_report_text(self, tmp_path):
+        # the exact bytes of both files; compare_dirs parses values and would
+        # not see a change of float spelling, quoting or indentation
+        report = Report(
+            experiment="nonuniform",
+            rows=[
+                {"a": None, "b": True, "c": "check", "d": 3},
+                {"a": np.float64(0.1), "b": 0.1 + 0.2, "c": 1e-300, "d": False},
+            ],
+            passed=False,
+            details={
+                "curve": [(0.0, 1.5), (0.25, 2e-17)],
+                "nested": {"k": {"x": 1}},
+                "ok": True,
+            },
+        )
+        _emit(default_config("nonuniform", output_dir=str(tmp_path)), report)
+        assert (tmp_path / "nonuniform.csv").read_text() == (
+            "a,b,c,d\n,True,check,3\n0.1,0.30000000000000004,1e-300,False\n"
+        )
+        assert (tmp_path / "summary.json").read_text() == _REPORT_SUMMARY
+
+
+_REPORT_SUMMARY = """\
+{
+  "details": {
+    "curve": [
+      [
+        0.0,
+        1.5
+      ],
+      [
+        0.25,
+        2e-17
+      ]
+    ],
+    "nested": {
+      "k": {
+        "x": 1
+      }
+    },
+    "ok": true
+  },
+  "experiment": "nonuniform",
+  "params": {
+    "T": 1.0,
+    "cfl": 0.25,
+    "gamma": 1.4,
+    "grid_rule": 8,
+    "h0": 1.0,
+    "n_list": [
+      4,
+      8,
+      16,
+      32
+    ],
+    "rho0": 1.0,
+    "s": 3.0,
+    "seed": 0,
+    "sigma": 1.5,
+    "threads": 1
+  },
+  "pass": false
+}
+"""
 
 
 class TestResidueScaling:
@@ -422,7 +496,8 @@ class TestNonuniformMirror:
             state = real_initial_data(fp, gas, grid)
             if fp.omega == 1:
                 return state
-            return State(state.rho * (1.0 + 1e-12), state.u, state.v, state.h)
+            rho = Field(grid, samples=state.rho.samples * (1.0 + 1e-12))
+            return State(rho, state.u, state.v, state.h)
 
         monkeypatch.setattr(families, "initial_data", skewed_initial_data)
         cfg = default_config("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))

@@ -58,6 +58,11 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match=match):
             SolveConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["T", "cfl", "dt_fixed"])
+    def test_bool_is_not_a_number(self, name):
+        with pytest.raises(TypeError, match=f"{name} must be a real number, got True"):
+            SolveConfig(**{"T": 1.0, name: True})
+
     @pytest.mark.parametrize("stride", [2.5, True, "2"])
     def test_record_stride_must_be_integer(self, stride):
         s0 = constant_state(make_grid(8))
@@ -226,7 +231,7 @@ class TestEvolve:
         grid = make_grid(32)
         s0 = initial_data(FamilyParams(1, 4, 3.0), GAS, grid)
         traj = evolve(s0, GAS, SolveConfig(T=1.0))
-        assert traj.final_state.rho.mean() == pytest.approx(GAS.rho0, abs=1e-12)
+        assert np.mean(traj.final_state.rho.samples) == pytest.approx(GAS.rho0, abs=1e-12)
 
     def test_family_run_stays_admissible(self):
         grid = make_grid(32)

@@ -112,6 +112,12 @@ class TestCellGrid:
         with pytest.raises(TypeError, match="cells must be an integer"):
             make_grid(8, 2.0)
 
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(TypeError, match="cells must be an integer, got True"):
+            TorusGrid(16, True)
+        with pytest.raises(TypeError, match="size must be an integer, got True"):
+            TorusGrid(True)
+
     def test_cells_one_tables_are_the_whole_torus_formulas(self):
         grid = make_grid(16)
         k = grid.wavenumbers.astype(float)
@@ -196,14 +202,6 @@ class TestField:
         total = f + g
         assert np.allclose(total.samples, f.samples + g.samples)
         assert np.allclose((f - g).samples, f.samples - g.samples)
-        assert np.allclose((2.5 * f).samples, 2.5 * f.samples)
-        assert np.allclose((-f).samples, -f.samples)
-
-    def test_mean_is_zero_mode(self):
-        grid = make_grid(16)
-        f = synthesize(grid, [(2, 1, 0.7, "cos", 0.3)])
-        assert f.mean() == pytest.approx(0.0, abs=1e-15)
-        assert constant_field(grid, 1.25).mean() == pytest.approx(1.25)
 
 
 class TestSynthesize:
@@ -241,7 +239,8 @@ class TestSynthesize:
             synthesize(cell, [(3, 1, 1.0, "cos", 0.0)])
         with pytest.raises(ValueError, match="not representable"):
             synthesize(cell, [(0, 24, 1.0, "cos", 0.0)])  # cell mode 8, the Nyquist bin
-        assert synthesize(cell, [(21, -21, 1.0, "cos", 0.0)]).mean() == pytest.approx(0.0)
+        edge = synthesize(cell, [(21, -21, 1.0, "cos", 0.0)])
+        assert np.mean(edge.samples) == pytest.approx(0.0)
 
     def test_phase_shift(self):
         grid = make_grid(32)
