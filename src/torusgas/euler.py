@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import Field, TorusGrid, _irfft, _is_real, _rfft
+from .spectral import Field, TorusGrid, _fft, _irfft, _is_real, _rfft
 
 __all__ = [
     "GasParams",
@@ -262,38 +262,92 @@ def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _irfft(coeffs, (-2, -1), grid.size, scale=True)
 
 
+class _RhsKernel:
+    """Scratch arrays of right-hand-side evaluations on one grid.
+
+    ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
+    fields; a call fills their first ``columns`` columns and the rest stay
+    zero.  The inverse transform runs the axis-0 ``c2c`` in place on the
+    filled columns only, then one ``c2r`` over the last axis, unscaled, and
+    multiplies by 1/N^2 rounded from long double: the stages and the factor
+    of pocketfft's 2-D ``c2r``, so ``samples`` holds the bytes of
+    ``irfft2``.  ``columns`` must cover every nonzero column of the states
+    passed in; N/2 + 1 covers any state.
+
+    Between calls ``samples`` holds nothing that is needed; ``spare`` views
+    its memory as one complex array of a state's shape, which the caller
+    may use until the next call.
+    """
+
+    def __init__(self, grid: TorusGrid, columns: int) -> None:
+        n = grid.size
+        self.grid = grid
+        self.columns = columns
+        self.spectra = np.zeros((12, n, n // 2 + 1), dtype=np.complex128)
+        self.samples = np.empty((12, n, n))
+        state_shape = (4, n, n // 2 + 1)
+        flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
+        self.spare = flat.view(np.complex128).reshape(state_shape)
+        self.scale = float(np.longdouble(1) / np.longdouble(n * n))
+
+    def __call__(
+        self,
+        state_hat: np.ndarray,
+        g: GasParams,
+        background: tuple | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The right-hand side of ``state_hat``, written into ``out`` if given.
+
+        ``state_hat`` is read before ``out`` is written, so ``out`` may be
+        ``state_hat`` itself.
+        """
+        grid, m = self.grid, self.columns
+        state = state_hat[:, :, :m]
+        band = self.spectra[:, :, :m]
+        band[:4] = state
+        np.multiply(grid.ikx, state, out=band[4:8])
+        np.multiply(grid.iky[:, :m], state, out=band[8:])
+        _fft(band, -2, forward=False, out=band)
+        samples = _irfft(self.spectra, (-1,), grid.size, scale=False, out=self.samples)
+        samples *= self.scale
+        fields, d_x, d_y = samples[:4], samples[4:8], samples[8:]
+        if background is not None:
+            fields += np.asarray(background, dtype=float)[:, None, None]
+        rho, u, v, h = fields
+        _require_admissible(rho, h)
+        div = d_x[1] + d_y[2]
+        h_over_rho = h / rho
+        # Component i overwrites d_x[i]; component 1 reads d_x[0] and d_x[3],
+        # so it goes first.
+        np.negative(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0], out=d_x[1])
+        np.negative(u * d_x[0] + v * d_y[0] + rho * div, out=d_x[0])
+        np.negative(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0], out=d_x[2])
+        np.negative(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div, out=d_x[3])
+        out_hat = _rfft(d_x, (-2, -1), scale=False, out=out)
+        out_hat *= grid.dealias_mask
+        return out_hat
+
+
 def rhs_hat(
     state_hat: np.ndarray, grid: TorusGrid, g: GasParams, background: tuple | None = None
 ) -> np.ndarray:
     """Right-hand side -(A(U) U_x + B(U) U_y) of a stacked spectral state.
 
-    ``state_hat`` is the output of :func:`state_to_hat`.  Derivatives are
-    spectral; products are formed pointwise in physical space and the
-    assembled components are dealiased once.  Raises AdmissibleStateError
-    when min(rho) or min(h) does not exceed :data:`REGION_FLOOR`.
+    ``state_hat`` is the output of :func:`state_to_hat`; it is not
+    modified.  Derivatives are spectral; products are formed pointwise in
+    physical space and the assembled components are dealiased once.  The
+    inverse transforms of U, U_x and U_y run as one batch, with the result
+    of ``irfft2`` bit for bit.  Raises AdmissibleStateError when min(rho)
+    or min(h) does not exceed :data:`REGION_FLOOR`.
 
     With a constant ``background`` (rho, u, v, h), ``state_hat`` holds the
     deviation U - background, and the background is added to the samples
     before the admissibility check and the products.  The solver passes
-    none, so its arithmetic is untouched.
+    none, so its arithmetic is untouched.  The solver runs the same kernel
+    on its dealiased stage states, over the dealias band's columns only.
     """
-    fields = _backward(state_hat, grid)
-    if background is not None:
-        fields += np.asarray(background, dtype=float)[:, None, None]
-    rho, u, v, h = fields
-    _require_admissible(rho, h)
-    d_x = _backward(grid.ikx * state_hat, grid)
-    d_y = _backward(grid.iky * state_hat, grid)
-    div = d_x[1] + d_y[2]
-    h_over_rho = h / rho
-    out = np.empty_like(fields)
-    out[0] = -(u * d_x[0] + v * d_y[0] + rho * div)
-    out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
-    out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
-    out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
-    out_hat = _rfft(out, (-2, -1), scale=False)
-    out_hat *= grid.dealias_mask
-    return out_hat
+    return _RhsKernel(grid, grid.size // 2 + 1)(state_hat, g, background)
 
 
 def rhs(s: State, g: GasParams) -> State:

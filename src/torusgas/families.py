@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import GasParams, State, rhs_hat, state_difference, state_from_hat, state_to_hat
-from .spectral import Field, TorusGrid, _is_integer, constant_field, sobolev_norm
+from .spectral import Field, TorusGrid, _is_integer, _is_real, constant_field, sobolev_norm
 
 __all__ = [
     "FamilyParams",
@@ -57,10 +57,12 @@ class FamilyParams:
     s: float
 
     def __post_init__(self) -> None:
-        if self.omega not in (-1, 1):
+        if not (_is_integer(self.omega) and self.omega in (-1, 1)):
             raise ValueError(f"omega must be +1 or -1, got {self.omega}")
         if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not _is_real(self.s):
+            raise TypeError(f"s must be a real number, got {self.s!r}")
         if not self.s > 2.0:
             raise ValueError(f"s must exceed 2, got {self.s}")
 

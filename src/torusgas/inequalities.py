@@ -68,10 +68,15 @@ class RandomFieldSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_mode < 1:
-            raise ValueError("max_mode must be a positive integer")
-        if self.spectrum_decay < 0.0:
+        if not (spectral._is_integer(self.max_mode) and self.max_mode >= 1):
+            raise ValueError(f"max_mode must be a positive integer, got {self.max_mode!r}")
+        decay = self.spectrum_decay
+        if not spectral._is_real(decay):
+            raise TypeError(f"spectrum_decay must be a real number, got {decay!r}")
+        if decay < 0.0:
             raise ValueError("spectrum_decay must be nonnegative")
+        if not spectral._is_integer(self.seed):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
 
 
 class _Modes(NamedTuple):

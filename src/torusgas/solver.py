@@ -3,9 +3,15 @@
 The state marches in spectral space on the half-plane layout of the real
 FFT; each right-hand-side evaluation transforms to physical space for the
 pointwise products and back, applying the two-thirds dealias mask to the
-assembled components.  The time step is fixed for a whole run, chosen once
-from the initial state's CFL constraint (or supplied directly), and rounded
-so the final time is hit exactly.
+assembled components.  Every stage state is dealiased, so the inverse
+transforms run over the dealias band's half-plane columns only, with the
+bytes of the full inverse.  A run allocates its arrays once: the
+right-hand side's spectra and samples, and two state-sized arrays in
+which the RK4 combination runs in place, in the operation order of
+``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``.  They are freed before the
+final state is recorded.  The time step is fixed for a whole run, chosen
+once from the initial state's CFL constraint (or supplied directly), and
+rounded so the final time is hit exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from .euler import (
     AdmissibleStateError,
     GasParams,
     State,
+    _RhsKernel,
     max_wave_speed,
-    rhs_hat,
     state_from_hat,
     state_to_hat,
 )
@@ -87,14 +93,46 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_update(
-    state_hat: np.ndarray, dt: float, grid: TorusGrid, g: GasParams
-) -> np.ndarray:
-    k1 = rhs_hat(state_hat, grid, g)
-    k2 = rhs_hat(state_hat + 0.5 * dt * k1, grid, g)
-    k3 = rhs_hat(state_hat + 0.5 * dt * k2, grid, g)
-    k4 = rhs_hat(state_hat + dt * k3, grid, g)
-    return state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _RK4:
+    """Classical RK4 steps of size dt on one grid, in two kept state-sized arrays.
+
+    ``acc`` gathers the sum of the slopes; ``stage`` holds a stage state and
+    then its slope, which the right-hand side writes over it; the doubled
+    slopes go into the kernel's ``spare``.  The operations are those of the
+    expressions ``state + (dt/2) k1``, ``state + (dt/2) k2``,
+    ``state + dt k3`` and ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in
+    their order.
+    """
+
+    def __init__(self, grid: TorusGrid, g: GasParams, dt: float) -> None:
+        self.rhs = _RhsKernel(grid, grid.dealias_cutoff + 1)
+        self.g = g
+        self.dt = dt
+        shape = (4, grid.size, grid.size // 2 + 1)
+        self.stage = np.empty(shape, np.complex128)
+        self.acc = np.empty(shape, np.complex128)
+
+    def step(self, state_hat: np.ndarray) -> None:
+        """Advance the dealiased ``state_hat`` by one step, in place."""
+        rhs, g, dt = self.rhs, self.g, self.dt
+        stage, acc, spare = self.stage, self.acc, self.rhs.spare
+        rhs(state_hat, g, out=acc)  # k1
+        np.multiply(0.5 * dt, acc, out=stage)
+        np.add(state_hat, stage, out=stage)
+        rhs(stage, g, out=stage)  # k2
+        np.multiply(2.0, stage, out=spare)
+        np.add(acc, spare, out=acc)
+        np.multiply(0.5 * dt, stage, out=stage)
+        np.add(state_hat, stage, out=stage)
+        rhs(stage, g, out=stage)  # k3
+        np.multiply(2.0, stage, out=spare)
+        np.add(acc, spare, out=acc)
+        np.multiply(dt, stage, out=stage)
+        np.add(state_hat, stage, out=stage)
+        rhs(stage, g, out=stage)  # k4
+        np.add(acc, stage, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(state_hat, acc, out=state_hat)
 
 
 def _pack(s: State) -> np.ndarray:
@@ -129,7 +167,9 @@ def step_rk4(s: State, dt: float, g: GasParams) -> State:
     """One classical Runge-Kutta step of size dt; result dealiased."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return state_from_hat(_rk4_update(_pack(s), dt, s.grid, g), s.grid)
+    state_hat = _pack(s)
+    _RK4(s.grid, g, dt).step(state_hat)
+    return state_from_hat(state_hat, s.grid)
 
 
 def evolve(
@@ -148,11 +188,12 @@ def evolve(
     n_steps, dt = plan(s0, g, cfg)
 
     state_hat = _pack(s0)
+    rk4 = _RK4(grid, g, dt)
     times: list[float] = [0.0]
     states: list[State] = [s0]
     for step in range(1, n_steps + 1):
         try:
-            state_hat = _rk4_update(state_hat, dt, grid, g)
+            rk4.step(state_hat)
         except AdmissibleStateError as err:
             raise SolverError(
                 f"aborted at t = {step * dt:.6g} (step {step}/{n_steps}): {err}"
@@ -162,8 +203,10 @@ def evolve(
                 f"non-finite state at t = {step * dt:.6g} (step {step}/{n_steps}, "
                 f"dt = {dt:.3e}, N = {grid.size})"
             )
-        if step % record_stride == 0 or step == n_steps:
-            t = cfg.T if step == n_steps else step * dt
-            times.append(t)
+        if step % record_stride == 0 and step < n_steps:
+            times.append(step * dt)
             states.append(state_from_hat(state_hat, grid))
+    del rk4  # free the scratch arrays before the final state is built
+    times.append(cfg.T)
+    states.append(state_from_hat(state_hat, grid))
     return Trajectory(times, states)

@@ -45,12 +45,14 @@ moves the file or changes the kernel's arguments fails there.  A
 transform whose input has at least 2**17 elements runs on every core the
 process may use, any other on one thread; the values do not depend on the
 count.  Two threads pay only on large inputs: on a 2-core Xeon they make
-``euler.rhs_hat`` of a state at N = 256 and 512 up to 32% faster, or no
-faster while the other core is busy, and every smaller one slower, by up
-to 2.2x on the 8x8 cells.
+the solver's right-hand side (``euler._RhsKernel``, whose inverse
+transforms are pruned to the dealias band) of a state at N = 512 up to
+35% faster and at N = 256 at most 8% faster, both no faster while the
+other core is busy, and every smaller one slower, by up to 2.5x on the
+8x8 cells.
 ``Field.samples`` is one plain inverse transform; the column-pruned
-inverse of the doubled-grid products lives in :mod:`torusgas.inequalities`,
-beside the restriction it pairs with.
+inverses of the right-hand side and of the doubled-grid products live in
+:mod:`torusgas.euler` and :mod:`torusgas.inequalities`.
 """
 
 from __future__ import annotations
@@ -114,20 +116,34 @@ def _threads(a: np.ndarray) -> int:
     return _CORES if a.size >= _PARALLEL_SIZE else 1
 
 
-def _rfft(x: np.ndarray, axes: tuple[int, ...], *, scale: bool) -> np.ndarray:
-    """``scipy.fft.rfftn(x, axes=axes)`` of real ``x``; ``scale`` is ``norm="forward"``."""
-    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, None, _threads(x))
+def _rfft(
+    x: np.ndarray, axes: tuple[int, ...], *, scale: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``scipy.fft.rfftn(x, axes=axes)`` of real ``x``; ``scale`` is ``norm="forward"``.
+
+    With ``out`` (the result's shape, complex, not overlapping ``x``) the
+    values are written there.
+    """
+    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, out, _threads(x))
 
 
-def _irfft(c: np.ndarray, axes: tuple[int, ...], size: int, *, scale: bool) -> np.ndarray:
+def _irfft(
+    c: np.ndarray,
+    axes: tuple[int, ...],
+    size: int,
+    *,
+    scale: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """``scipy.fft.irfftn`` of half-spectrum ``c``, last axis of length ``size``.
 
     ``c`` holds size//2 + 1 bins along its last axis.  ``scale`` divides by
     the product of the output lengths (the default norm); without it this
-    is ``norm="forward"``.
+    is ``norm="forward"``.  With ``out`` (the result's shape, real, not
+    overlapping ``c``) the values are written there.
     """
     inorm = 2 if scale else 0
-    return _pocketfft.c2r(c, axes, size, False, inorm, None, _threads(c))
+    return _pocketfft.c2r(c, axes, size, False, inorm, out, _threads(c))
 
 
 def _fft(

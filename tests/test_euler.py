@@ -11,6 +11,8 @@ from torusgas.euler import (
     GasParams,
     PointState,
     State,
+    _RhsKernel,
+    _require_admissible,
     base_deviation,
     divergence,
     matrix_A,
@@ -37,6 +39,8 @@ from torusgas.families import (
 from torusgas.solver import SolveConfig, cfl_dt, evolve, step_rk4
 from torusgas.spectral import (
     Field,
+    _irfft,
+    _rfft,
     constant_field,
     dealias,
     make_grid,
@@ -393,6 +397,67 @@ class TestRhsBackground:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def formula_rhs_hat(state_hat, grid, g, background=None):
+    """The right-hand side as three full inverse transforms and expression products."""
+
+    def backward(coeffs):
+        return _irfft(coeffs, (-2, -1), grid.size, scale=True)
+
+    fields = backward(state_hat)
+    if background is not None:
+        fields += np.asarray(background, dtype=float)[:, None, None]
+    rho, u, v, h = fields
+    _require_admissible(rho, h)
+    d_x = backward(grid.ikx * state_hat)
+    d_y = backward(grid.iky * state_hat)
+    div = d_x[1] + d_y[2]
+    h_over_rho = h / rho
+    out = np.empty_like(fields)
+    out[0] = -(u * d_x[0] + v * d_y[0] + rho * div)
+    out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
+    out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
+    out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
+    out_hat = _rfft(out, (-2, -1), scale=False)
+    out_hat *= grid.dealias_mask
+    return out_hat
+
+
+class TestRhsKernelBits:
+    """The batched, column-pruned kernel gives the formula's bytes.
+
+    38 = 2*19 and 202 = 2*101 are lengths with large prime factors, which
+    pocketfft transforms by other algorithms than the smooth ones.
+    """
+
+    BACKGROUND = (1.0, 0.3, -0.2, 1.0)
+
+    @pytest.mark.parametrize("with_background", [False, True])
+    @pytest.mark.parametrize("dealiased", [False, True])
+    @pytest.mark.parametrize(
+        "size, cells", [(8, 16), (16, 1), (24, 1), (38, 1), (48, 1), (202, 1), (256, 1)]
+    )
+    def test_equals_formula_bytes(self, size, cells, dealiased, with_background):
+        grid = make_grid(size, cells)
+        rng = np.random.default_rng(size)
+        background = self.BACKGROUND if with_background else None
+        # the deviation from the background, or the full state near it
+        offset = np.zeros(4) if with_background else np.array(self.BACKGROUND)
+        samples = offset[:, None, None] + 0.05 * rng.standard_normal((4, size, size))
+        state_hat = _rfft(samples, (-2, -1), scale=False)
+        if dealiased:
+            state_hat *= grid.dealias_mask
+        before = state_hat.copy()
+        want = formula_rhs_hat(state_hat, grid, GAS, background)
+        got = {"full width": rhs_hat(state_hat, grid, GAS, background)}
+        if dealiased:  # the solver's kernel transforms the dealias band's columns only
+            kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+            for call in ("first", "second"):  # a kept kernel gives the same bytes again
+                got[f"band, {call} call"] = kernel(state_hat, GAS, background)
+        for what, value in got.items():
+            assert value.tobytes() == want.tobytes(), what
+        assert state_hat.tobytes() == before.tobytes()
+
+
 class TestRhsSymmetries:
     """The RHS kernel commutes with the exact discrete symmetries of the scheme."""
 
@@ -473,11 +538,18 @@ class TestTransformWorkers:
         s = random_state(grid, 3)
         state_hat = state_to_hat(s) * grid.dealias_mask
         dt = cfl_dt(s, GAS, 0.25, grid)
+        cfg = SolveConfig(T=3.0 * dt, dt_fixed=dt)
         results = []
         for cores in (1, 2):
             monkeypatch.setattr(spectral, "_CORES", cores)
-            results.append((rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS)))
-        (rhs_one, step_one), (rhs_two, step_two) = results
+            results.append(
+                (rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS), evolve(s, GAS, cfg))
+            )
+        (rhs_one, step_one, run_one), (rhs_two, step_two, run_two) = results
         assert np.array_equal(rhs_one, rhs_two)
         for a, b in zip(step_one.fields(), step_two.fields()):
             assert np.array_equal(a.samples, b.samples)
+        assert len(run_one.states) == 4
+        for state_one, state_two in zip(run_one.states, run_two.states):
+            for a, b in zip(state_one.fields(), state_two.fields()):
+                assert a.samples.tobytes() == b.samples.tobytes()

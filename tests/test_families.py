@@ -57,6 +57,18 @@ class TestFamilyParams:
         with pytest.raises(ValueError, match="s must exceed 2"):
             FamilyParams(omega=1, n=4, s=2.0)
 
+    @pytest.mark.parametrize(
+        "name, error, match",
+        [
+            ("omega", ValueError, r"omega must be \+1 or -1, got True"),
+            ("n", ValueError, "n must be a positive integer, got True"),
+            ("s", TypeError, "s must be a real number, got True"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, name, error, match):
+        with pytest.raises(error, match=match):
+            FamilyParams(**{"omega": 1, "n": 4, "s": 3.0, name: True})
+
 
 class TestExactFamily:
     def test_component_values(self):

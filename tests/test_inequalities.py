@@ -77,6 +77,18 @@ class TestRandomField:
         with pytest.raises(ValueError, match="nonnegative"):
             RandomFieldSpec(max_mode=4, spectrum_decay=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, error, match",
+        [
+            ("max_mode", ValueError, "max_mode must be a positive integer, got True"),
+            ("spectrum_decay", TypeError, "spectrum_decay must be a real number, got True"),
+            ("seed", TypeError, "seed must be an integer, got True"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, name, error, match):
+        with pytest.raises(error, match=match):
+            RandomFieldSpec(**{"max_mode": 4, name: True})
+
 
 class TestModeStream:
     # rows 0, 72 and 143 of RandomFieldSpec(8, 2.0, seed), as drawn by the

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from torusgas.euler import GasParams, State, state_difference, state_norm
+from torusgas import solver
+from torusgas.euler import (
+    GasParams,
+    State,
+    rhs_hat,
+    state_difference,
+    state_from_hat,
+    state_norm,
+    state_to_hat,
+)
 from torusgas.families import FamilyParams, exact_solution, initial_data
 from torusgas.solver import (
     SolveConfig,
@@ -14,9 +23,10 @@ from torusgas.solver import (
     plan,
     step_rk4,
 )
-from torusgas.spectral import constant_field, make_grid, synthesize
+from torusgas.spectral import Field, constant_field, make_grid, synthesize
 
 GAS = GasParams()
+BASE = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 def constant_state(grid, rho=1.0, u=0.0, v=0.0, h=1.0):
@@ -262,3 +272,55 @@ class TestEvolve:
         cfg = SolveConfig(T=4.0, dt_fixed=0.5)
         with pytest.raises(SolverError, match=r"aborted at t .*min\(rho\)"):
             evolve(s0, GAS, cfg)
+
+
+class TestStepperBits:
+    """evolve's in-place stepper gives the bytes of the expression-form RK4."""
+
+    @staticmethod
+    def expression_step(state_hat, dt, grid):
+        k1 = rhs_hat(state_hat, grid, GAS)
+        k2 = rhs_hat(state_hat + 0.5 * dt * k1, grid, GAS)
+        k3 = rhs_hat(state_hat + 0.5 * dt * k2, grid, GAS)
+        k4 = rhs_hat(state_hat + dt * k3, grid, GAS)
+        return state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def test_three_steps_equal_expression_bytes(self, monkeypatch):
+        made = []
+
+        class RecordingRK4(solver._RK4):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_RK4", RecordingRK4)
+        grid = make_grid(64)
+        rng = np.random.default_rng(5)  # every coefficient of the band is nonzero
+        noise = 0.05 * rng.standard_normal((4, 64, 64))
+        s0 = State(*(Field(grid, samples=x) for x in noise + BASE[:, None, None]))
+        s0_bytes = [f.samples.tobytes() for f in s0.fields()]
+        dt0 = cfl_dt(s0, GAS, 0.25, grid)
+        cfg = SolveConfig(T=3.0 * dt0, dt_fixed=dt0)
+        n_steps, dt = plan(s0, GAS, cfg)
+        assert n_steps == 3
+        run = evolve(s0, GAS, cfg)
+
+        state_hat = state_to_hat(s0) * grid.dealias_mask
+        expected = [s0]
+        for _ in range(n_steps):
+            before = state_hat.copy()
+            next_hat = self.expression_step(state_hat, dt, grid)
+            assert state_hat.tobytes() == before.tobytes()  # rhs_hat leaves its input
+            state_hat = next_hat
+            expected.append(state_from_hat(state_hat, grid))
+        assert len(run.states) == 4
+        for got, want in zip(run.states, expected):
+            for a, b in zip(got.fields(), want.fields()):
+                assert a.samples.tobytes() == b.samples.tobytes()
+        assert [f.samples.tobytes() for f in s0.fields()] == s0_bytes
+        # each record survives the later steps: none shares the stepper's scratch
+        (stepper,) = made
+        scratch = [stepper.stage, stepper.acc, stepper.rhs.spectra, stepper.rhs.samples]
+        for state in run.states[1:]:
+            for f in state.fields():
+                assert not any(np.shares_memory(f.samples, a) for a in scratch)

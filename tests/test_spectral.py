@@ -501,6 +501,17 @@ class TestKernelAdapter:
                     sfft.ifft(columns, axis=0, norm="forward"),
                 ),
             }
+            in_place = columns.copy()
+            _fft(in_place, 0, forward=False, out=in_place)
+            cases["ifft in place"] = (in_place, sfft.ifft(columns, axis=0, norm="forward"))
+            into = {"rfft2": np.empty_like(hat), "irfft": np.empty_like(batch)}
+            _rfft(batch, (-2, -1), scale=False, out=into["rfft2"])
+            _irfft(hat, (-1,), size, scale=False, out=into["irfft"])
+            cases["rfft2 batch into out"] = (into["rfft2"], sfft.rfft2(batch, axes=(-2, -1)))
+            cases["irfft last axis into out"] = (
+                into["irfft"],
+                sfft.irfft(hat, n=size, axis=-1, norm="forward"),
+            )
             for filled in (m, 0):  # the column view, and no filled column at all
                 out = np.zeros((size, size // 2 + 1), dtype=np.complex128)
                 _fft(columns[:, :filled], 0, forward=False, out=out[:, :filled])
