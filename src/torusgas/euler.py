@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import Field, TorusGrid, _fft, _irfft, _is_real, _rfft
+from .spectral import Field, TorusGrid, _band_irfft2, _irfft, _is_real, _rfft
 
 __all__ = [
     "GasParams",
@@ -254,12 +254,8 @@ def state_to_hat(s: State) -> np.ndarray:
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
     """Inverse of :func:`state_to_hat`."""
-    samples = _backward(state_hat, grid)
+    samples = _irfft(state_hat, (-2, -1), grid.size, scale=True)
     return State(*(Field(grid, samples=samples[i]) for i in range(4)))
-
-
-def _backward(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return _irfft(coeffs, (-2, -1), grid.size, scale=True)
 
 
 class _RhsKernel:
@@ -267,12 +263,10 @@ class _RhsKernel:
 
     ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
     fields; a call fills their first ``columns`` columns and the rest stay
-    zero.  The inverse transform runs the axis-0 ``c2c`` in place on the
-    filled columns only, then one ``c2r`` over the last axis, unscaled, and
-    multiplies by 1/N^2 rounded from long double: the stages and the factor
-    of pocketfft's 2-D ``c2r``, so ``samples`` holds the bytes of
-    ``irfft2``.  ``columns`` must cover every nonzero column of the states
-    passed in; N/2 + 1 covers any state.
+    zero.  The inverse is :func:`spectral._band_irfft2` in place on the
+    filled columns, times the 2-D ``c2r`` factor 1/N^2 rounded from long
+    double, so ``samples`` holds ``irfft2``'s values.  ``columns`` must
+    cover every nonzero column of a state passed in; N/2 + 1 does.
 
     Between calls ``samples`` holds nothing that is needed; ``spare`` views
     its memory as one complex array of a state's shape, which the caller
@@ -308,8 +302,7 @@ class _RhsKernel:
         band[:4] = state
         np.multiply(grid.ikx, state, out=band[4:8])
         np.multiply(grid.iky[:, :m], state, out=band[8:])
-        _fft(band, -2, forward=False, out=band)
-        samples = _irfft(self.spectra, (-1,), grid.size, scale=False, out=self.samples)
+        samples = _band_irfft2(band, self.spectra, grid.size, out=self.samples)
         samples *= self.scale
         fields, d_x, d_y = samples[:4], samples[4:8], samples[8:]
         if background is not None:

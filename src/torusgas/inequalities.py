@@ -24,12 +24,9 @@ Products of band-limited fields are formed on a doubled grid where they
 are alias-free, then restricted to the representable band of the original
 grid; for the seeded families used by the sweeps the restriction drops
 nothing, so the ratios are resolution-independent up to round-off.  The
-transforms are pruned, and the pruning lives here, where the lift and its
-restriction pay for it: the lift transforms along axis 0 only the columns
-up to the last one the factor fills and hands irfft its exact input
-length, the restriction transforms only the columns it keeps, and both
-give the values of the full ``irfft2``/``rfft2`` bit for bit.  The
-commutator lifts its common factor once for both products.
+lift transforms along axis 0 only the columns the factor fills
+(:func:`spectral._band_irfft2`), the restriction only the columns it
+keeps.  The commutator lifts its common factor once for both products.
 """
 
 from __future__ import annotations
@@ -170,11 +167,10 @@ def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
 def _lift(f: Field) -> np.ndarray:
     """Samples of a field on the doubled grid, by spectral zero-padding.
 
-    Only the columns up to the last nonzero one are transformed along axis
-    0 (a family member fills 9 of the N/2 + 1), straight into the zero
-    columns that irfft then reads at its exact input length N + 1.  Each
-    column transforms on its own, so the values equal ``irfft2`` of the
-    padded half-plane with ``norm="forward"`` bit for bit.
+    The padded half-plane's columns up to the last nonzero one (a family
+    member fills 9 of the N/2 + 1) go through :func:`spectral._band_irfft2`
+    into zero columns of the exact input length N + 1, so the values are
+    those of ``irfft2`` of the padded half-plane with ``norm="forward"``.
     """
     c = f.coefficients
     n = c.shape[0]
@@ -184,9 +180,7 @@ def _lift(f: Field) -> np.ndarray:
     padded = np.zeros((2 * n, m), dtype=np.complex128)
     padded[:half] = c[:half, :m]
     padded[n + half :] = c[half:, :m]
-    columns = np.zeros((2 * n, n + 1), dtype=np.complex128)
-    spectral._fft(padded, 0, forward=False, out=columns[:, :m])
-    return spectral._irfft(columns, (1,), 2 * n, scale=False)
+    return spectral._band_irfft2(padded, np.zeros((2 * n, n + 1), complex), 2 * n)
 
 
 def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -215,7 +209,12 @@ def product_exact(f: Field, g: Field) -> Field:
     when the factors fill more than half the band) is truncated.
     """
     spectral._require_same_grid(f, g)
-    return Field(f.grid, coefficients=_restrict(_lift(f) * _lift(g), f.grid))
+    return _times(_lift(f), g)
+
+
+def _times(f_fine: np.ndarray, g: Field) -> Field:
+    """The product of a lifted factor and ``g``, restricted to ``g``'s grid."""
+    return Field(g.grid, coefficients=_restrict(f_fine * _lift(g), g.grid))
 
 
 def _require_band_limited(f: Field, name: str) -> None:
@@ -241,12 +240,8 @@ def commutator_ratio(f: Field, u: Field, sigma: float, k: float) -> float:
     _require_band_limited(f, "f")
     _require_band_limited(u, "u")
     f_fine = _lift(f)  # shared by both products
-
-    def times_f(g: Field) -> Field:
-        return Field(g.grid, coefficients=_restrict(f_fine * _lift(g), g.grid))
-
-    left = lambda_pow(times_f(u), sigma)
-    right = times_f(lambda_pow(u, sigma))
+    left = lambda_pow(_times(f_fine, u), sigma)
+    right = _times(f_fine, lambda_pow(u, sigma))
     numerator = sobolev_norm(left - right, 0.0)
     denominator = sobolev_norm(f, k) * sobolev_norm(u, sigma - 1.0)
     if denominator == 0.0:

@@ -778,11 +778,8 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
         )
 
     # the package's one pool: each check costs seconds; map keeps report order
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            ratios = dict(zip(orders, pool.map(sweep, checks)))
-    else:
-        ratios = dict(zip(orders, map(sweep, checks)))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        ratios = dict(zip(orders, pool.map(sweep, checks)))
     maxima = {name: [float(top) for top in np.max(r, axis=1)] for name, r in ratios.items()}
 
     interp = ratios["interpolation"][0]

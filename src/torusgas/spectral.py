@@ -50,9 +50,9 @@ transforms are pruned to the dealias band) of a state at N = 512 up to
 35% faster and at N = 256 at most 8% faster, both no faster while the
 other core is busy, and every smaller one slower, by up to 2.5x on the
 8x8 cells.
-``Field.samples`` is one plain inverse transform; the column-pruned
-inverses of the right-hand side and of the doubled-grid products live in
-:mod:`torusgas.euler` and :mod:`torusgas.inequalities`.
+``Field.samples`` is one plain inverse transform; the right-hand side and
+the doubled-grid lift run :func:`_band_irfft2`, pruned to their filled
+columns, with the values of ``irfft2`` up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -151,10 +151,25 @@ def _fft(
 ) -> np.ndarray:
     """Unscaled complex DFT along one axis: ``scipy.fft.fft``, or ``ifft`` with ``norm="forward"``.
 
-    With ``out`` (same shape, complex, any strides, not overlapping ``x``)
-    the values are written there.
+    With ``out`` (same shape, complex, any strides; ``x`` itself, or not
+    overlapping ``x``) the values are written there.
     """
     return _pocketfft.c2c(x, (axis,), forward, 0, out, _threads(x))
+
+
+def _band_irfft2(band: np.ndarray, spectra: np.ndarray, size: int, *, out=None) -> np.ndarray:
+    """``irfft2`` with ``norm="forward"`` of ``spectra`` whose first columns are ``band``.
+
+    ``spectra`` is zero beyond ``band``'s m columns along its last axis.
+    Pocketfft's 2-D ``c2r`` stages run pruned: the inverse ``c2c`` along
+    axis -2 of ``band`` alone, into those columns (in place if ``band`` is
+    them), then one ``c2r`` along the last axis, into ``out`` if given.  The
+    values are ``irfft2``'s bit for bit, but an exact zero may be +0.0 where
+    ``irfft2``'s ``c2c`` of a zero column gives -0.0, at some row counts
+    with a large prime factor (4 * 101 rows, the lift at N = 202).
+    """
+    _fft(band, -2, forward=False, out=spectra[..., : band.shape[-1]])
+    return _irfft(spectra, (-1,), size, scale=False, out=out)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

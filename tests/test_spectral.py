@@ -17,6 +17,7 @@ from torusgas.lab import default_config, run_nonuniform
 from torusgas.spectral import (
     Field,
     TorusGrid,
+    _band_irfft2,
     _fft,
     _irfft,
     _rfft,
@@ -518,6 +519,16 @@ class TestKernelAdapter:
                 want = sfft.ifft(columns[:, :filled], axis=0, norm="forward")
                 cases[f"ifft into {filled} columns"] = (out[:, :filled].copy(), want)
                 assert not out[:, filled:].any()
+            for filled in (0, m, size // 2 + 1):  # none, some and all columns
+                padded = np.zeros_like(hat)
+                padded[..., :filled] = hat[..., :filled]
+                want = sfft.irfft2(padded, s=(size, size), norm="forward")
+                band = hat[..., :filled].copy()
+                got = _band_irfft2(band, np.zeros_like(hat), size)
+                cases[f"band irfft2 of {filled} columns"] = (got, want)
+                spectra, out = padded.copy(), np.empty_like(batch)
+                _band_irfft2(spectra[..., :filled], spectra, size, out=out)
+                cases[f"band irfft2 in place of {filled} columns"] = (out, want)
             zero = Field(make_grid(size), samples=np.zeros((size, size)))
             cases["pruned inverse of zero"] = (
                 _lift(zero),
