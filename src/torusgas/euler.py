@@ -253,9 +253,9 @@ def state_to_hat(s: State) -> np.ndarray:
 
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
-    """Inverse of :func:`state_to_hat`."""
+    """Inverse of :func:`state_to_hat`; the fields own the planes of one fresh inverse."""
     samples = _irfft(state_hat, (-2, -1), grid.size, scale=True)
-    return State(*(Field(grid, samples=samples[i]) for i in range(4)))
+    return State(*(Field._adopt(grid, samples=plane) for plane in samples))
 
 
 class _RhsKernel:

@@ -27,10 +27,15 @@ nothing, so the ratios are resolution-independent up to round-off.  The
 lift transforms along axis 0 only the columns the factor fills
 (:func:`spectral._band_irfft2`), the restriction only the columns it
 keeps.  The commutator lifts its common factor once for both products.
+The doubled-grid arrays of a product are kept per thread and grid
+(:class:`_Products`), so a sweep does not allocate them afresh on every
+call; each pool worker has its own.  Only the restricted coefficients are
+new arrays, and the product's field owns them without a copy.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -161,26 +166,77 @@ def _scatter(grid: TorusGrid, rows: _HalfPlane) -> np.ndarray:
 
 def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
     """Seeded random trig polynomial on the grid, zero mean."""
-    return Field(grid, coefficients=_scatter(grid, _half_plane(_random_modes(spec))))
+    return Field._adopt(grid, coefficients=_scatter(grid, _half_plane(_random_modes(spec))))
 
 
-def _lift(f: Field) -> np.ndarray:
+class _Products:
+    """Kept arrays of the doubled-grid products on one grid, for one thread.
+
+    ``spectra`` is the padded half-plane that :func:`_lift` inverts; only
+    its first ``columns`` columns may be nonzero.  ``first`` holds the
+    lifted left factor of a product and ``second`` the right one, which
+    the product overwrites.  ``half`` and ``rows`` hold the restriction's
+    half-spectrum and its kept columns.
+    """
+
+    def __init__(self, grid: TorusGrid) -> None:
+        n = grid.size
+        self.spectra = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        self.columns = 0
+        self.first = np.empty((2 * n, 2 * n))
+        self.second = np.empty((2 * n, 2 * n))
+        self.half = np.empty((2 * n, n + 1), dtype=np.complex128)
+        self.rows = np.empty((2 * n, n // 2), dtype=np.complex128)
+
+
+#: Grids per thread whose product arrays are kept; a sweep alternates two.
+_KEPT_GRIDS = 2
+_kept = threading.local()
+
+
+def _products(grid: TorusGrid) -> _Products:
+    """The calling thread's kept product arrays for ``grid``, built on first use.
+
+    A thread keeps those of its last _KEPT_GRIDS grids.
+    """
+    kept = getattr(_kept, "products", None)
+    if kept is None:
+        kept = _kept.products = {}
+    products = kept.get(grid)
+    if products is None:
+        if len(kept) == _KEPT_GRIDS:
+            del kept[next(iter(kept))]
+        products = kept[grid] = _Products(grid)
+    return products
+
+
+def _lift(f: Field, out: np.ndarray | None = None) -> np.ndarray:
     """Samples of a field on the doubled grid, by spectral zero-padding.
 
     The padded half-plane's columns up to the last nonzero one (a family
     member fills 9 of the N/2 + 1) go through :func:`spectral._band_irfft2`
     into zero columns of the exact input length N + 1, so the values are
     those of ``irfft2`` of the padded half-plane with ``norm="forward"``.
+    The padded half-plane is the calling thread's kept ``spectra`` of the
+    grid, and the samples are written into ``out``, by default its kept
+    ``first``; they hold until the next lift into the same array.
     """
+    products = _products(f.grid)
     c = f.coefficients
     n = c.shape[0]
     filled = np.flatnonzero(c.any(axis=0))
     m = filled[-1] + 1 if filled.size else 0
     half = n // 2 + 1  # rows kx = 0..N/2; the other N/2 - 1 are negative
-    padded = np.zeros((2 * n, m), dtype=np.complex128)
-    padded[:half] = c[:half, :m]
-    padded[n + half :] = c[half:, :m]
-    return spectral._band_irfft2(padded, np.zeros((2 * n, n + 1), complex), 2 * n)
+    padded = products.spectra
+    padded[:, m : products.columns] = 0.0  # the last lift's columns past m
+    products.columns = m
+    band = padded[:, :m]
+    band[:half] = c[:half, :m]
+    band[half : n + half] = 0.0
+    band[n + half :] = c[half:, :m]
+    if out is None:
+        out = products.first
+    return spectral._band_irfft2(band, padded, 2 * n, out=out)
 
 
 def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -189,12 +245,16 @@ def _restrict(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     Only the kept columns are transformed along axis 0.  They are scaled by
     1/(2N)^2 between the two passes, where rfft2 scales, so the values equal
     the kept bins of rfft2.  The kept rows k = 0..N/2 - 1 and -(N/2 - 1)..-1
-    are two slices of the spectrum.
+    are two slices of the spectrum.  The half-spectrum and the kept columns
+    are the calling thread's kept ``half`` and ``rows`` of the grid; the
+    result is a new array.
     """
+    products = _products(grid)
     n = grid.size
     limit = n // 2 - 1
-    rows = spectral._rfft(samples, (1,), scale=False)[:, : limit + 1]
-    spectrum = spectral._fft(rows * (1.0 / (4 * n * n)), 0, forward=True)
+    half = spectral._rfft(samples, (1,), scale=False, out=products.half)
+    rows = np.multiply(half[:, : limit + 1], 1.0 / (4 * n * n), out=products.rows)
+    spectrum = spectral._fft(rows, 0, forward=True, out=rows)
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     c[: limit + 1, : limit + 1] = spectrum[: limit + 1]
     c[n - limit :, : limit + 1] = spectrum[2 * n - limit :]
@@ -213,8 +273,13 @@ def product_exact(f: Field, g: Field) -> Field:
 
 
 def _times(f_fine: np.ndarray, g: Field) -> Field:
-    """The product of a lifted factor and ``g``, restricted to ``g``'s grid."""
-    return Field(g.grid, coefficients=_restrict(f_fine * _lift(g), g.grid))
+    """The product of a lifted factor and ``g``, restricted to ``g``'s grid.
+
+    ``g`` is lifted into the thread's kept ``second``, which takes the product.
+    """
+    g_fine = _lift(g, _products(g.grid).second)
+    np.multiply(f_fine, g_fine, out=g_fine)
+    return Field._adopt(g.grid, coefficients=_restrict(g_fine, g.grid))
 
 
 def _require_band_limited(f: Field, name: str) -> None:
@@ -263,11 +328,11 @@ def reciprocal_ratio(f: Field, rho: Field, sigma: float, s: float) -> float:
     low = float(np.min(rho.samples))
     if not low > 0.0:
         raise ValueError(f"rho must be strictly positive, found min {low:.6e}")
-    quotient = spectral.dealias(Field(f.grid, samples=f.samples / rho.samples))
+    quotient = spectral.dealias(Field._adopt(f.grid, samples=f.samples / rho.samples))
     numerator = sobolev_norm(quotient, sigma)
     fluctuation = rho.coefficients.copy()
     fluctuation[0, 0] = 0.0
-    rho_tilde_norm = sobolev_norm(Field(rho.grid, coefficients=fluctuation), s)
+    rho_tilde_norm = sobolev_norm(Field._adopt(rho.grid, coefficients=fluctuation), s)
     denominator = (1.0 + rho_tilde_norm**sigma) * sobolev_norm(f, sigma)
     if denominator == 0.0:
         return 0.0
@@ -347,7 +412,7 @@ def _member_modes(seed: int) -> _HalfPlane:
 
 def _member(grid: TorusGrid, rows: _HalfPlane) -> Field:
     """A family field with the given half-plane rows, on a grid."""
-    return Field(grid, coefficients=_scatter(grid, rows))
+    return Field._adopt(grid, coefficients=_scatter(grid, rows))
 
 
 def _density_modes(seed: int) -> _HalfPlane:
@@ -364,7 +429,7 @@ def _density_modes(seed: int) -> _HalfPlane:
 
 def _bounded_density(grid: TorusGrid, rows: _HalfPlane) -> Field:
     """Density 1 + fluctuation with min value >= 1 - RHO_FLUCTUATION."""
-    return Field(grid, samples=1.0 + _member(grid, rows).samples)
+    return Field._adopt(grid, samples=1.0 + _member(grid, rows).samples)
 
 
 def _pair(

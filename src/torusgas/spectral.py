@@ -290,7 +290,7 @@ class Field:
     Immutable after construction.  Physical samples, shape (N, N), and
     half-plane spectral coefficients, shape (N, N/2 + 1), are two views of
     the same data; whichever was not supplied is computed lazily and
-    cached.
+    cached.  The constructor copies the arrays it is given.
     """
 
     __slots__ = ("grid", "_samples", "_coefficients")
@@ -301,14 +301,35 @@ class Field:
         samples: np.ndarray | None = None,
         coefficients: np.ndarray | None = None,
     ) -> None:
+        self._fill(grid, samples, coefficients, copy=True)
+
+    @classmethod
+    def _adopt(
+        cls,
+        grid: TorusGrid,
+        *,
+        samples: np.ndarray | None = None,
+        coefficients: np.ndarray | None = None,
+    ) -> "Field":
+        """A field that owns arrays the package has just allocated.
+
+        The arrays get the constructor's checks and are frozen in place,
+        not copied, so nothing else may hold them: never a kept buffer or a
+        caller's array.
+        """
+        f = cls.__new__(cls)
+        f._fill(grid, samples, coefficients, copy=False)
+        return f
+
+    def _fill(self, grid: TorusGrid, samples, coefficients, copy: bool) -> None:
         if samples is None and coefficients is None:
             raise ValueError("Field needs samples or coefficients")
         n = grid.size
         if samples is not None:
-            samples = _validated(samples, np.float64, (n, n), "samples")
+            samples = _validated(samples, np.float64, (n, n), "samples", copy)
         if coefficients is not None:
             coefficients = _validated(
-                coefficients, np.complex128, (n, n // 2 + 1), "coefficients"
+                coefficients, np.complex128, (n, n // 2 + 1), "coefficients", copy
             )
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_samples", samples)
@@ -336,26 +357,26 @@ class Field:
     def __add__(self, other: "Field") -> "Field":
         _require_same_grid(self, other)
         if self._prefers_spectral() and other._prefers_spectral():
-            return Field(self.grid, coefficients=self.coefficients + other.coefficients)
-        return Field(self.grid, samples=self.samples + other.samples)
+            return Field._adopt(self.grid, coefficients=self.coefficients + other.coefficients)
+        return Field._adopt(self.grid, samples=self.samples + other.samples)
 
     def __sub__(self, other: "Field") -> "Field":
         _require_same_grid(self, other)
         if self._prefers_spectral() and other._prefers_spectral():
-            return Field(self.grid, coefficients=self.coefficients - other.coefficients)
-        return Field(self.grid, samples=self.samples - other.samples)
+            return Field._adopt(self.grid, coefficients=self.coefficients - other.coefficients)
+        return Field._adopt(self.grid, samples=self.samples - other.samples)
 
     def _prefers_spectral(self) -> bool:
         return self._coefficients is not None and self._samples is None
 
 
-def _validated(values, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
+def _validated(values, dtype, shape: tuple[int, int], what: str, copy: bool) -> np.ndarray:
     values = np.asarray(values, dtype=dtype)
     if values.shape != shape:
         raise ValueError(f"{what} shape {values.shape} does not match grid {shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"field {what} must be finite")
-    return _frozen(values.copy())
+    return _frozen(values.copy() if copy else values)
 
 
 def _require_same_grid(a: Field, b: Field) -> None:
@@ -416,18 +437,18 @@ def synthesize(
 
 def partial_x(f: Field) -> Field:
     """Spectral derivative in x; exact for band-limited fields."""
-    return Field(f.grid, coefficients=f.coefficients * f.grid.ikx)
+    return Field._adopt(f.grid, coefficients=f.coefficients * f.grid.ikx)
 
 
 def partial_y(f: Field) -> Field:
     """Spectral derivative in y; exact for band-limited fields."""
-    return Field(f.grid, coefficients=f.coefficients * f.grid.iky)
+    return Field._adopt(f.grid, coefficients=f.coefficients * f.grid.iky)
 
 
 def lambda_pow(f: Field, sigma: float) -> Field:
     """Apply the Fourier multiplier (1 + |k|^2)^(sigma/2)."""
     weight = f.grid.one_plus_ksq ** (0.5 * float(sigma))
-    return Field(f.grid, coefficients=f.coefficients * weight)
+    return Field._adopt(f.grid, coefficients=f.coefficients * weight)
 
 
 def sobolev_norm(f: Field, sigma: float) -> float:
@@ -467,4 +488,4 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
 
 def dealias(f: Field) -> Field:
     """Zero every coefficient with max(|kx|, |ky|) above floor(N/3)."""
-    return Field(f.grid, coefficients=f.coefficients * f.grid.dealias_mask)
+    return Field._adopt(f.grid, coefficients=f.coefficients * f.grid.dealias_mask)

@@ -1,5 +1,7 @@
 """Product, commutator, quotient, and interpolation estimates on seeded families."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -221,6 +223,48 @@ class TestProductExact:
         rng = np.random.default_rng(size + cells)
         f, g = (Field(grid, samples=rng.standard_normal((size, size))) for _ in range(2))
         assert np.array_equal(product_exact(f, g).coefficients, plain_product(f, g))
+
+    def test_narrower_factors_after_wider_ones(self):
+        # the kept padded half-plane must not carry columns of an earlier lift
+        grid = make_grid(64)
+        nine = random_field(grid, RandomFieldSpec(FAMILY_MAX_MODE, seed=1))
+        three = random_field(grid, RandomFieldSpec(2, seed=2))
+        zero = Field(grid, coefficients=np.zeros((64, 33), dtype=complex))
+        assert [f.coefficients.any(axis=0).sum() for f in (nine, three)] == [9, 3]
+        cases = [(nine, nine), (three, three), (zero, zero), (nine, three), (three, zero)]
+        for f, g in cases:
+            got, want = product_exact(f, g).coefficients, plain_product(f, g)
+            if not want.any():
+                # rfft2 of zero samples holds some -0.0, the pruned restriction none
+                assert np.array_equal(got, want)
+                want = np.zeros_like(want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_products_share_no_kept_buffer(self):
+        grid = make_grid(32)
+        f, g = (random_field(grid, RandomFieldSpec(6, seed=k)) for k in (3, 4))
+        kept = inequalities._products(grid)
+        assert _lift(f) is kept.first
+        fields = [product_exact(f, g), inequalities._times(_lift(g), f)]
+        buffers = (kept.spectra, kept.first, kept.second, kept.half, kept.rows)
+        for p in fields:
+            for values in (p.coefficients, p.samples):
+                assert not any(np.shares_memory(values, b) for b in buffers)
+
+    @pytest.mark.parametrize("name", ["commutator", "algebra"])
+    def test_two_workers_on_one_grid_equal_serial_bytes(self, name):
+        check = next(c for c in RATIO_CHECKS if c.name == name)
+        grid, orders = make_grid(64), declared_orders(check)
+
+        def ratio(i):
+            rows = check.draw(0, name, i)
+            factors = (build(grid, r) for build, r in zip(check.build, rows))
+            return check.ratio(*factors, 1.5, *orders)
+
+        serial = family_ratios(check, (grid,), 50, 0, 1.5, *orders)[0]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = np.array(list(pool.map(ratio, range(50))))
+        assert pooled.tobytes() == serial.tobytes()
 
     def test_matches_closed_form(self):
         # cos(y)^2 = 1/2 + cos(2y)/2

@@ -176,17 +176,48 @@ class TestField:
             for j in (0, n // 2):
                 assert c[i, j] == pytest.approx(np.conj(c[-i % n, j]), abs=1e-13)
 
+    @staticmethod
+    def rejections(grid, **arrays):
+        """The messages with which Field and Field._adopt reject the same arrays."""
+        messages = []
+        for make in (Field, Field._adopt):
+            with pytest.raises(ValueError) as caught:
+                make(grid, **arrays)
+            messages.append(str(caught.value))
+        return messages
+
     def test_rejects_nonfinite_samples(self):
         grid = make_grid(8)
         bad = np.zeros((8, 8))
         bad[3, 3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            Field(grid, samples=bad)
+        assert self.rejections(grid, samples=bad) == ["field samples must be finite"] * 2
+        bad_c = np.zeros((8, 5), dtype=complex)
+        bad_c[1, 2] = complex(0.0, np.inf)
+        assert self.rejections(grid, coefficients=bad_c) == [
+            "field coefficients must be finite"
+        ] * 2
 
     def test_rejects_shape_mismatch(self):
         grid = make_grid(8)
-        with pytest.raises(ValueError, match="shape"):
-            Field(grid, samples=np.zeros((4, 4)))
+        assert self.rejections(grid, samples=np.zeros((4, 4))) == [
+            "samples shape (4, 4) does not match grid (8, 8)"
+        ] * 2
+        assert self.rejections(grid, coefficients=np.zeros((8, 8), complex)) == [
+            "coefficients shape (8, 8) does not match grid (8, 5)"
+        ] * 2
+
+    def test_constructor_copies_and_adopt_freezes_in_place(self):
+        grid = make_grid(8)
+        a = np.arange(64.0).reshape(8, 8)
+        f = Field(grid, samples=a)
+        a[0, 0] = -1.0
+        assert f.samples[0, 0] == 0.0 and not np.shares_memory(f.samples, a)
+        c = np.zeros((8, 5), dtype=complex)
+        g = Field(grid, coefficients=c)
+        c[1, 1] = 1.0
+        assert not g.coefficients.any()
+        adopted = Field._adopt(grid, samples=a)
+        assert adopted.samples is a and not a.flags.writeable
 
     def test_immutable(self):
         grid = make_grid(8)
@@ -505,7 +536,13 @@ class TestKernelAdapter:
             in_place = columns.copy()
             _fft(in_place, 0, forward=False, out=in_place)
             cases["ifft in place"] = (in_place, sfft.ifft(columns, axis=0, norm="forward"))
+            in_place = columns.copy()
+            _fft(in_place, 0, forward=True, out=in_place)
+            cases["fft in place"] = (in_place, sfft.fft(columns, axis=0))
             into = {"rfft2": np.empty_like(hat), "irfft": np.empty_like(batch)}
+            into["rfft"] = np.empty_like(hat[0])
+            _rfft(one, (1,), scale=False, out=into["rfft"])
+            cases["rfft axis 1 into out"] = (into["rfft"], sfft.rfft(one, axis=1))
             _rfft(batch, (-2, -1), scale=False, out=into["rfft2"])
             _irfft(hat, (-1,), size, scale=False, out=into["irfft"])
             cases["rfft2 batch into out"] = (into["rfft2"], sfft.rfft2(batch, axes=(-2, -1)))
