@@ -6,6 +6,7 @@ spectral right-hand side), ``families`` (closed-form exact and
 approximate solution families), ``solver`` (RK4 method of lines),
 ``inequalities`` (empirical checks of the analytic toolbox), and ``lab``
 (experiment runners and reports) with a CLI in ``cli``.
+:func:`lab.run_experiment` is the one way to run an experiment.
 """
 
 from . import euler, families, inequalities, lab, solver, spectral

@@ -30,7 +30,6 @@ __all__ = [
     "PointState",
     "State",
     "AdmissibleStateError",
-    "CoeffMatrix",
     "matrix_A",
     "matrix_B",
     "matrix_A0",
@@ -47,9 +46,6 @@ __all__ = [
     "state_difference",
     "base_deviation",
 ]
-
-#: 4x4 real coefficient matrix; plain ndarray with finite entries.
-CoeffMatrix = np.ndarray
 
 #: Positivity floor of min(rho) and min(h) in every admissible-region check.
 REGION_FLOOR = 1e-8
@@ -97,13 +93,13 @@ class PointState:
             )
 
 
-def _finite(m: np.ndarray) -> CoeffMatrix:
+def _finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("coefficient matrix has non-finite entries")
     return m
 
 
-def matrix_A(p: PointState, g: GasParams) -> CoeffMatrix:
+def matrix_A(p: PointState, g: GasParams) -> np.ndarray:
     """Coefficient of U_x in the classical-form system."""
     return _finite(
         np.array(
@@ -117,7 +113,7 @@ def matrix_A(p: PointState, g: GasParams) -> CoeffMatrix:
     )
 
 
-def matrix_B(p: PointState, g: GasParams) -> CoeffMatrix:
+def matrix_B(p: PointState, g: GasParams) -> np.ndarray:
     """Coefficient of U_y in the classical-form system."""
     return _finite(
         np.array(
@@ -131,7 +127,7 @@ def matrix_B(p: PointState, g: GasParams) -> CoeffMatrix:
     )
 
 
-def matrix_A0(p: PointState, g: GasParams) -> CoeffMatrix:
+def matrix_A0(p: PointState, g: GasParams) -> np.ndarray:
     """Diagonal symmetrizer diag(h/rho, rho, rho, rho/((gamma-1) h))."""
     return _finite(
         np.diag(
@@ -145,7 +141,7 @@ def matrix_A0(p: PointState, g: GasParams) -> CoeffMatrix:
     )
 
 
-def matrix_A1(p: PointState, g: GasParams) -> CoeffMatrix:
+def matrix_A1(p: PointState, g: GasParams) -> np.ndarray:
     """Symmetric product A0 A, written out entrywise."""
     return _finite(
         np.array(
@@ -159,7 +155,7 @@ def matrix_A1(p: PointState, g: GasParams) -> CoeffMatrix:
     )
 
 
-def matrix_B1(p: PointState, g: GasParams) -> CoeffMatrix:
+def matrix_B1(p: PointState, g: GasParams) -> np.ndarray:
     """Symmetric product A0 B, written out entrywise."""
     return _finite(
         np.array(
@@ -202,12 +198,6 @@ class State:
     @property
     def grid(self) -> TorusGrid:
         return self.rho.grid
-
-    def min_rho(self) -> float:
-        return float(np.min(self.rho.samples))
-
-    def min_h(self) -> float:
-        return float(np.min(self.h.samples))
 
     def require_admissible(self) -> None:
         """Raise AdmissibleStateError unless min(rho) and min(h) exceed REGION_FLOOR."""

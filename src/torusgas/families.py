@@ -16,9 +16,9 @@ second is an approximate family
 which satisfies the system up to a residue appearing only in the fourth
 equation.  Its formula is written once, in ``_approx_deviation``; the
 member, its initial data and the assembled residual all build from it.
-The residue, its norm envelope, and the closed-form difference of the
-omega = +1 and omega = -1 members are provided as generators so
-downstream checks never rely on numerically assembled versions of them.
+The residue and the closed-form difference of the omega = +1 and
+omega = -1 members are provided as generators so downstream checks
+never rely on numerically assembled versions of them.
 The assembled residual applies :func:`euler.rhs_hat`, the kernel the
 solver integrates, so the residue identity checks that kernel; this
 module writes no product of the gas system itself.
@@ -41,7 +41,6 @@ __all__ = [
     "approx_time_derivative",
     "initial_data",
     "residue_field",
-    "residue_norm_bound",
     "approx_difference",
     "assemble_approx_residual",
     "residue_identity_errors",
@@ -175,21 +174,6 @@ def residue_field(f: FamilyParams, grid: TorusGrid, t: float) -> Field:
     b = f.n * yrow - f.omega * t
     prefactor = f.n ** (1.0 - 3.0 * f.s)
     return Field(grid, samples=prefactor * np.cos(a) * np.cos(b) * (np.sin(a) + np.sin(b)))
-
-
-def residue_norm_bound(f: FamilyParams, sigma: float) -> float:
-    """Reference envelope n^{2 sigma - 3s + 1} for the residue norm decay.
-
-    This is the constant-free shape of the analytic upper bound; scaling
-    experiments normalize it at their smallest n.
-    """
-    if not 1.0 < sigma <= f.s - 1.0:
-        raise ValueError(
-            f"sigma must lie in (1, s-1] = (1, {f.s - 1.0}], got {sigma}"
-        )
-    if f.n < 2:
-        raise ValueError("the envelope is meaningful only for n >= 2")
-    return float(f.n) ** (2.0 * sigma - 3.0 * f.s + 1.0)
 
 
 def approx_difference(n: int, s: float, grid: TorusGrid, t: float) -> State:

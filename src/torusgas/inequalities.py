@@ -52,7 +52,6 @@ __all__ = [
     "commutator_ratio",
     "reciprocal_ratio",
     "algebra_ratio",
-    "interpolation_gap",
     "interpolation_ratio",
     "family_seed",
     "RatioCheck",
@@ -350,18 +349,14 @@ def algebra_ratio(f: Field, g: Field, sigma: float) -> float:
     return numerator / denominator
 
 
-def interpolation_gap(u: Field, sigma: float, s: float, tau: float) -> float:
-    """Slack ||u||_sigma^alpha ||u||_tau^beta - ||u||_s of the interpolation bound.
+def interpolation_ratio(u: Field, sigma: float, s: float, tau: float) -> float:
+    """Bound-to-norm ratio (gap + ||u||_s) / ||u||_s of the interpolation bound.
 
-    alpha = (tau - s)/(tau - sigma) and beta = (s - sigma)/(tau - sigma).
-    Nonnegative up to round-off; exactly zero for single-mode spectra.
+    The bound is ||u||_sigma^alpha ||u||_tau^beta with
+    alpha = (tau - s)/(tau - sigma) and beta = (s - sigma)/(tau - sigma),
+    and the gap is the bound minus ||u||_s.  The ratio is at least 1 up to
+    round-off; 1 for u = 0 and for single-mode spectra.
     """
-    bound, norm_s = _interpolation_sides(u, sigma, s, tau)
-    return bound - norm_s
-
-
-def _interpolation_sides(u: Field, sigma: float, s: float, tau: float) -> tuple[float, float]:
-    """The bound ||u||_sigma^alpha ||u||_tau^beta and the norm ||u||_s it bounds."""
     if not sigma < s < tau:
         raise ValueError(
             f"orders must satisfy sigma < s < tau, got {sigma}, {s}, {tau}"
@@ -370,16 +365,8 @@ def _interpolation_sides(u: Field, sigma: float, s: float, tau: float) -> tuple[
     beta = (s - sigma) / (tau - sigma)
     norm_sigma = sobolev_norm(u, sigma)
     norm_tau = sobolev_norm(u, tau)
-    return norm_sigma**alpha * norm_tau**beta, sobolev_norm(u, s)
-
-
-def interpolation_ratio(u: Field, sigma: float, s: float, tau: float) -> float:
-    """Bound-to-norm ratio (gap + ||u||_s) / ||u||_s of the interpolation bound.
-
-    At least 1 up to round-off; 1 for u = 0 and for single-mode spectra.
-    """
-    bound, norm_s = _interpolation_sides(u, sigma, s, tau)
-    gap = bound - norm_s
+    norm_s = sobolev_norm(u, s)
+    gap = norm_sigma**alpha * norm_tau**beta - norm_s
     return (gap + norm_s) / norm_s if norm_s > 0.0 else 1.0
 
 

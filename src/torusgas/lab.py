@@ -1,18 +1,19 @@
 """Experiment runners: scaling studies and the nonuniform-dependence run.
 
-Each runner consumes an :class:`ExperimentConfig` and returns a
-:class:`Report` whose rows are dicts keyed by CSV column, in column order.
-When an output directory is set, the report is written as
-``<experiment>.csv`` plus a ``summary.json`` with the pass verdict, the
-fitted exponents of scaling studies, the run parameters and the details.
-Both come straight from the standard library: :func:`csv.writer` writes
-floats at full precision (their repr) and None as an empty cell, and
-:func:`json.dump` writes the summary with sorted keys and a two-space
-indent.  Reports are deterministic: identical config and seed give
-byte-identical files.  ``threads`` counts pool workers over the four
-checks of the inequality sweeps; the other experiments ignore it.
-:data:`EXPERIMENTS` is the one table of experiments: each name maps to its
-runner, default ``n_list`` and CLI help.
+:func:`run_experiment` is the one way to run an experiment: it takes the
+runner that :data:`EXPERIMENTS` names for an :class:`ExperimentConfig`,
+calls it, and writes the :class:`Report` it returns.  :data:`EXPERIMENTS`
+is the one table of experiments: each name maps to its private runner,
+default ``n_list`` and CLI help.  A report's rows are dicts keyed by CSV
+column, in column order.  When an output directory is set, the report is
+written as ``<experiment>.csv`` plus a ``summary.json`` with the pass
+verdict, the fitted exponents of scaling studies, the run parameters and
+the details.  Both come straight from the standard library:
+:func:`csv.writer` writes floats at full precision (their repr) and None as
+an empty cell, and :func:`json.dump` writes the summary with sorted keys
+and a two-space indent.  Reports are deterministic: identical config and
+seed give byte-identical files.  ``threads`` counts pool workers over the
+four checks of the inequality sweeps; the other experiments ignore it.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ __all__ = [
     "fit_loglog_slope",
     "default_config",
     "config_from_dict",
-    "run_nonuniform",
-    "run_residue_scaling",
-    "run_error_scaling",
-    "run_exact_check",
-    "run_higher_norm",
-    "run_inequalities",
     "run_experiment",
 ]
 
@@ -320,10 +315,10 @@ def _fit_over_n(
     return fitted, rows
 
 
-def _emit(cfg: ExperimentConfig, report: Report) -> Report:
+def _emit(cfg: ExperimentConfig, report: Report) -> None:
     """Write ``<experiment>.csv`` and ``summary.json`` when an output dir is set."""
     if cfg.output_dir is None:
-        return report
+        return
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{report.experiment}.csv", "w", encoding="ascii", newline="") as handle:
@@ -350,12 +345,6 @@ def _emit(cfg: ExperimentConfig, report: Report) -> Report:
     with open(out / "summary.json", "w", encoding="ascii") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return report
-
-
-def _require_experiment(cfg: ExperimentConfig, name: str) -> None:
-    if cfg.experiment != name:
-        raise ValueError(f"config is for {cfg.experiment!r}, expected {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +352,8 @@ def _require_experiment(cfg: ExperimentConfig, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_residue_scaling(cfg: ExperimentConfig) -> Report:
+def _residue_scaling(cfg: ExperimentConfig) -> Report:
     """Norm decay of the residue at t = 0 against the analytic envelope."""
-    _require_experiment(cfg, "residue_scaling")
     sigma, s = cfg.sigma, cfg.s
 
     def measure(n: int) -> float:
@@ -383,17 +371,14 @@ def run_residue_scaling(cfg: ExperimentConfig) -> Report:
         for row in rows
     )
     passed = abs(fitted - predicted) <= tolerance and below
-    return _emit(
-        cfg,
-        Report(
-            experiment="residue_scaling",
-            rows=rows,
-            passed=passed,
-            details={"envelope_exponent": envelope_exponent, "below_envelope": below},
-            fitted_slope=fitted,
-            predicted_slope=predicted,
-            slope_tolerance=tolerance,
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=rows,
+        passed=passed,
+        details={"envelope_exponent": envelope_exponent, "below_envelope": below},
+        fitted_slope=fitted,
+        predicted_slope=predicted,
+        slope_tolerance=tolerance,
     )
 
 
@@ -405,13 +390,12 @@ _EXACT_DEVIATION_TOL = 1e-8
 _EXACT_DIVERGENCE_TOL = 1e-10
 
 
-def run_exact_check(cfg: ExperimentConfig) -> Report:
+def _exact_check(cfg: ExperimentConfig) -> Report:
     """Propagate the exact family and measure deviation from the closed form.
 
     The report's scaling rows are a time-step refinement triple at the
     largest n, whose fitted slope is the observed convergence order.
     """
-    _require_experiment(cfg, "exact_check")
     g, s = cfg.gas, cfg.s
 
     def deviation_run(n: int, solve: SolveConfig = cfg.solve) -> tuple[float, ...]:
@@ -444,24 +428,21 @@ def run_exact_check(cfg: ExperimentConfig) -> Report:
         and max_dev <= _EXACT_DEVIATION_TOL
         and max_div <= _EXACT_DIVERGENCE_TOL
     )
-    return _emit(
-        cfg,
-        Report(
-            experiment="exact_check",
-            rows=_scaling_rows("dt", dts, errors, [1, 2, 4], -4.0),  # halving sequence
-            passed=passed,
-            details={
-                "max_deviation": max_dev,
-                "deviation_tolerance": _EXACT_DEVIATION_TOL,
-                "max_divergence_l2": max_div,
-                "divergence_tolerance": _EXACT_DIVERGENCE_TOL,
-                "n_list": list(cfg.n_list),
-                "base_dt": base_dt,
-            },
-            fitted_slope=order,
-            predicted_slope=4.0,
-            slope_tolerance=0.2,
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=_scaling_rows("dt", dts, errors, [1, 2, 4], -4.0),  # halving sequence
+        passed=passed,
+        details={
+            "max_deviation": max_dev,
+            "deviation_tolerance": _EXACT_DEVIATION_TOL,
+            "max_divergence_l2": max_div,
+            "divergence_tolerance": _EXACT_DIVERGENCE_TOL,
+            "n_list": list(cfg.n_list),
+            "base_dt": base_dt,
+        },
+        fitted_slope=order,
+        predicted_slope=4.0,
+        slope_tolerance=0.2,
     )
 
 
@@ -470,7 +451,7 @@ def run_exact_check(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def run_error_scaling(cfg: ExperimentConfig) -> Report:
+def _error_scaling(cfg: ExperimentConfig) -> Report:
     """Distance of evolved runs to the approximate family at the final time.
 
     The predicted exponent is beta = max(2 sigma - 3 s + 2, sigma - 2 s);
@@ -480,7 +461,6 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
     error is below 1% of the measured quantity; if it is not, the report
     is marked failed rather than trusted.
     """
-    _require_experiment(cfg, "error_scaling")
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
 
     def run_one(
@@ -512,24 +492,21 @@ def run_error_scaling(cfg: ExperimentConfig) -> Report:
 
     threshold = beta + 0.1
     monotone = all(b[1] > a[1] for a, b in zip(top["curve"], top["curve"][1:]))
-    return _emit(
-        cfg,
-        Report(
-            experiment="error_scaling",
-            rows=rows,
-            passed=fitted <= threshold and certified,
-            details={
-                "slope_threshold": threshold,
-                "control_relative_gap": control_gap,
-                "control_certified": certified,
-                "error_curve_largest_n": top["curve"],
-                "curve_monotone_increasing": monotone,
-                "growth_fit": _fit_growth_envelope(top["curve"], float(n_top) ** beta),
-            },
-            fitted_slope=fitted,
-            predicted_slope=beta,
-            slope_tolerance=0.1,
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=rows,
+        passed=fitted <= threshold and certified,
+        details={
+            "slope_threshold": threshold,
+            "control_relative_gap": control_gap,
+            "control_certified": certified,
+            "error_curve_largest_n": top["curve"],
+            "curve_monotone_increasing": monotone,
+            "growth_fit": _fit_growth_envelope(top["curve"], float(n_top) ** beta),
+        },
+        fitted_slope=fitted,
+        predicted_slope=beta,
+        slope_tolerance=0.1,
     )
 
 
@@ -558,9 +535,8 @@ def _fit_growth_envelope(curve: list[tuple[float, float]], scale: float) -> dict
 # ---------------------------------------------------------------------------
 
 
-def run_higher_norm(cfg: ExperimentConfig) -> Report:
+def _higher_norm(cfg: ExperimentConfig) -> Report:
     """Max-over-time norm of order tau = floor(s) + 1, base state removed."""
-    _require_experiment(cfg, "higher_norm")
     g, s = cfg.gas, cfg.s
     tau = float(math.floor(s) + 1)
 
@@ -581,23 +557,20 @@ def run_higher_norm(cfg: ExperimentConfig) -> Report:
         list(zip(cfg.n_list, (r["norm_t0"] for r in results)))
     )
     tolerance = 0.15
-    return _emit(
-        cfg,
-        Report(
-            experiment="higher_norm",
-            rows=rows,
-            passed=abs(fitted - predicted) <= tolerance,
-            details={
-                "tau": tau,
-                "initial_slope": slope_t0,
-                "normalized_ratios": [
-                    r["max_norm"] / float(r["n"]) ** predicted for r in results
-                ],
-            },
-            fitted_slope=fitted,
-            predicted_slope=predicted,
-            slope_tolerance=tolerance,
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=rows,
+        passed=abs(fitted - predicted) <= tolerance,
+        details={
+            "tau": tau,
+            "initial_slope": slope_t0,
+            "normalized_ratios": [
+                r["max_norm"] / float(r["n"]) ** predicted for r in results
+            ],
+        },
+        fitted_slope=fitted,
+        predicted_slope=predicted,
+        slope_tolerance=tolerance,
     )
 
 
@@ -646,7 +619,7 @@ def _require_mirror_image(mirrored: State, target: State, n: int) -> None:
         )
 
 
-def run_nonuniform(cfg: ExperimentConfig) -> Report:
+def _nonuniform(cfg: ExperimentConfig) -> Report:
     """Evolve data pairs whose initial distance shrinks like 1/n.
 
     For each n only the omega = +1 initial state is evolved, on one 2*pi/n
@@ -662,7 +635,6 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
     final-time separation floor, and the triangle-inequality consistency
     of each row.
     """
-    _require_experiment(cfg, "nonuniform")
     g, s, sigma = cfg.gas, cfg.s, cfg.sigma
 
     def run_pair(n: int) -> list[dict]:
@@ -728,24 +700,21 @@ def run_nonuniform(cfg: ExperimentConfig) -> Report:
             triangle_ok = False
 
     passed = d0_exact and d0_decreasing and floor_held and triangle_ok
-    return _emit(
-        cfg,
-        Report(
-            experiment="nonuniform",
-            rows=rows,
-            passed=passed,
-            details={
-                "d0_formula_errors": {str(n): err for n, err in d0_errors.items()},
-                "d0_exact": d0_exact,
-                "d0_decreasing": d0_decreasing,
-                "final_separation": {str(r["n"]): r["pair_dist_s"] for r in final_rows},
-                "floor_factor": _FLOOR_FACTOR,
-                "floor_min_n": _FLOOR_MIN_N,
-                "floor_held": floor_held,
-                "triangle_ok": triangle_ok,
-                "triangle_worst_margin": worst_margin,
-            },
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=rows,
+        passed=passed,
+        details={
+            "d0_formula_errors": {str(n): err for n, err in d0_errors.items()},
+            "d0_exact": d0_exact,
+            "d0_decreasing": d0_decreasing,
+            "final_separation": {str(r["n"]): r["pair_dist_s"] for r in final_rows},
+            "floor_factor": _FLOOR_FACTOR,
+            "floor_min_n": _FLOOR_MIN_N,
+            "floor_held": floor_held,
+            "triangle_ok": triangle_ok,
+            "triangle_worst_margin": worst_margin,
+        },
     )
 
 
@@ -758,12 +727,11 @@ _EQUALITY_TOL = 1e-12
 _STABILITY_TOL = 0.10
 
 
-def run_inequalities(cfg: ExperimentConfig) -> Report:
+def _inequalities(cfg: ExperimentConfig) -> Report:
     """Seeded-family sweeps of the four inequality checks at two grid sizes.
 
     Interpolation is judged on its base-grid ratios, the others on refinement drift.
     """
-    _require_experiment(cfg, "inequalities")
     base_n, refined_n = cfg.n_list
     grids = (make_grid(base_n), make_grid(refined_n))
     sigma, s = cfg.sigma, cfg.s
@@ -808,20 +776,17 @@ def run_inequalities(cfg: ExperimentConfig) -> Report:
         }
         for name in orders
     ]
-    return _emit(
-        cfg,
-        Report(
-            experiment="inequalities",
-            rows=rows,
-            passed=passed,
-            details={
-                "grid_sizes": [base_n, refined_n],
-                "gap_violations": violations,
-                "single_mode_probes": probes.size,
-                "refinement_drift": stability,
-                "stability_tolerance": _STABILITY_TOL,
-            },
-        ),
+    return Report(
+        experiment=cfg.experiment,
+        rows=rows,
+        passed=passed,
+        details={
+            "grid_sizes": [base_n, refined_n],
+            "gap_violations": violations,
+            "single_mode_probes": probes.size,
+            "refinement_drift": stability,
+            "stability_tolerance": _STABILITY_TOL,
+        },
     )
 
 
@@ -834,30 +799,32 @@ class _Experiment(NamedTuple):
 #: The experiments by name: runner, default ``n_list`` and CLI help.
 EXPERIMENTS = {
     "nonuniform": _Experiment(
-        run_nonuniform,
+        _nonuniform,
         (4, 8, 16, 32),
         "shrinking initial distances against persistent separation",
     ),
     "residue_scaling": _Experiment(
-        run_residue_scaling, (4, 8, 16, 32, 64), "norm decay of the family residue"
+        _residue_scaling, (4, 8, 16, 32, 64), "norm decay of the family residue"
     ),
     "error_scaling": _Experiment(
-        run_error_scaling,
+        _error_scaling,
         (8, 16, 32),
         "distance of evolved runs to the approximate family",
     ),
     "exact_check": _Experiment(
-        run_exact_check, (8,), "propagation accuracy on the exact family"
+        _exact_check, (8,), "propagation accuracy on the exact family"
     ),
     "higher_norm": _Experiment(
-        run_higher_norm, (8, 16, 32), "growth of the above-regularity norm"
+        _higher_norm, (8, 16, 32), "growth of the above-regularity norm"
     ),
     "inequalities": _Experiment(
-        run_inequalities, (64, 128), "seeded sweeps of the inequality toolbox"
+        _inequalities, (64, 128), "seeded sweeps of the inequality toolbox"
     ),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Dispatch to the runner named by the config."""
-    return EXPERIMENTS[cfg.experiment].runner(cfg)
+    """Run the experiment the config names and write its report when an output dir is set."""
+    report = EXPERIMENTS[cfg.experiment].runner(cfg)
+    _emit(cfg, report)
+    return report

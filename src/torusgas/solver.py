@@ -88,10 +88,6 @@ class Trajectory:
         if len(diffs) and not np.all(diffs > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
 
-    @property
-    def final_state(self) -> State:
-        return self.states[-1]
-
 
 class _RK4:
     """Classical RK4 steps of size dt on one grid, in two kept state-sized arrays.

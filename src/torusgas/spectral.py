@@ -205,10 +205,6 @@ class TorusGrid:
         Side length 2*pi/cells of the cell.
     x : ndarray
         Node coordinates ``period*j/size`` for one axis.
-    wavenumbers : ndarray
-        Integer kx table in cell units and standard DFT bin order.  Bin j
-        holds the representative of j mod size taken from
-        {-size/2+1, ..., size/2}.
     ikx, iky : ndarray
         Derivative multipliers i*cells*kx, shape (N, 1), and i*cells*ky,
         shape (1, N/2 + 1).  The sign-ambiguous bin N/2 is zeroed in both,
@@ -224,7 +220,6 @@ class TorusGrid:
     size: int
     cells: int = 1
     x: np.ndarray = field(init=False, repr=False, compare=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     ikx: np.ndarray = field(init=False, repr=False, compare=False)
     iky: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -252,7 +247,6 @@ class TorusGrid:
         weights[[0, -1]] = 1.0
         tables = {
             "x": self.period * np.arange(n) / n,
-            "wavenumbers": k,
             "ikx": (1j * kx_deriv)[:, None],
             "iky": (1j * ky_deriv)[None, :],
             "dealias_mask": (np.abs(k)[:, None] <= cutoff) & (ky[None, :] <= cutoff),
@@ -447,8 +441,14 @@ def partial_y(f: Field) -> Field:
 
 def lambda_pow(f: Field, sigma: float) -> Field:
     """Apply the Fourier multiplier (1 + |k|^2)^(sigma/2)."""
-    weight = f.grid.one_plus_ksq ** (0.5 * float(sigma))
+    weight = _lambda_weight(f.grid, float(sigma))
     return Field._adopt(f.grid, coefficients=f.coefficients * weight)
+
+
+@lru_cache(maxsize=64)
+def _lambda_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
+    """The multiplier (1 + |k|^2)^(sigma/2) of each half-plane bin, built once per (grid, sigma)."""
+    return _frozen(grid.one_plus_ksq ** (0.5 * sigma))
 
 
 def sobolev_norm(f: Field, sigma: float) -> float:
@@ -476,8 +476,8 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     heap, where a block that lives on after the run that allocated it keeps
     the heap below it from being returned.  error_scaling at T = 0.25 with
     two threads, run as the benchmark's ``error_scaling_short`` through
-    ``bench/child.py``, peaked at 134.4 MiB with mapped tables and at
-    135.8 MiB with heap tables (medians of 3 runs each on a 2-core Xeon).
+    ``bench/child.py``, peaked at 122.3-122.5 MiB with mapped tables and at
+    132.1-132.2 MiB with heap tables (3 runs each on a 2-core Xeon).
     """
     values = grid.one_plus_ksq**sigma * grid.column_weights
     table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)

@@ -1,8 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from torusgas import spectral
+
+
+@pytest.fixture(scope="session")
+def compare():
+    """``bench/compare.py``, the artifact comparison of the golden and reference sets."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@
 
 Each test prints ``criterion k (<name>): PASS|FAIL (...)`` on the live
 terminal before asserting, so a full run always shows all nine verdicts.
+Criteria 6 and 9 run their experiments at the default config, so they
+also compare the artifacts with ``bench/reference/``, reading it only.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,18 +22,11 @@ from torusgas.euler import (
     symmetrizer_floor,
 )
 from torusgas.families import FamilyParams, residue_identity_errors
-from torusgas.lab import (
-    default_config,
-    run_error_scaling,
-    run_exact_check,
-    run_higher_norm,
-    run_inequalities,
-    run_nonuniform,
-    run_residue_scaling,
-)
+from torusgas.lab import default_config, run_experiment
 from torusgas.spectral import make_grid, sobolev_norm, synthesize
 
 GAS = GasParams()
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def _verdict(capsys, number, name, passed, detail):
@@ -129,7 +125,7 @@ def test_criterion_3_residue_identity(capsys):
 
 
 def test_criterion_4_residue_scaling(capsys):
-    report = run_residue_scaling(default_config("residue_scaling"))
+    report = run_experiment(default_config("residue_scaling"))
     slope_ok = abs(report.fitted_slope - (-6.5)) <= 0.05
     passed = report.passed and slope_ok and report.details["below_envelope"]
     _verdict(
@@ -143,7 +139,7 @@ def test_criterion_4_residue_scaling(capsys):
 
 
 def test_criterion_5_exact_family(capsys):
-    report = run_exact_check(default_config("exact_check"))
+    report = run_experiment(default_config("exact_check"))
     passed = (
         report.passed
         and report.details["max_deviation"] <= 1e-8
@@ -161,10 +157,11 @@ def test_criterion_5_exact_family(capsys):
     )
 
 
-def test_criterion_6_nonuniform_dependence(capsys):
+def test_criterion_6_nonuniform_dependence(capsys, tmp_path, compare):
     started = time.perf_counter()
-    report = run_nonuniform(default_config("nonuniform"))
+    report = run_experiment(default_config("nonuniform", output_dir=str(tmp_path)))
     elapsed = time.perf_counter() - started
+    differences = compare.compare_dirs(tmp_path, REFERENCE / "nonuniform")
     details = report.details
     passed = (
         report.passed
@@ -173,6 +170,7 @@ def test_criterion_6_nonuniform_dependence(capsys):
         and details["floor_held"]
         and details["triangle_ok"]
         and elapsed <= 300.0
+        and differences == []
     )
     last = report.rows[-1]  # rows run over n, then t, so this is the largest n
     d0_small = last["d0"]
@@ -183,12 +181,12 @@ def test_criterion_6_nonuniform_dependence(capsys):
         "nonuniform dependence",
         passed,
         f"d0 shrinks to {d0_small:.4f} while separation stays {sep:.4f}, "
-        f"{elapsed:.0f} s",
+        f"{elapsed:.0f} s, reference differences {differences}",
     )
 
 
 def test_criterion_7_error_scaling(capsys):
-    report = run_error_scaling(default_config("error_scaling"))
+    report = run_experiment(default_config("error_scaling"))
     passed = (
         report.passed
         and report.fitted_slope <= -2.4
@@ -205,7 +203,7 @@ def test_criterion_7_error_scaling(capsys):
 
 
 def test_criterion_8_higher_norm(capsys):
-    report = run_higher_norm(default_config("higher_norm"))
+    report = run_experiment(default_config("higher_norm"))
     passed = report.passed and abs(report.fitted_slope - 1.0) <= 0.15
     _verdict(
         capsys,
@@ -216,8 +214,9 @@ def test_criterion_8_higher_norm(capsys):
     )
 
 
-def test_criterion_9_inequalities(capsys):
-    report = run_inequalities(default_config("inequalities"))
+def test_criterion_9_inequalities(capsys, tmp_path, compare):
+    report = run_experiment(default_config("inequalities", output_dir=str(tmp_path)))
+    differences = compare.compare_dirs(tmp_path, REFERENCE / "inequalities")
     interp = report.rows[-1]
     equality_ok = interp["equality_cases"] == report.details["single_mode_probes"]
     drift = max(report.details["refinement_drift"].values())
@@ -226,6 +225,7 @@ def test_criterion_9_inequalities(capsys):
         and report.details["gap_violations"] == 0
         and equality_ok
         and drift <= 0.10
+        and differences == []
     )
     _verdict(
         capsys,
@@ -234,5 +234,5 @@ def test_criterion_9_inequalities(capsys):
         passed,
         f"gap violations {report.details['gap_violations']}, "
         f"equality cases {interp['equality_cases']}, "
-        f"max refinement drift {drift:.2%}",
+        f"max refinement drift {drift:.2%}, reference differences {differences}",
     )

@@ -187,12 +187,6 @@ class TestState:
         with pytest.raises(ValueError, match=r"different grids: .*cells=2"):
             State(*(constant_field(g, 1.0) for g in (full, full, cell, full)))
 
-    def test_minima(self):
-        grid = make_grid(16)
-        s = constant_state(grid, 1.5, 0.0, 0.0, 0.25)
-        assert s.min_rho() == 1.5
-        assert s.min_h() == 0.25
-
     def test_admissibility_message_names_field(self):
         grid = make_grid(16)
         s = constant_state(grid, 1.0, 0.0, 0.0, 1.0)

@@ -22,7 +22,6 @@ from torusgas.families import (
     initial_data,
     residue_field,
     residue_identity_errors,
-    residue_norm_bound,
 )
 from torusgas.spectral import make_grid, sobolev_norm
 
@@ -263,43 +262,6 @@ class TestResidue:
             for n in ns
         ]
         assert abs(fit_slope(ns, values) - (sigma - 3.0 * s + 1.0)) <= 0.05
-        # stays below 10x the bound envelope anchored at the smallest n
-        anchor = values[0] / residue_norm_bound(FamilyParams(1, ns[0], s), sigma)
-        for n, value in zip(ns, values):
-            envelope = anchor * residue_norm_bound(FamilyParams(1, n, s), sigma)
-            assert value <= 10.0 * envelope
-
-
-class TestResidueNormBound:
-    def test_round_number_value(self):
-        assert residue_norm_bound(FamilyParams(1, 10, 3.0), 1.5) == pytest.approx(1e-5)
-
-    def test_sigma_boundary(self):
-        residue_norm_bound(FamilyParams(1, 4, 3.0), 2.0)  # sigma = s-1 accepted
-        with pytest.raises(ValueError, match="sigma"):
-            residue_norm_bound(FamilyParams(1, 4, 3.0), 3.0)
-        with pytest.raises(ValueError, match="sigma"):
-            residue_norm_bound(FamilyParams(1, 4, 3.0), 1.0)
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            residue_norm_bound(FamilyParams(1, 1, 3.0), 1.5)
-
-    def test_exponent_negative(self):
-        for s, sigma in ((2.5, 1.4), (3.0, 2.0), (4.0, 2.9)):
-            assert 2.0 * sigma - 3.0 * s + 1.0 < 0.0
-            bound = residue_norm_bound(FamilyParams(1, 8, s), sigma)
-            assert bound < 1.0
-
-    def test_measured_over_bound_decays(self):
-        s, sigma = 3.0, 1.5
-        ratios = []
-        for n in (4, 8, 16):
-            grid = make_grid(8 * n)
-            f = FamilyParams(1, n, s)
-            measured = sobolev_norm(residue_field(f, grid, 0.0), sigma)
-            ratios.append(measured / residue_norm_bound(f, sigma))
-        assert ratios[0] > ratios[1] > ratios[2]
 
 
 class TestApproxDifference:

@@ -9,7 +9,6 @@ thread count leaves every artifact unchanged, and that only the inequality
 sweeps start a thread pool.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -17,12 +16,7 @@ import pytest
 from torusgas import lab
 from torusgas.lab import config_from_dict, run_experiment
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
-
-_spec = importlib.util.spec_from_file_location("bench_compare", ROOT / "bench" / "compare.py")
-compare = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _SHORT = {"n_list": [4, 8, 16], "solve": {"T": 0.1}}
 
@@ -37,7 +31,7 @@ CONFIGS = {
 
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
-def test_golden_artifacts(experiment, tmp_path):
+def test_golden_artifacts(experiment, tmp_path, compare):
     cfg = config_from_dict({**CONFIGS[experiment], "output_dir": str(tmp_path)}, experiment)
     run_experiment(cfg)
     assert compare.compare_dirs(tmp_path, GOLDEN / experiment) == []

@@ -16,13 +16,7 @@ from torusgas.lab import (
     config_from_dict,
     default_config,
     fit_loglog_slope,
-    run_error_scaling,
-    run_exact_check,
     run_experiment,
-    run_higher_norm,
-    run_inequalities,
-    run_nonuniform,
-    run_residue_scaling,
     _emit,
     _evolve_recorded,
     _mirror,
@@ -232,7 +226,7 @@ class TestConfigFromDict:
 class TestReports:
     def test_scaling_run_needs_three_n(self):
         with pytest.raises(ValueError, match="at least 3"):
-            run_residue_scaling(default_config("residue_scaling", n_list=(4, 8)))
+            run_experiment(default_config("residue_scaling", n_list=(4, 8)))
 
     def test_summaries(self):
         nu = Report(experiment="nonuniform", rows=[], passed=True)
@@ -327,7 +321,7 @@ class TestResidueScaling:
         cfg = default_config(
             "residue_scaling", n_list=(4, 8, 16), output_dir=str(tmp_path)
         )
-        report = run_residue_scaling(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.predicted_slope == pytest.approx(-6.5)
         assert abs(report.fitted_slope - report.predicted_slope) <= 0.05
@@ -344,13 +338,13 @@ class TestResidueScaling:
 
     def test_no_output_dir_writes_nothing(self, tmp_path):
         cfg = default_config("residue_scaling", n_list=(4, 8, 16))
-        run_residue_scaling(cfg)
+        run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_artifacts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            run_residue_scaling(
+            run_experiment(
                 default_config(
                     "residue_scaling", n_list=(4, 8, 16), output_dir=str(out)
                 )
@@ -362,15 +356,11 @@ class TestResidueScaling:
             out_b / "summary.json"
         ).read_bytes()
 
-    def test_wrong_config_rejected(self):
-        with pytest.raises(ValueError, match="expected 'residue_scaling'"):
-            run_residue_scaling(default_config("nonuniform"))
-
 
 class TestExactCheck:
     def test_single_family_run(self, tmp_path):
         cfg = default_config("exact_check", output_dir=str(tmp_path))
-        report = run_exact_check(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.fitted_slope >= 3.8
         assert report.details["max_deviation"] <= 1e-8
@@ -386,7 +376,7 @@ class TestExactCheck:
 class TestErrorScaling:
     def test_small_sweep(self):
         cfg = default_config("error_scaling", n_list=(2, 4, 8))
-        report = run_error_scaling(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.predicted_slope == pytest.approx(-4.0)  # max(2s-3s+2, s-2s) map
         assert report.fitted_slope <= report.details["slope_threshold"]
@@ -398,14 +388,14 @@ class TestErrorScaling:
     def test_too_short_for_a_growth_fit(self):
         # T = 0.002 records only t = 0 and T: one interior point, no fit
         cfg = default_config("error_scaling", n_list=(4, 8, 16), solve=SolveConfig(T=0.002))
-        fit = run_error_scaling(cfg).details["growth_fit"]
+        fit = run_experiment(cfg).details["growth_fit"]
         assert fit == {"c": None, "K": None, "spread": None}
 
 
 class TestHigherNorm:
     def test_small_sweep(self):
         cfg = default_config("higher_norm", n_list=(4, 8, 16))
-        report = run_higher_norm(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.details["tau"] == 4.0
         assert report.predicted_slope == pytest.approx(1.0)
@@ -417,7 +407,7 @@ class TestHigherNorm:
 class TestNonuniform:
     def test_two_family_run(self, tmp_path):
         cfg = default_config("nonuniform", n_list=(4, 16), output_dir=str(tmp_path))
-        report = run_nonuniform(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         d0 = {row["n"]: row["d0"] for row in report.rows}
         assert sorted(d0) == [4, 16]
@@ -486,7 +476,7 @@ class TestNonuniformMirror:
 
         monkeypatch.setattr(solver, "evolve", counting_evolve)
         cfg = default_config("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
-        run_nonuniform(cfg)
+        run_experiment(cfg)
         assert sorted(sizes) == [(8, 2), (8, 4)]  # one grid_rule-point cell per n
 
     def test_broken_mirror_image_raises(self, monkeypatch):
@@ -502,14 +492,14 @@ class TestNonuniformMirror:
         monkeypatch.setattr(families, "initial_data", skewed_initial_data)
         cfg = default_config("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
         with pytest.raises(RuntimeError, match="not a mirror image"):
-            run_nonuniform(cfg)
+            run_experiment(cfg)
 
 
 def _pinned_torus_grid(size: int) -> TorusGrid:
     """A fresh whole-torus grid whose derivative tables, the ones evolve reads,
     are set from their closed forms written without cells: i*k, bin N/2 zeroed."""
     grid = TorusGrid(size)
-    kx, ky = grid.wavenumbers.astype(float), np.arange(size // 2 + 1, dtype=float)
+    kx, ky = np.fft.fftfreq(size, 1.0 / size), np.arange(size // 2 + 1, dtype=float)
     kx[size // 2] = ky[-1] = 0.0
     object.__setattr__(grid, "ikx", (1j * kx)[:, None])
     object.__setattr__(grid, "iky", (1j * ky)[None, :])
@@ -531,7 +521,8 @@ class TestCellGridEvolve:
         )
         assert on_full.times == on_cell.times and len(on_cell.times) > 10
         # the torus coefficient at n*k is the cell coefficient at k
-        lattice = np.ix_((n * cell.wavenumbers) % full.size, n * np.arange(5))
+        k = np.fft.fftfreq(cell.size, 1.0 / cell.size).astype(int)
+        lattice = np.ix_((n * k) % full.size, n * np.arange(5))
         for state_full, state_cell in zip(on_full.states, on_cell.states):
             scale = max(np.max(np.abs(f.samples)) for f in state_cell.fields())
             for a, b in zip(state_full.fields(), state_cell.fields()):
@@ -545,7 +536,8 @@ class TestCellGridEvolve:
         traj, _ = _evolve_recorded(s0, gas, SolveConfig(T=1.0), "nonuniform", n)
         columns = np.arange(grid.size // 2 + 1)
         off_lattice = np.ones((grid.size, columns.size), dtype=bool)
-        off_lattice[np.ix_(grid.wavenumbers % n == 0, columns % n == 0)] = False
+        rows = np.fft.fftfreq(grid.size, 1.0 / grid.size)
+        off_lattice[np.ix_(rows % n == 0, columns % n == 0)] = False
         for state in traj.states:
             scale = max(np.max(np.abs(f.samples)) for f in state.fields())
             for f in state.fields():
@@ -570,7 +562,7 @@ class TestInequalitiesRunner:
         cfg = default_config(
             "inequalities", n_list=(32, 64), family_size=40, output_dir=str(tmp_path)
         )
-        report = run_inequalities(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         checks = [row["check"] for row in report.rows]
         assert checks == ["commutator", "reciprocal", "algebra", "interpolation"]

@@ -13,7 +13,7 @@ from torusgas import spectral
 from torusgas.euler import GasParams, rhs_hat, state_to_hat
 from torusgas.families import FamilyParams, initial_data
 from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
-from torusgas.lab import default_config, run_nonuniform
+from torusgas.lab import default_config, run_experiment
 from torusgas.spectral import (
     Field,
     TorusGrid,
@@ -54,8 +54,10 @@ class TestMakeGrid:
         assert np.allclose(grid.x, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
     def test_wavenumber_table_n8(self):
+        # DFT bin order, the half-way bin zeroed in the derivative table
         grid = make_grid(8)
-        assert grid.wavenumbers.tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
+        assert (grid.ikx[:, 0] / 1j).real.tolist() == [0, 1, 2, 3, 0, -3, -2, -1]
+        assert grid.one_plus_ksq[:, 0].tolist() == [1, 2, 5, 10, 17, 10, 5, 2]
 
     def test_rejects_odd_size(self):
         with pytest.raises(ValueError, match="even"):
@@ -93,8 +95,6 @@ class TestCellGrid:
 
     def test_tables_scale_by_cells(self):
         cell, full = make_grid(8, 4), make_grid(8)
-        k = full.wavenumbers
-        assert np.array_equal(cell.wavenumbers, k)
         assert np.array_equal(cell.ikx, 4 * full.ikx)
         assert np.array_equal(cell.iky, 4 * full.iky)
         assert np.array_equal(cell.one_plus_ksq, 1.0 + 16 * (full.one_plus_ksq - 1.0))
@@ -121,7 +121,7 @@ class TestCellGrid:
 
     def test_cells_one_tables_are_the_whole_torus_formulas(self):
         grid = make_grid(16)
-        k = grid.wavenumbers.astype(float)
+        k = np.fft.fftfreq(16, 1.0 / 16)
         ky = np.arange(9, dtype=float)
         kx_d, ky_d = k.copy(), ky.copy()
         kx_d[8] = ky_d[8] = 0.0
@@ -145,7 +145,7 @@ class TestCellGrid:
         cell = synthesize(make_grid(16, cells), modes)
         full = synthesize(make_grid(16 * cells), modes)
         assert np.allclose(full.samples[:16, :16], cell.samples, atol=1e-14)
-        rows = (cells * cell.grid.wavenumbers) % full.grid.size
+        rows = (cells * np.fft.fftfreq(16, 1.0 / 16).astype(int)) % full.grid.size
         cols = cells * np.arange(9)
         assert np.allclose(full.coefficients[np.ix_(rows, cols)], cell.coefficients, atol=1e-15)
         for sigma in (0.0, 1.5, 3.0):
@@ -336,6 +336,15 @@ class TestLambdaPow:
         g = lambda_pow(lambda_pow(f, 1.7), -1.7)
         scale = np.max(np.abs(f.samples))
         assert np.max(np.abs(g.samples - f.samples)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("size, cells", [(16, 1), (64, 1), (8, 4)])
+    def test_cached_multiplier_matches_formula(self, size, cells):
+        # the multiplier is cached per (grid, sigma); the values stay bit for bit
+        grid = make_grid(size, cells)
+        f = Field(grid, samples=np.random.default_rng(size).standard_normal((size, size)))
+        for sigma in (1.5, 3, -1.7, 1.5):
+            expected = f.coefficients * grid.one_plus_ksq ** (0.5 * float(sigma))
+            assert lambda_pow(f, sigma).coefficients.tobytes() == expected.tobytes()
 
     @given(
         a=st.floats(min_value=-2.0, max_value=2.0),
@@ -582,7 +591,7 @@ class TestKernelAdapter:
 
         for name in PUBLIC_TRANSFORMS:
             monkeypatch.setattr(sfft, name, refuse)
-        report = run_nonuniform(default_config("nonuniform", n_list=(4, 8)))
+        report = run_experiment(default_config("nonuniform", n_list=(4, 8)))
         assert {row["n"] for row in report.rows} == {4, 8}
         grid = make_grid(32)
         f, g = (random_field(grid, RandomFieldSpec(max_mode=6, seed=k)) for k in (1, 2))
