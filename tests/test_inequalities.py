@@ -423,7 +423,8 @@ class TestInterpolationGap:
         grid = make_grid(64)
         for kx, ky in [(0, 1), (2, 3), (5, -4)]:
             u = synthesize(grid, [(kx, ky, 1.3, "cos", 0.7)])
-            assert abs(interpolation_ratio(u, 1.5, 3.0, 4.0) - 1.0) <= 1e-12
+            gap = (interpolation_ratio(u, 1.5, 3.0, 4.0) - 1.0) * sobolev_norm(u, 3.0)
+            assert abs(gap) <= 1e-12
 
     def test_two_mode_strictly_positive(self):
         grid = make_grid(64)
