@@ -9,16 +9,16 @@ the Sobolev algebra property, and the interpolation inequality
 finiteness, refinement stability, and exact equality cases are testable;
 the interpolation check scores ||u||_sigma^alpha ||u||_tau^beta / ||u||_s,
 which is at least 1.  :data:`RATIO_CHECKS` is the one table of the four
-ratio checks: how each draws its member factors and which orders it
-takes.  :func:`family_ratios` is the one loop that sweeps a check over its
-seeded family.
+ratio checks: how each draws its member factors and the values of its
+orders at s.  :func:`family_ratios` is the one loop that sweeps a check
+over its seeded family.
 
-A family member is made in two steps.  Its mode rows (wavenumber,
-amplitude, phase) are drawn once from its seed and turned into half-plane
-coefficients with signed wavenumbers; these hold no grid and are then
-scattered onto each grid, which checks that the modes fit that grid's
-dealias band.  So :func:`family_ratios` scores every member on all its
-grids from one draw, and the refined sweep sees the same functions.
+A family member's modes (wavenumber, amplitude, phase) are drawn once
+from its seed straight into grid-free half-plane rows (:class:`_HalfPlane`:
+signed kx, ky >= 0, coefficient value).  One scatter puts the rows on a
+grid and checks that the modes fit that grid's dealias band.  So
+:func:`family_ratios` scores every member on all its grids from one draw,
+and the refined sweep sees the same functions.
 
 Products of band-limited fields are formed on a doubled grid where they
 are alias-free, then restricted to the representable band of the original
@@ -35,6 +35,7 @@ new arrays, and the product's field owns them without a copy.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,21 +81,6 @@ class RandomFieldSpec:
             raise TypeError(f"seed must be an integer, got {self.seed!r}")
 
 
-class _Modes(NamedTuple):
-    """Mode rows (kx, ky, amplitude, phase) of a real trig polynomial, as columns.
-
-    Every wavenumber lies in the half-plane box |kx|, |ky| <= max_mode; the
-    rows hold no grid, so the same modes denote the same continuum function
-    at every resolution.
-    """
-
-    max_mode: int
-    kx: np.ndarray
-    ky: np.ndarray
-    amplitude: np.ndarray
-    phase: np.ndarray
-
-
 @lru_cache(maxsize=16)
 def _mode_table(max_mode: int, decay: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(kx, ky, weight) of the half-plane modes up to max_mode, in draw order."""
@@ -111,15 +97,6 @@ def _mode_table(max_mode: int, decay: float) -> tuple[np.ndarray, np.ndarray, np
     return table
 
 
-def _random_modes(spec: RandomFieldSpec) -> _Modes:
-    """Draw the mode rows of a spec: one normal amplitude, then one phase, per mode."""
-    kx, ky, weight = _mode_table(spec.max_mode, spec.spectrum_decay)
-    rng = np.random.default_rng(spec.seed)
-    # 2 pi * random() is the value uniform(0, 2 pi) draws from the same state
-    draws = np.array([draw() for draw in (rng.standard_normal, rng.random) * kx.size])
-    return _Modes(spec.max_mode, kx, ky, draws[0::2] * weight, 2.0 * np.pi * draws[1::2])
-
-
 class _HalfPlane(NamedTuple):
     """Half-plane bins (signed kx, ky >= 0) and values of the modes of a real trig polynomial.
 
@@ -134,38 +111,59 @@ class _HalfPlane(NamedTuple):
     value: np.ndarray
 
 
-def _half_plane(modes: _Modes) -> _HalfPlane:
-    """The half-plane rows of the modes, computed once for every grid."""
-    half = 0.5 * modes.amplitude * np.exp(1j * modes.phase)
-    flip = modes.ky < 0
+def _half_plane(max_mode: int, kx, ky, amplitude, phase) -> _HalfPlane:
+    """The half-plane rows of the modes amplitude cos(kx x + ky y + phase), as columns."""
+    half = 0.5 * amplitude * np.exp(1j * phase)
+    flip = ky < 0
     half = np.where(flip, np.conj(half), half)
-    kx = np.where(flip, -modes.kx, modes.kx)
-    ky = np.abs(modes.ky)
+    kx = np.where(flip, -kx, kx)
+    ky = np.abs(ky)
     axis = ky == 0
     return _HalfPlane(
-        modes.max_mode,
+        max_mode,
         np.concatenate([kx, -kx[axis]]),
         np.concatenate([ky, ky[axis]]),
         np.concatenate([half, np.conj(half[axis])]),
     )
 
 
-def _scatter(grid: TorusGrid, rows: _HalfPlane) -> np.ndarray:
-    """Half-plane coefficients of the rows on a grid, one scatter into disjoint bins."""
-    if rows.max_mode > grid.dealias_cutoff:
+def _random_rows(spec: RandomFieldSpec, l1_norm: float | None = None) -> _HalfPlane:
+    """Draw the rows of a spec: one normal amplitude, then one phase, per mode.
+
+    With ``l1_norm`` the amplitudes are scaled to that l1 norm (all zero stays zero).
+    """
+    kx, ky, weight = _mode_table(spec.max_mode, spec.spectrum_decay)
+    rng = np.random.default_rng(spec.seed)
+    # 2 pi * random() is the value uniform(0, 2 pi) draws from the same state
+    draws = np.array([draw() for draw in (rng.standard_normal, rng.random) * kx.size])
+    amplitude = draws[0::2] * weight
+    if l1_norm is not None:
+        total = sum(abs(a) for a in amplitude.tolist())
+        amplitude = amplitude * (l1_norm / total if total > 0.0 else 0.0)
+    return _half_plane(spec.max_mode, kx, ky, amplitude, 2.0 * np.pi * draws[1::2])
+
+
+def _require_band(grid: TorusGrid, max_mode: int) -> None:
+    """Reject a grid whose dealias band cannot hold modes up to max_mode."""
+    if max_mode > grid.dealias_cutoff:
         raise ValueError(
-            f"max_mode {rows.max_mode} exceeds the dealias band "
+            f"max_mode {max_mode} exceeds the dealias band "
             f"{grid.dealias_cutoff} of an N={grid.size} grid"
         )
+
+
+def _member(grid: TorusGrid, rows: _HalfPlane) -> Field:
+    """The field of the rows on a grid, one scatter into disjoint bins."""
+    _require_band(grid, rows.max_mode)
     n = grid.size
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     c[rows.kx % n, rows.ky] += rows.value
-    return c
+    return Field._adopt(grid, coefficients=c)
 
 
 def random_field(grid: TorusGrid, spec: RandomFieldSpec) -> Field:
     """Seeded random trig polynomial on the grid, zero mean."""
-    return Field._adopt(grid, coefficients=_scatter(grid, _half_plane(_random_modes(spec))))
+    return _member(grid, _random_rows(spec))
 
 
 class _Products:
@@ -392,26 +390,18 @@ def family_seed(base_seed: int, check: str, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def _member_modes(seed: int) -> _HalfPlane:
-    """The half-plane rows of a seeded random family field."""
-    return _half_plane(_random_modes(RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed)))
+def _member_rows(seed: int) -> _HalfPlane:
+    """The rows of a seeded random family field."""
+    return _random_rows(RandomFieldSpec(FAMILY_MAX_MODE, FAMILY_DECAY, seed))
 
 
-def _member(grid: TorusGrid, rows: _HalfPlane) -> Field:
-    """A family field with the given half-plane rows, on a grid."""
-    return Field._adopt(grid, coefficients=_scatter(grid, rows))
-
-
-def _density_modes(seed: int) -> _HalfPlane:
-    """Rows of the fluctuation of a bounded density, scaled to l1 norm RHO_FLUCTUATION.
+def _density_rows(seed: int) -> _HalfPlane:
+    """Rows of the fluctuation of a bounded density, of l1 norm RHO_FLUCTUATION.
 
     The l1 norm of the mode amplitudes bounds the sup norm of the
     fluctuation at every grid size.
     """
-    modes = _random_modes(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed))
-    total = sum(abs(amplitude) for amplitude in modes.amplitude.tolist())
-    scale = RHO_FLUCTUATION / total if total > 0.0 else 0.0
-    return _half_plane(modes._replace(amplitude=modes.amplitude * scale))
+    return _random_rows(RandomFieldSpec(RHO_MAX_MODE, FAMILY_DECAY, seed), RHO_FLUCTUATION)
 
 
 def _bounded_density(grid: TorusGrid, rows: _HalfPlane) -> Field:
@@ -424,7 +414,7 @@ def _pair(
 ) -> Callable[[int, str, int], tuple[_HalfPlane, ...]]:
     """Draw of member i: a family field of seed 2 i, then ``second`` of seed 2 i + 1."""
     return lambda base_seed, name, i: (
-        _member_modes(family_seed(base_seed, name, 2 * i)),
+        _member_rows(family_seed(base_seed, name, 2 * i)),
         second(family_seed(base_seed, name, 2 * i + 1)),
     )
 
@@ -450,39 +440,41 @@ def _interpolation_member(base_seed: int, name: str, i: int) -> tuple[_HalfPlane
             amplitude = 1.0
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         modes.append((kx, ky, amplitude, phase))
-    return (_half_plane(_Modes(FAMILY_MAX_MODE, *map(np.array, zip(*modes)))),)
+    return (_half_plane(FAMILY_MAX_MODE, *map(np.array, zip(*modes))),)
 
 
 class RatioCheck(NamedTuple):
     """One ratio check of the seeded family sweeps.
 
-    ``draw(base_seed, name, i)`` draws the grid-independent half-plane rows
-    of member i's factors, and ``build`` holds one builder per factor that
-    scatters its rows onto a grid.  ``orders`` names the orders that
-    ``ratio`` takes after sigma; ``ratio(*factors, sigma, *orders)`` scores
-    a member.
+    ``draw(base_seed, name, i)`` draws the grid-free half-plane rows of
+    member i's factors, and ``build`` holds one builder per factor that
+    puts its rows on a grid.  ``orders(s)`` gives the values of the orders
+    that ``ratio`` takes after sigma; ``ratio(*factors, sigma, *orders(s))``
+    scores a member.
     """
 
     name: str
     ratio: Callable[..., float]
     draw: Callable[[int, str, int], tuple[_HalfPlane, ...]]
     build: tuple[Callable[[TorusGrid, _HalfPlane], Field], ...]
-    orders: tuple[str, ...]
+    orders: Callable[[float], tuple[float, ...]]
 
 
 #: The ratio checks, in report order.
 RATIO_CHECKS = (
+    # the commutator's k is s
     RatioCheck(
-        "commutator", commutator_ratio, _pair(_member_modes), (_member, _member), ("k",)
+        "commutator", commutator_ratio, _pair(_member_rows), (_member, _member),
+        lambda s: (s,),
     ),
     RatioCheck(
-        "reciprocal", reciprocal_ratio, _pair(_density_modes), (_member, _bounded_density),
-        ("s",),
+        "reciprocal", reciprocal_ratio, _pair(_density_rows), (_member, _bounded_density),
+        lambda s: (s,),
     ),
-    RatioCheck("algebra", algebra_ratio, _pair(_member_modes), (_member, _member), ()),
+    RatioCheck("algebra", algebra_ratio, _pair(_member_rows), (_member, _member), lambda s: ()),
     RatioCheck(
         "interpolation", interpolation_ratio, _interpolation_member, (_member,),
-        ("s", "tau"),
+        lambda s: (s, float(math.floor(s) + 1)),
     ),
 )
 
@@ -493,14 +485,15 @@ def family_ratios(
     n_members: int,
     base_seed: int,
     sigma: float,
-    *orders: float,
+    s: float,
 ) -> np.ndarray:
     """Ratios of the first ``n_members`` members of a check's family, one row per grid.
 
-    ``orders`` are the values of ``check.orders``.  Each member's rows are
-    drawn once and scattered onto every grid, so row j equals a sweep on
+    The ratio takes sigma and ``check.orders(s)``.  Each member's rows are
+    drawn once and put on every grid, so row j equals a sweep on
     ``grids[j]`` alone.
     """
+    orders = check.orders(s)
     ratios = np.empty((len(grids), n_members))
     for i in range(n_members):
         members = check.draw(base_seed, check.name, i)

@@ -68,9 +68,10 @@ class ExperimentConfig:
     the family of index n, the resolution of N = grid_rule * n points on the
     whole torus; it keeps every mode of the families (up to 2n) inside the
     dealias band.  It must be even, so that the cell grid is even and the
-    nonuniform pair's mirror centre grid_rule/2 falls on a node.  For the
-    ``inequalities`` experiment ``n_list`` holds the two grid sizes (base,
-    refined) instead of family indices, and ``family_size`` sets the
+    nonuniform pair's mirror centre grid_rule/2 falls on a node.  The
+    experiments that fit a slope over ``n_list`` need three entries or more.
+    For the ``inequalities`` experiment ``n_list`` holds the two grid sizes
+    (base, refined) instead of family indices, and ``family_size`` sets the
     number of seeded members per check.
 
     ``threads`` is the number of pool workers over the four checks of
@@ -112,6 +113,12 @@ class ExperimentConfig:
             raise ValueError("n_list must contain positive integers")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {n_list}")
+        fits_slope = self.experiment in ("residue_scaling", "error_scaling", "higher_norm")
+        if fits_slope and len(n_list) < 3:
+            raise ValueError(
+                f"{self.experiment} fits a slope over n_list, which needs at least 3 "
+                f"entries, got {len(n_list)}"
+            )
         object.__setattr__(self, "n_list", n_list)
         if self.experiment == "residue_scaling":
             if not 1.0 < self.sigma <= self.s - 1.0:
@@ -152,6 +159,8 @@ class ExperimentConfig:
         }.get(self.experiment, self.grid_rule)
         if largest > _MAX_GRID:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
+        if self.experiment == "inequalities":  # the base grid is the smaller one
+            inequalities._require_band(make_grid(n_list[0]), inequalities.FAMILY_MAX_MODE)
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
@@ -735,15 +744,11 @@ def _inequalities(cfg: ExperimentConfig) -> Report:
     base_n, refined_n = cfg.n_list
     grids = (make_grid(base_n), make_grid(refined_n))
     sigma, s = cfg.sigma, cfg.s
-    # the commutator's k is s
-    order_values = {"k": s, "s": s, "tau": float(math.floor(s) + 1)}
     checks = inequalities.RATIO_CHECKS
-    orders = {c.name: tuple(order_values[o] for o in c.orders) for c in checks}
+    orders = {c.name: c.orders(s) for c in checks}
 
     def sweep(check: inequalities.RatioCheck) -> np.ndarray:
-        return inequalities.family_ratios(
-            check, grids, cfg.family_size, cfg.seed, sigma, *orders[check.name]
-        )
+        return inequalities.family_ratios(check, grids, cfg.family_size, cfg.seed, sigma, s)
 
     # the package's one pool: each check costs seconds; map keeps report order
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -204,6 +204,14 @@ class TestErrors:
                 "rho0 must be a real number, got True",
             ),
             ("higher-norm", {"solve": {"T": True}}, "T must be a real number, got True"),
+            ("residue-scaling", {"n_list": [4, 8]}, "n_list, which needs at least 3"),
+            ("error-scaling", {"n_list": [8, 16]}, "n_list, which needs at least 3"),
+            ("higher-norm", {"n_list": [8, 16]}, "n_list, which needs at least 3"),
+            (
+                "inequalities",
+                {"n_list": [16, 32]},
+                "max_mode 8 exceeds the dealias band 5 of an N=16 grid",
+            ),
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):

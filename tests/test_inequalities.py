@@ -17,9 +17,9 @@ from torusgas.inequalities import (
     RHO_MAX_MODE,
     RandomFieldSpec,
     _bounded_density,
-    _density_modes,
+    _density_rows,
     _lift,
-    _random_modes,
+    _random_rows,
     algebra_ratio,
     commutator_ratio,
     family_ratios,
@@ -109,26 +109,31 @@ class TestModeStream:
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_rows_pinned(self, seed):
-        modes = _random_modes(RandomFieldSpec(8, 2.0, seed))
-        assert modes.max_mode == 8 and modes.kx.size == 144
-        rows = [
-            (int(modes.kx[i]), int(modes.ky[i]), float(modes.amplitude[i]), float(modes.phase[i]))
-            for i in (0, 72, 143)
-        ]
-        assert rows == self.PINNED[seed]
+        # the 144 drawn modes in draw order, then the 8 partners of the ky = 0 column;
+        # every pinned mode has ky > 0, so it keeps its bin
+        rows = _random_rows(RandomFieldSpec(8, 2.0, seed))
+        assert rows.max_mode == 8 and rows.kx.size == 144 + 8
+        for i, (kx, ky, amplitude, phase) in zip((0, 72, 143), self.PINNED[seed]):
+            assert (rows.kx[i], rows.ky[i]) == (kx, ky)
+            assert rows.value[i] == 0.5 * amplitude * np.exp(1j * phase)
 
     def test_scatter_matches_mode_loop(self):
-        # one scatter writes disjoint bins, so it equals the per-mode sum
+        # one scatter writes disjoint bins, so it equals the sum over the
+        # per-mode draw loop that the pinned rows came from
         grid = make_grid(32)
-        modes = _random_modes(RandomFieldSpec(8, 2.0, 3))
+        rng = np.random.default_rng(3)
         expected = np.zeros((32, 17), dtype=np.complex128)
-        for kx, ky, amplitude, phase in zip(*(c.tolist() for c in modes[1:])):
-            half = 0.5 * amplitude * np.exp(1j * phase)
-            if ky < 0:
-                kx, ky, half = -kx, -ky, np.conj(half)
-            expected[kx % 32, ky] += half
-            if ky == 0:
-                expected[-kx % 32, 0] += np.conj(half)
+        for kx in range(9):
+            for ky in range(1, 9) if kx == 0 else range(-8, 9):
+                weight = (1.0 + kx * kx + ky * ky) ** -1.0
+                amplitude = rng.standard_normal() * weight
+                half = 0.5 * amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                if ky < 0:
+                    expected[-kx % 32, -ky] += np.conj(half)
+                else:
+                    expected[kx % 32, ky] += half
+                if ky == 0:
+                    expected[-kx % 32, 0] += np.conj(half)
         f = random_field(grid, RandomFieldSpec(8, 2.0, 3))
         assert np.array_equal(f.coefficients, expected)
 
@@ -255,14 +260,14 @@ class TestProductExact:
     @pytest.mark.parametrize("name", ["commutator", "algebra"])
     def test_two_workers_on_one_grid_equal_serial_bytes(self, name):
         check = next(c for c in RATIO_CHECKS if c.name == name)
-        grid, orders = make_grid(64), declared_orders(check)
+        grid = make_grid(64)
 
         def ratio(i):
             rows = check.draw(0, name, i)
             factors = (build(grid, r) for build, r in zip(check.build, rows))
-            return check.ratio(*factors, 1.5, *orders)
+            return check.ratio(*factors, 1.5, *check.orders(3.0))
 
-        serial = family_ratios(check, (grid,), 50, 0, 1.5, *orders)[0]
+        serial = family_ratios(check, (grid,), 50, 0, 1.5, 3.0)[0]
         with ThreadPoolExecutor(max_workers=2) as pool:
             pooled = np.array(list(pool.map(ratio, range(50))))
         assert pooled.tobytes() == serial.tobytes()
@@ -458,14 +463,6 @@ class TestInterpolationRatio:
         assert interpolation_ratio(constant_field(make_grid(32), 0.0), 1.5, 3.0, 4.0) == 1.0
 
 
-#: The value of each declared order in the sweeps below.
-ORDER_VALUES = {"k": 3.0, "s": 3.0, "tau": 4.0}
-
-
-def declared_orders(check):
-    return tuple(ORDER_VALUES[order] for order in check.orders)
-
-
 class TestFamilies:
     def test_family_seed_deterministic_and_distinct(self):
         assert family_seed(7, "algebra", 3) == family_seed(7, "algebra", 3)
@@ -498,26 +495,31 @@ class TestFamilies:
             "interpolation",
         ]
         for check in RATIO_CHECKS:
-            orders = declared_orders(check)
-            base, refined = family_ratios(check, (coarse, fine), 20, 7, 1.5, *orders)
+            base, refined = family_ratios(check, (coarse, fine), 20, 7, 1.5, 3.0)
             assert np.max(np.abs(refined - base) / base) <= 1e-10
 
     def test_declared_orders(self):
-        assert {c.name: c.orders for c in RATIO_CHECKS} == {
-            "commutator": ("k",),
-            "reciprocal": ("s",),
+        # k = s for the commutator; interpolation's tau is floor(s) + 1
+        assert {c.name: c.orders(3.0) for c in RATIO_CHECKS} == {
+            "commutator": (3.0,),
+            "reciprocal": (3.0,),
             "algebra": (),
-            "interpolation": ("s", "tau"),
+            "interpolation": (3.0, 4.0),
+        }
+        assert {c.name: c.orders(2.5) for c in RATIO_CHECKS} == {
+            "commutator": (2.5,),
+            "reciprocal": (2.5,),
+            "algebra": (),
+            "interpolation": (2.5, 3.0),
         }
 
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     def test_two_grid_sweep_equals_single_grid_sweeps(self, check):
         grids = (make_grid(32), make_grid(64))
-        orders = declared_orders(check)
-        both = family_ratios(check, grids, 6, 11, 1.5, *orders)
+        both = family_ratios(check, grids, 6, 11, 1.5, 3.0)
         assert both.shape == (2, 6)
         for row, grid in zip(both, grids):
-            assert np.array_equal(row, family_ratios(check, (grid,), 6, 11, 1.5, *orders)[0])
+            assert np.array_equal(row, family_ratios(check, (grid,), 6, 11, 1.5, 3.0)[0])
 
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     @pytest.mark.parametrize("sizes", [(16, 32), (32, 16)])
@@ -525,7 +527,7 @@ class TestFamilies:
         grids = tuple(make_grid(n) for n in sizes)
         match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
         with pytest.raises(ValueError, match=match):
-            family_ratios(check, grids, 3, 0, 1.5, *declared_orders(check))
+            family_ratios(check, grids, 3, 0, 1.5, 3.0)
 
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     def test_each_member_drawn_once(self, check, monkeypatch):
@@ -538,30 +540,30 @@ class TestFamilies:
 
         monkeypatch.setattr(inequalities, "family_seed", counting_seed)
         grids = (make_grid(32), make_grid(64))
-        family_ratios(check, grids, 4, 7, 1.5, *declared_orders(check))
+        family_ratios(check, grids, 4, 7, 1.5, 3.0)
         per_member = 1 if check.name == "interpolation" else 2
         assert seeds == [(check.name, i) for i in range(4 * per_member)]
 
     def test_bounded_density_floor(self):
         grid = make_grid(64)
         for seed in range(30):
-            rho = _bounded_density(grid, _density_modes(seed))
+            rho = _bounded_density(grid, _density_rows(seed))
             assert np.min(rho.samples) >= 1.0 - RHO_FLUCTUATION - 1e-12
             assert np.mean(rho.samples) == pytest.approx(1.0, abs=1e-14)
 
     def test_interpolation_ratio_row(self):
         interpolation = RATIO_CHECKS[-1]
         assert interpolation.name == "interpolation"
-        (ratios,) = family_ratios(interpolation, (make_grid(64),), 60, 7, 1.5, 3.0, 4.0)
+        (ratios,) = family_ratios(interpolation, (make_grid(64),), 60, 7, 1.5, 3.0)
         assert ratios.shape == (60,)
         probes = ratios[::PROBE_PERIOD]
         assert probes.size == 3  # members 0, 25, 50
         assert np.all(np.abs(probes - 1.0) <= 1e-12)
         assert np.all(ratios >= 1.0 - 1e-10)
 
-    # family_ratios(check, (make_grid(64), make_grid(128)), 3, 0, 1.5,
-    # *declared_orders(check)), one float.hex list per grid; a change to the
-    # transforms or the draws must reproduce these bits
+    # family_ratios(check, (make_grid(64), make_grid(128)), 3, 0, 1.5, 3.0),
+    # one float.hex list per grid; a change to the transforms or the draws
+    # must reproduce these bits
     PINNED_SWEEPS = {
         "commutator": [
             ["0x1.90ea9d71592ccp-8", "0x1.6a15407d02b8ep-8", "0x1.9a4808c145321p-8"],
@@ -584,7 +586,7 @@ class TestFamilies:
     @pytest.mark.parametrize("check", RATIO_CHECKS, ids=lambda c: c.name)
     def test_sweep_bytes_pinned(self, check):
         grids = (make_grid(64), make_grid(128))
-        ratios = family_ratios(check, grids, 3, 0, 1.5, *declared_orders(check))
+        ratios = family_ratios(check, grids, 3, 0, 1.5, 3.0)
         assert [[float(r).hex() for r in row] for row in ratios] == self.PINNED_SWEEPS[
             check.name
         ]

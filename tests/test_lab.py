@@ -66,9 +66,9 @@ class TestExperimentConfig:
 
     def test_sigma_windows(self):
         # residue scaling allows sigma = s - 1, the solver experiments do not
-        ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), sigma=2.0)
+        ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), sigma=2.0)
         with pytest.raises(ValueError, match=r"\(1, s-1\]"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), sigma=2.5)
+            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), sigma=2.5)
         with pytest.raises(ValueError, match=r"\(1, s-1\)"):
             ExperimentConfig(experiment="nonuniform", n_list=(4, 8), sigma=2.0)
         ExperimentConfig(experiment="inequalities", n_list=(64, 128), sigma=2.5)
@@ -77,9 +77,9 @@ class TestExperimentConfig:
 
     def test_resolution_rules(self):
         with pytest.raises(ValueError, match="grid_rule below 6"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), grid_rule=4)
+            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), grid_rule=4)
         with pytest.raises(ValueError, match="desk-scale"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8), grid_rule=8192)
+            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), grid_rule=8192)
 
     @pytest.mark.parametrize(
         "experiment", ["nonuniform", "residue_scaling", "exact_check", "higher_norm"]
@@ -87,9 +87,9 @@ class TestExperimentConfig:
     def test_cell_runs_bound_the_cell_grid(self, experiment):
         # a cell run allocates grid_rule points per axis, whatever n is
         default_config(experiment, n_list=(4, 8, 16, 1024))
-        default_config(experiment, n_list=(4,), grid_rule=4096)
+        default_config(experiment, n_list=(4, 8, 16), grid_rule=4096)
         with pytest.raises(ValueError, match="N = 4098 exceeds the desk-scale limit 4096"):
-            default_config(experiment, n_list=(4,), grid_rule=4098)
+            default_config(experiment, n_list=(4, 8, 16), grid_rule=4098)
 
     def test_error_scaling_bounds_its_control_grid(self):
         # the control run doubles the whole-torus grid grid_rule * n at the largest n
