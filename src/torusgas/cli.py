@@ -4,8 +4,8 @@ Each subcommand names an experiment; a JSON config may override the
 defaults, and the common flags select the output directory, the base
 seed, and the pool workers of the inequality sweeps.  The process exits 0
 when the experiment's verdict is a pass, 1 when it is a fail, and 2 with a
-one-line message on stderr when the config, the solver or the report
-output fails.
+one-line message on stderr when the config, the run or the report output
+fails.
 """
 
 from __future__ import annotations

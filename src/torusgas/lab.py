@@ -1,19 +1,20 @@
 """Experiment runners: scaling studies and the nonuniform-dependence run.
 
-:func:`run_experiment` is the one way to run an experiment: it takes the
-runner that :data:`EXPERIMENTS` names for an :class:`ExperimentConfig`,
-calls it, and writes the :class:`Report` it returns.  :data:`EXPERIMENTS`
-is the one table of experiments: each name maps to its private runner,
-default ``n_list`` and CLI help.  A report's rows are dicts keyed by CSV
-column, in column order.  When an output directory is set, the report is
-written as ``<experiment>.csv`` plus a ``summary.json`` with the pass
-verdict, the fitted exponents of scaling studies, the run parameters and
-the details.  Both come straight from the standard library:
-:func:`csv.writer` writes floats at full precision (their repr) and None as
-an empty cell, and :func:`json.dump` writes the summary with sorted keys
-and a two-space indent.  Reports are deterministic: identical config and
-seed give byte-identical files.  ``threads`` counts pool workers over the
-four checks of the inequality sweeps; the other experiments ignore it.
+``ExperimentConfig(name)`` is the one way to build a config and
+:func:`run_experiment` the one way to run it: it takes the runner that
+:data:`EXPERIMENTS` names, calls it, and writes the :class:`Report` it
+returns.  :data:`EXPERIMENTS` is the one table of experiments: each name
+maps to its private runner, default ``n_list`` and CLI help.  A report's
+rows are dicts keyed by CSV column, in column order.  When an output
+directory is set, the report is written as ``<experiment>.csv`` plus a
+``summary.json`` with the pass verdict, the fitted exponents of scaling
+studies, the run parameters and the details.  Both come straight from the
+standard library: :func:`csv.writer` writes floats at full precision (their
+repr) and None as an empty cell, and :func:`json.dump` writes the summary
+with sorted keys and a two-space indent.  Reports are deterministic:
+identical config and seed give byte-identical files.  ``threads`` counts
+pool workers over the four checks of the inequality sweeps; the other
+experiments ignore it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "ExperimentConfig",
     "Report",
     "fit_loglog_slope",
-    "default_config",
     "config_from_dict",
     "run_experiment",
 ]
@@ -55,6 +55,9 @@ __all__ = [
 #: beyond it is not desk scale.
 _MAX_GRID = 4096
 
+#: Run controls of every experiment unless its config sets its own.
+_DEFAULT_SOLVE = SolveConfig(T=1.0)
+
 #: Target number of recorded snapshots per run; keeps long trajectories
 #: from holding hundreds of full states in memory.
 _TARGET_RECORDS = 16
@@ -62,7 +65,10 @@ _TARGET_RECORDS = 16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one experiment run.
+    """Parameters of one experiment run; keywords override the defaults.
+
+    An ``n_list`` left at None takes the experiment's default from
+    :data:`EXPERIMENTS`.
 
     ``grid_rule`` is the number of points per axis on one 2*pi/n cell of
     the family of index n, the resolution of N = grid_rule * n points on the
@@ -71,8 +77,8 @@ class ExperimentConfig:
     nonuniform pair's mirror centre grid_rule/2 falls on a node.  The
     experiments that fit a slope over ``n_list`` need three entries or more.
     For the ``inequalities`` experiment ``n_list`` holds the two grid sizes
-    (base, refined) instead of family indices, and ``family_size`` sets the
-    number of seeded members per check.
+    (base, refined) instead of family indices, both built when it is checked, and
+    ``family_size`` sets the number of seeded members per check.
 
     ``threads`` is the number of pool workers over the four checks of
     ``inequalities``; the other experiments ignore it.  The artifacts do
@@ -80,11 +86,11 @@ class ExperimentConfig:
     """
 
     experiment: str
-    n_list: tuple[int, ...] = (4, 8, 16, 32)
+    n_list: tuple[int, ...] | None = None
     s: float = 3.0
     sigma: float = 1.5
     gas: GasParams = field(default_factory=GasParams)
-    solve: SolveConfig = field(default_factory=lambda: SolveConfig(T=1.0, cfl=0.25))
+    solve: SolveConfig = _DEFAULT_SOLVE
     grid_rule: int = 8
     output_dir: str | None = None
     seed: int = 0
@@ -92,7 +98,9 @@ class ExperimentConfig:
     family_size: int = 500
 
     def __post_init__(self) -> None:
-        _lookup(self.experiment)
+        row = _lookup(self.experiment)
+        if self.n_list is None:
+            object.__setattr__(self, "n_list", row.n_list)
         named = ("seed", "threads", "grid_rule", "family_size")
         integers = [(name, getattr(self, name)) for name in named]
         for name, value in integers + [("n_list entry", n) for n in self.n_list]:
@@ -159,8 +167,9 @@ class ExperimentConfig:
         }.get(self.experiment, self.grid_rule)
         if largest > _MAX_GRID:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
-        if self.experiment == "inequalities":  # the base grid is the smaller one
-            inequalities._require_band(make_grid(n_list[0]), inequalities.FAMILY_MAX_MODE)
+        if self.experiment == "inequalities":  # a bad size fails here, not in the run
+            base_grid, _ = (make_grid(n) for n in n_list)
+            inequalities._require_band(base_grid, inequalities.FAMILY_MAX_MODE)
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
@@ -183,16 +192,11 @@ def _lookup(experiment: str) -> _Experiment:
     return EXPERIMENTS[experiment]
 
 
-def default_config(experiment: str, **overrides) -> ExperimentConfig:
-    """Defaults per experiment; keyword overrides are applied on top."""
-    defaults = {"experiment": experiment, "n_list": _lookup(experiment).n_list}
-    return ExperimentConfig(**{**defaults, **overrides})
-
-
 def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentConfig:
-    """Build a config from a JSON-style dict, filling gaps with defaults.
+    """``ExperimentConfig(name, **data)`` from a JSON-style dict.
 
-    The caller's dict is left unchanged; malformed values raise ValueError.
+    A partial ``solve`` section keeps the other default run controls.  The
+    caller's dict is left unchanged; malformed values raise ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -218,10 +222,10 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
         if "gas" in data:
             data["gas"] = GasParams(**data["gas"])
         if "solve" in data:
-            data["solve"] = SolveConfig(**{"T": 1.0, **data["solve"]})
+            data["solve"] = replace(_DEFAULT_SOLVE, **data["solve"])
         if "n_list" in data:
             data["n_list"] = tuple(data["n_list"])
-        return default_config(name, **data)
+        return ExperimentConfig(name, **data)
     except TypeError as err:
         raise ValueError(f"invalid config: {err}") from err
 
@@ -622,7 +626,7 @@ def _require_mirror_image(mirrored: State, target: State, n: int) -> None:
         for a, b in zip(mirrored.fields(), target.fields())
     )
     if not gap <= _MIRROR_TOL * scale:
-        raise RuntimeError(
+        raise SolverError(
             f"nonuniform pair at n={n} is not a mirror image: largest sample "
             f"gap {gap:.3e} exceeds {_MIRROR_TOL:.0e} x {scale:.3e}"
         )

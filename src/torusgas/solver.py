@@ -44,7 +44,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Time integration aborted; the message carries the diagnostics."""
+    """A run aborted or failed one of its checks; the message carries the diagnostics."""
 
 
 @dataclass(frozen=True)

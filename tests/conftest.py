@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from torusgas import spectral
+from torusgas import families, spectral
+from torusgas.euler import State
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,18 @@ def kernel_threads(monkeypatch):
 
     monkeypatch.setattr(spectral, "_pocketfft", Recorder())
     return seen
+
+
+@pytest.fixture
+def broken_mirror(monkeypatch):
+    """Family initial data whose omega = -1 density is off its mirror image by 1e-12."""
+    real_initial_data = families.initial_data
+
+    def skewed_initial_data(fp, gas, grid):
+        state = real_initial_data(fp, gas, grid)
+        if fp.omega == 1:
+            return state
+        rho = spectral.Field(grid, samples=state.rho.samples * (1.0 + 1e-12))
+        return State(rho, state.u, state.v, state.h)
+
+    monkeypatch.setattr(families, "initial_data", skewed_initial_data)

@@ -22,7 +22,7 @@ from torusgas.euler import (
     symmetrizer_floor,
 )
 from torusgas.families import FamilyParams, residue_identity_errors
-from torusgas.lab import default_config, run_experiment
+from torusgas.lab import ExperimentConfig, run_experiment
 from torusgas.spectral import make_grid, sobolev_norm, synthesize
 
 GAS = GasParams()
@@ -125,7 +125,7 @@ def test_criterion_3_residue_identity(capsys):
 
 
 def test_criterion_4_residue_scaling(capsys):
-    report = run_experiment(default_config("residue_scaling"))
+    report = run_experiment(ExperimentConfig("residue_scaling"))
     slope_ok = abs(report.fitted_slope - (-6.5)) <= 0.05
     passed = report.passed and slope_ok and report.details["below_envelope"]
     _verdict(
@@ -139,7 +139,7 @@ def test_criterion_4_residue_scaling(capsys):
 
 
 def test_criterion_5_exact_family(capsys):
-    report = run_experiment(default_config("exact_check"))
+    report = run_experiment(ExperimentConfig("exact_check"))
     passed = (
         report.passed
         and report.details["max_deviation"] <= 1e-8
@@ -159,7 +159,7 @@ def test_criterion_5_exact_family(capsys):
 
 def test_criterion_6_nonuniform_dependence(capsys, tmp_path, compare):
     started = time.perf_counter()
-    report = run_experiment(default_config("nonuniform", output_dir=str(tmp_path)))
+    report = run_experiment(ExperimentConfig("nonuniform", output_dir=str(tmp_path)))
     elapsed = time.perf_counter() - started
     differences = compare.compare_dirs(tmp_path, REFERENCE / "nonuniform")
     details = report.details
@@ -186,7 +186,7 @@ def test_criterion_6_nonuniform_dependence(capsys, tmp_path, compare):
 
 
 def test_criterion_7_error_scaling(capsys):
-    report = run_experiment(default_config("error_scaling"))
+    report = run_experiment(ExperimentConfig("error_scaling"))
     passed = (
         report.passed
         and report.fitted_slope <= -2.4
@@ -203,7 +203,7 @@ def test_criterion_7_error_scaling(capsys):
 
 
 def test_criterion_8_higher_norm(capsys):
-    report = run_experiment(default_config("higher_norm"))
+    report = run_experiment(ExperimentConfig("higher_norm"))
     passed = report.passed and abs(report.fitted_slope - 1.0) <= 0.15
     _verdict(
         capsys,
@@ -215,7 +215,7 @@ def test_criterion_8_higher_norm(capsys):
 
 
 def test_criterion_9_inequalities(capsys, tmp_path, compare):
-    report = run_experiment(default_config("inequalities", output_dir=str(tmp_path)))
+    report = run_experiment(ExperimentConfig("inequalities", output_dir=str(tmp_path)))
     differences = compare.compare_dirs(tmp_path, REFERENCE / "inequalities")
     interp = report.rows[-1]
     equality_ok = interp["equality_cases"] == report.details["single_mode_probes"]

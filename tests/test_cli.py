@@ -212,6 +212,8 @@ class TestErrors:
                 {"n_list": [16, 32]},
                 "max_mode 8 exceeds the dealias band 5 of an N=16 grid",
             ),
+            ("inequalities", {"n_list": [64, 127]}, "grid size must be even and >= 4, got 127"),
+            ("nonuniform", {"n_list": None}, "invalid config"),
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):
@@ -221,10 +223,11 @@ class TestErrors:
     def test_odd_grid_rule(self, tmp_path, capsys):
         self._config_fails(tmp_path, capsys, "nonuniform", {"grid_rule": 7}, "grid_rule")
 
-    def test_family_modes_beyond_band(self, tmp_path, capsys):
-        data = {"n_list": [16, 32], "family_size": 3}
-        match = "max_mode 8 exceeds the dealias band 5 of an N=16 grid"
-        self._config_fails(tmp_path, capsys, "inequalities", data, match)
+    def test_broken_mirror_image(self, tmp_path, capsys, broken_mirror):
+        # a run check that fails is an error, not a FAIL verdict
+        data = {"n_list": [2], "solve": {"T": 0.1}}
+        match = "nonuniform pair at n=2 is not a mirror image"
+        self._config_fails(tmp_path, capsys, "nonuniform", data, match)
 
     def test_empty_out_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(lab, "run_experiment", pytest.fail)  # a started run fails the test

@@ -14,7 +14,6 @@ from torusgas.lab import (
     ExperimentConfig,
     Report,
     config_from_dict,
-    default_config,
     fit_loglog_slope,
     run_experiment,
     _emit,
@@ -49,10 +48,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig(experiment="nope")
 
-    def test_unknown_experiment_in_default_config(self):
-        # the experiment table lookup used to raise a bare KeyError
+    def test_unknown_experiment_with_n_list(self):
+        # the experiment table lookup used to raise a bare KeyError; a given
+        # n_list must not skip it
         with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
-            default_config("frobnicate")
+            ExperimentConfig("frobnicate", n_list=(4, 8, 16))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -86,22 +86,22 @@ class TestExperimentConfig:
     )
     def test_cell_runs_bound_the_cell_grid(self, experiment):
         # a cell run allocates grid_rule points per axis, whatever n is
-        default_config(experiment, n_list=(4, 8, 16, 1024))
-        default_config(experiment, n_list=(4, 8, 16), grid_rule=4096)
+        ExperimentConfig(experiment, n_list=(4, 8, 16, 1024))
+        ExperimentConfig(experiment, n_list=(4, 8, 16), grid_rule=4096)
         with pytest.raises(ValueError, match="N = 4098 exceeds the desk-scale limit 4096"):
-            default_config(experiment, n_list=(4, 8, 16), grid_rule=4098)
+            ExperimentConfig(experiment, n_list=(4, 8, 16), grid_rule=4098)
 
     def test_error_scaling_bounds_its_control_grid(self):
         # the control run doubles the whole-torus grid grid_rule * n at the largest n
-        default_config("error_scaling", n_list=(8, 16, 256))
+        ExperimentConfig("error_scaling", n_list=(8, 16, 256))
         with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
-            default_config("error_scaling", n_list=(8, 16, 512))
+            ExperimentConfig("error_scaling", n_list=(8, 16, 512))
 
     def test_inequalities_bounds_its_doubled_grid(self):
         # products of the refined grid run on twice its size
-        default_config("inequalities", n_list=(64, 2048))
+        ExperimentConfig("inequalities", n_list=(64, 2048))
         with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
-            default_config("inequalities", n_list=(64, 4096))
+            ExperimentConfig("inequalities", n_list=(64, 4096))
 
     @pytest.mark.parametrize(
         "experiment",
@@ -110,7 +110,7 @@ class TestExperimentConfig:
     def test_odd_grid_rule_rejected(self, experiment):
         # N = grid_rule * n must be even for every n
         with pytest.raises(ValueError, match="grid_rule must be even"):
-            default_config(experiment, grid_rule=7)
+            ExperimentConfig(experiment, grid_rule=7)
 
     def test_misc_validation(self):
         with pytest.raises(ValueError, match="s must exceed 2"):
@@ -140,18 +140,21 @@ class TestExperimentConfig:
             ExperimentConfig(experiment=experiment, **{name: value})
 
     def test_defaults_per_experiment(self):
-        for name in EXPERIMENTS:
-            cfg = default_config(name)
+        # one source per default: the table's n_list, whichever way the config is built
+        for name, row in EXPERIMENTS.items():
+            cfg = ExperimentConfig(name)
             assert cfg.experiment == name
-        assert default_config("residue_scaling").n_list == (4, 8, 16, 32, 64)
-        assert default_config("inequalities").n_list == (64, 128)
-        assert default_config("inequalities").family_size == 500
-        assert default_config("nonuniform", seed=3).seed == 3
+            assert cfg.n_list == row.n_list == config_from_dict({}, name).n_list
+            assert cfg.solve == SolveConfig(T=1.0)
+        assert ExperimentConfig("residue_scaling").n_list == (4, 8, 16, 32, 64)
+        assert ExperimentConfig("inequalities").n_list == (64, 128)
+        assert ExperimentConfig("inequalities").family_size == 500
+        assert ExperimentConfig("nonuniform", seed=3).seed == 3
 
     def test_needs_two_grids(self):
         for n_list in ((64,), (32, 64, 128)):
             with pytest.raises(ValueError, match="base_grid, refined_grid"):
-                default_config("inequalities", n_list=n_list, family_size=5)
+                ExperimentConfig("inequalities", n_list=n_list, family_size=5)
 
 
 class TestConfigFromDict:
@@ -187,6 +190,11 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
             config_from_dict({"experiment": "frobnicate"})
 
+
+    def test_partial_solve_section_keeps_defaults(self):
+        cfg = config_from_dict({"solve": {"cfl": 0.5}}, "nonuniform")
+        assert cfg.solve == SolveConfig(T=1.0, cfl=0.5)
+        assert config_from_dict({"solve": {"T": 0.5}}, "nonuniform").solve.cfl == 0.25
 
     def test_input_not_mutated(self):
         data = {
@@ -226,7 +234,7 @@ class TestConfigFromDict:
 class TestReports:
     def test_scaling_run_needs_three_n(self):
         with pytest.raises(ValueError, match="at least 3"):
-            run_experiment(default_config("residue_scaling", n_list=(4, 8)))
+            run_experiment(ExperimentConfig("residue_scaling", n_list=(4, 8)))
 
     def test_summaries(self):
         nu = Report(experiment="nonuniform", rows=[], passed=True)
@@ -265,7 +273,7 @@ class TestReports:
                 "ok": True,
             },
         )
-        _emit(default_config("nonuniform", output_dir=str(tmp_path)), report)
+        _emit(ExperimentConfig("nonuniform", output_dir=str(tmp_path)), report)
         assert (tmp_path / "nonuniform.csv").read_text() == (
             "a,b,c,d\n,True,check,3\n0.1,0.30000000000000004,1e-300,False\n"
         )
@@ -318,7 +326,7 @@ _REPORT_SUMMARY = """\
 
 class TestResidueScaling:
     def test_small_sweep(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             "residue_scaling", n_list=(4, 8, 16), output_dir=str(tmp_path)
         )
         report = run_experiment(cfg)
@@ -337,7 +345,7 @@ class TestResidueScaling:
         assert summary["params"]["n_list"] == [4, 8, 16]
 
     def test_no_output_dir_writes_nothing(self, tmp_path):
-        cfg = default_config("residue_scaling", n_list=(4, 8, 16))
+        cfg = ExperimentConfig("residue_scaling", n_list=(4, 8, 16))
         run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
@@ -345,7 +353,7 @@ class TestResidueScaling:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             run_experiment(
-                default_config(
+                ExperimentConfig(
                     "residue_scaling", n_list=(4, 8, 16), output_dir=str(out)
                 )
             )
@@ -359,7 +367,7 @@ class TestResidueScaling:
 
 class TestExactCheck:
     def test_single_family_run(self, tmp_path):
-        cfg = default_config("exact_check", output_dir=str(tmp_path))
+        cfg = ExperimentConfig("exact_check", output_dir=str(tmp_path))
         report = run_experiment(cfg)
         assert report.passed
         assert report.fitted_slope >= 3.8
@@ -375,7 +383,7 @@ class TestExactCheck:
 
 class TestErrorScaling:
     def test_small_sweep(self):
-        cfg = default_config("error_scaling", n_list=(2, 4, 8))
+        cfg = ExperimentConfig("error_scaling", n_list=(2, 4, 8))
         report = run_experiment(cfg)
         assert report.passed
         assert report.predicted_slope == pytest.approx(-4.0)  # max(2s-3s+2, s-2s) map
@@ -387,14 +395,14 @@ class TestErrorScaling:
 
     def test_too_short_for_a_growth_fit(self):
         # T = 0.002 records only t = 0 and T: one interior point, no fit
-        cfg = default_config("error_scaling", n_list=(4, 8, 16), solve=SolveConfig(T=0.002))
+        cfg = ExperimentConfig("error_scaling", n_list=(4, 8, 16), solve=SolveConfig(T=0.002))
         fit = run_experiment(cfg).details["growth_fit"]
         assert fit == {"c": None, "K": None, "spread": None}
 
 
 class TestHigherNorm:
     def test_small_sweep(self):
-        cfg = default_config("higher_norm", n_list=(4, 8, 16))
+        cfg = ExperimentConfig("higher_norm", n_list=(4, 8, 16))
         report = run_experiment(cfg)
         assert report.passed
         assert report.details["tau"] == 4.0
@@ -406,7 +414,7 @@ class TestHigherNorm:
 
 class TestNonuniform:
     def test_two_family_run(self, tmp_path):
-        cfg = default_config("nonuniform", n_list=(4, 16), output_dir=str(tmp_path))
+        cfg = ExperimentConfig("nonuniform", n_list=(4, 16), output_dir=str(tmp_path))
         report = run_experiment(cfg)
         assert report.passed
         d0 = {row["n"]: row["d0"] for row in report.rows}
@@ -475,22 +483,12 @@ class TestNonuniformMirror:
             return real_evolve(s0, *args, **kwargs)
 
         monkeypatch.setattr(solver, "evolve", counting_evolve)
-        cfg = default_config("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
+        cfg = ExperimentConfig("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
         run_experiment(cfg)
         assert sorted(sizes) == [(8, 2), (8, 4)]  # one grid_rule-point cell per n
 
-    def test_broken_mirror_image_raises(self, monkeypatch):
-        real_initial_data = families.initial_data
-
-        def skewed_initial_data(fp, gas, grid):
-            state = real_initial_data(fp, gas, grid)
-            if fp.omega == 1:
-                return state
-            rho = Field(grid, samples=state.rho.samples * (1.0 + 1e-12))
-            return State(rho, state.u, state.v, state.h)
-
-        monkeypatch.setattr(families, "initial_data", skewed_initial_data)
-        cfg = default_config("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
+    def test_broken_mirror_image_raises(self, broken_mirror):
+        cfg = ExperimentConfig("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
         with pytest.raises(RuntimeError, match="not a mirror image"):
             run_experiment(cfg)
 
@@ -559,7 +557,7 @@ class TestCellGridEvolve:
 
 class TestInequalitiesRunner:
     def test_small_sweep(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             "inequalities", n_list=(32, 64), family_size=40, output_dir=str(tmp_path)
         )
         report = run_experiment(cfg)
@@ -584,6 +582,6 @@ class TestInequalitiesRunner:
 
 class TestRunExperiment:
     def test_dispatch(self):
-        report = run_experiment(default_config("residue_scaling", n_list=(4, 8, 16)))
+        report = run_experiment(ExperimentConfig("residue_scaling", n_list=(4, 8, 16)))
         assert isinstance(report, Report)
         assert report.experiment == "residue_scaling"

@@ -13,7 +13,7 @@ from torusgas import spectral
 from torusgas.euler import GasParams, rhs_hat, state_to_hat
 from torusgas.families import FamilyParams, initial_data
 from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
-from torusgas.lab import default_config, run_experiment
+from torusgas.lab import ExperimentConfig, run_experiment
 from torusgas.spectral import (
     Field,
     TorusGrid,
@@ -591,7 +591,7 @@ class TestKernelAdapter:
 
         for name in PUBLIC_TRANSFORMS:
             monkeypatch.setattr(sfft, name, refuse)
-        report = run_experiment(default_config("nonuniform", n_list=(4, 8)))
+        report = run_experiment(ExperimentConfig("nonuniform", n_list=(4, 8)))
         assert {row["n"] for row in report.rows} == {4, 8}
         grid = make_grid(32)
         f, g = (random_field(grid, RandomFieldSpec(max_mode=6, seed=k)) for k in (1, 2))
