@@ -238,13 +238,13 @@ def base_deviation(s: State, g: GasParams) -> State:
 
 
 def state_to_hat(s: State) -> np.ndarray:
-    """Stacked unnormalized rfft2 coefficients of (rho, u, v, h), shape (4, N, N/2 + 1)."""
-    return _rfft(np.stack([f.samples for f in s.fields()]), (-2, -1), scale=False)
+    """The ``coefficients`` of (rho, u, v, h) stacked, shape (4, N, N/2 + 1)."""
+    return _rfft(np.stack([f.samples for f in s.fields()]), (-2, -1), scale=True)
 
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
     """Inverse of :func:`state_to_hat`; the fields own the planes of one fresh inverse."""
-    samples = _irfft(state_hat, (-2, -1), grid.size, scale=True)
+    samples = _irfft(state_hat, (-2, -1), grid.size)
     return State(*(Field._adopt(grid, samples=plane) for plane in samples))
 
 
@@ -253,9 +253,9 @@ class _RhsKernel:
 
     ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
     fields; a call fills their first ``columns`` columns and the rest stay
-    zero.  The inverse is :func:`spectral._band_irfft2` in place on the
-    filled columns, times the 2-D ``c2r`` factor 1/N^2 rounded from long
-    double, so ``samples`` holds ``irfft2``'s values.  ``columns`` must
+    zero.  The unscaled inverse :func:`spectral._band_irfft2` runs in place
+    on the filled columns, so ``samples`` holds the fields' values, and the
+    forward transform of the products divides by N^2.  ``columns`` must
     cover every nonzero column of a state passed in; N/2 + 1 does.
 
     Between calls ``samples`` holds nothing that is needed; ``spare`` views
@@ -272,7 +272,6 @@ class _RhsKernel:
         state_shape = (4, n, n // 2 + 1)
         flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
         self.spare = flat.view(np.complex128).reshape(state_shape)
-        self.scale = float(np.longdouble(1) / np.longdouble(n * n))
 
     def __call__(
         self,
@@ -293,7 +292,6 @@ class _RhsKernel:
         np.multiply(grid.ikx, state, out=band[4:8])
         np.multiply(grid.iky[:, :m], state, out=band[8:])
         samples = _band_irfft2(band, self.spectra, grid.size, out=self.samples)
-        samples *= self.scale
         fields, d_x, d_y = samples[:4], samples[4:8], samples[8:]
         if background is not None:
             fields += np.asarray(background, dtype=float)[:, None, None]
@@ -307,7 +305,7 @@ class _RhsKernel:
         np.negative(u * d_x[0] + v * d_y[0] + rho * div, out=d_x[0])
         np.negative(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0], out=d_x[2])
         np.negative(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div, out=d_x[3])
-        out_hat = _rfft(d_x, (-2, -1), scale=False, out=out)
+        out_hat = _rfft(d_x, (-2, -1), scale=True, out=out)
         out_hat *= grid.dealias_mask
         return out_hat
 
@@ -317,12 +315,14 @@ def rhs_hat(
 ) -> np.ndarray:
     """Right-hand side -(A(U) U_x + B(U) U_y) of a stacked spectral state.
 
-    ``state_hat`` is the output of :func:`state_to_hat`; it is not
+    ``state_hat`` holds coefficients in the convention of
+    :func:`state_to_hat`, and so does the result; ``state_hat`` is not
     modified.  Derivatives are spectral; products are formed pointwise in
     physical space and the assembled components are dealiased once.  The
     inverse transforms of U, U_x and U_y run as one batch, with the result
-    of ``irfft2`` bit for bit.  Raises AdmissibleStateError when min(rho)
-    or min(h) does not exceed :data:`REGION_FLOOR`.
+    of ``irfft2(..., norm="forward")`` bit for bit.  Raises
+    AdmissibleStateError when min(rho) or min(h) does not exceed
+    :data:`REGION_FLOOR`.
 
     With a constant ``background`` (rho, u, v, h), ``state_hat`` holds the
     deviation U - background, and the background is added to the samples

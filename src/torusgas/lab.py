@@ -31,6 +31,7 @@ import numpy as np
 
 from . import families, inequalities, solver
 from .euler import (
+    AdmissibleStateError,
     GasParams,
     State,
     base_deviation,
@@ -224,6 +225,8 @@ def config_from_dict(data: dict, experiment: str | None = None) -> ExperimentCon
         if "solve" in data:
             data["solve"] = replace(_DEFAULT_SOLVE, **data["solve"])
         if "n_list" in data:
+            if not isinstance(data["n_list"], (list, tuple)):
+                raise TypeError(f"n_list must be a list of integers, got {data['n_list']!r}")
             data["n_list"] = tuple(data["n_list"])
         return ExperimentConfig(name, **data)
     except TypeError as err:
@@ -266,8 +269,8 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    if any(x <= 0.0 or y <= 0.0 for x, y in pts):
-        raise ValueError("log-log fit needs strictly positive coordinates")
+    if not all(0.0 < x < math.inf and 0.0 < y < math.inf for x, y in pts):
+        raise ValueError(f"log-log fit needs finite, strictly positive coordinates, got {pts}")
     log_x = np.log([x for x, _ in pts])
     log_y = np.log([y for _, y in pts])
     if np.ptp(log_x) < 1e-12:
@@ -290,15 +293,16 @@ def _evolve_recorded(
 ) -> tuple[Trajectory, float]:
     """Evolve with a record stride, by default one targeting ~_TARGET_RECORDS snapshots.
 
-    Returns the trajectory and its step size.  A solver abort is re-raised
-    with the experiment and the family index n in front of its message.
+    Returns the trajectory and its step size.  A solver abort, or initial
+    data outside the admissible region, is re-raised as SolverError with
+    the experiment and the family index n in front of its message.
     """
-    n_steps, dt = solver.plan(s0, g, solve)
-    if stride is None:
-        stride = math.ceil(n_steps / _TARGET_RECORDS)
     try:
+        n_steps, dt = solver.plan(s0, g, solve)
+        if stride is None:
+            stride = math.ceil(n_steps / _TARGET_RECORDS)
         return solver.evolve(s0, g, solve, stride), dt
-    except SolverError as err:
+    except (SolverError, AdmissibleStateError) as err:
         label = experiment.replace("_", "-")
         raise SolverError(f"{label} run at n={n} failed: {err}") from err
 
@@ -323,9 +327,23 @@ def _fit_over_n(
     cfg: ExperimentConfig, measured: Sequence[float], envelope_exponent: float
 ) -> tuple[float, list[dict]]:
     """Log-log slope of ``measured`` over n, and rows with the anchored envelope."""
+    _require_finite(cfg.experiment, "rows.measured_value", measured)
     fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
     rows = _scaling_rows("n", cfg.n_list, measured, cfg.n_list, envelope_exponent)
     return fitted, rows
+
+
+def _require_finite(experiment: str, where: str, value) -> None:
+    """Raise SolverError naming ``where`` (dict keys appended) if ``value`` holds NaN or inf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(experiment, f"{where}.{key}" if where else key, item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _require_finite(experiment, where, item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        label = experiment.replace("_", "-")
+        raise SolverError(f"{label} report holds a non-finite {where}: {value}")
 
 
 def _emit(cfg: ExperimentConfig, report: Report) -> None:
@@ -356,7 +374,7 @@ def _emit(cfg: ExperimentConfig, report: Report) -> None:
     }
     summary["details"] = report.details
     with open(out / "summary.json", "w", encoding="ascii") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
@@ -434,6 +452,7 @@ def _exact_check(cfg: ExperimentConfig) -> Report:
     errors = [top_error] + [
         deviation_run(cfg.n_list[-1], replace(cfg.solve, dt_fixed=dt))[2] for dt in dts[1:]
     ]
+    _require_finite(cfg.experiment, "rows.measured_value", errors)
     order = fit_loglog_slope(list(zip(dts, errors)))
 
     passed = (
@@ -833,7 +852,12 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run the experiment the config names and write its report when an output dir is set."""
+    """Run the experiment the config names and write its report when an output dir is set.
+
+    A report that holds a NaN or an infinity raises SolverError unwritten.
+    """
     report = EXPERIMENTS[cfg.experiment].runner(cfg)
+    entries = {"rows": report.rows, **report.summary(), "details": report.details}
+    _require_finite(cfg.experiment, "", entries)
     _emit(cfg, report)
     return report

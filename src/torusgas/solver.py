@@ -1,17 +1,18 @@
 """Method-of-lines integration of the gas system with classical RK4.
 
-The state marches in spectral space on the half-plane layout of the real
-FFT; each right-hand-side evaluation transforms to physical space for the
-pointwise products and back, applying the two-thirds dealias mask to the
-assembled components.  Every stage state is dealiased, so the inverse
-transforms run over the dealias band's half-plane columns only, with the
-bytes of the full inverse.  A run allocates its arrays once: the
-right-hand side's spectra and samples, and two state-sized arrays in
-which the RK4 combination runs in place, in the operation order of
-``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``.  They are freed before the
-final state is recorded.  The time step is fixed for a whole run, chosen
-once from the initial state's CFL constraint (or supplied directly), and
-rounded so the final time is hit exactly.
+The state marches in spectral space, as the four fields'
+``Field.coefficients``; each right-hand-side evaluation transforms to
+physical space for the pointwise products and back, applying the
+two-thirds dealias mask to the assembled components.  Every stage state
+is dealiased, so the inverse transforms run over the dealias band's
+half-plane columns only, with the bytes of the full inverse.  A run
+allocates its arrays once: the right-hand side's spectra and samples,
+and two state-sized arrays in which the RK4 combination runs in place,
+in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``.
+They are freed before the final state is recorded.  The time step is
+fixed for a whole run, chosen once from the initial state's CFL
+constraint (or supplied directly), and rounded so the final time is hit
+exactly.
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ measure of the torus, so the constant field 1 has L2 norm 2*pi.
 
 Transforms
 ----------
+One coefficient convention holds everywhere: every 2-D forward transform
+divides by N**2 (``norm="forward"``) and every inverse is unscaled, so
+``Field.coefficients``, the solver's stacked state and the right-hand
+side's spectra are the same numbers.
 Every transform of the package goes through :func:`_rfft`, :func:`_irfft`
 and :func:`_fft`, which call the pocketfft kernel that ``scipy.fft``'s
 public functions end in with the arguments those functions would pass:
@@ -128,22 +132,15 @@ def _rfft(
 
 
 def _irfft(
-    c: np.ndarray,
-    axes: tuple[int, ...],
-    size: int,
-    *,
-    scale: bool,
-    out: np.ndarray | None = None,
+    c: np.ndarray, axes: tuple[int, ...], size: int, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``scipy.fft.irfftn`` of half-spectrum ``c``, last axis of length ``size``.
+    """``scipy.fft.irfftn(c, axes=axes, norm="forward")``, last axis of length ``size``.
 
-    ``c`` holds size//2 + 1 bins along its last axis.  ``scale`` divides by
-    the product of the output lengths (the default norm); without it this
-    is ``norm="forward"``.  With ``out`` (the result's shape, real, not
-    overlapping ``c``) the values are written there.
+    ``c`` holds size//2 + 1 bins along its last axis; the inverse is
+    unscaled.  With ``out`` (the result's shape, real, not overlapping
+    ``c``) the values are written there.
     """
-    inorm = 2 if scale else 0
-    return _pocketfft.c2r(c, axes, size, False, inorm, out, _threads(c))
+    return _pocketfft.c2r(c, axes, size, False, 0, out, _threads(c))
 
 
 def _fft(
@@ -169,7 +166,7 @@ def _band_irfft2(band: np.ndarray, spectra: np.ndarray, size: int, *, out=None) 
     with a large prime factor (4 * 101 rows, the lift at N = 202).
     """
     _fft(band, -2, forward=False, out=spectra[..., : band.shape[-1]])
-    return _irfft(spectra, (-1,), size, scale=False, out=out)
+    return _irfft(spectra, (-1,), size, out=out)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -336,7 +333,7 @@ class Field:
     def samples(self) -> np.ndarray:
         """Physical-space values, shape (N, N), read-only."""
         if self._samples is None:
-            real = _irfft(self._coefficients, (0, 1), self.grid.size, scale=False)
+            real = _irfft(self._coefficients, (0, 1), self.grid.size)
             object.__setattr__(self, "_samples", _frozen(real))
         return self._samples
 

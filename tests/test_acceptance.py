@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from torusgas.euler import (
     GasParams,
@@ -185,6 +186,7 @@ def test_criterion_6_nonuniform_dependence(capsys, tmp_path, compare):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_error_scaling(capsys):
     report = run_experiment(ExperimentConfig("error_scaling"))
     passed = (

@@ -177,6 +177,31 @@ class TestErrors:
         match = "higher-norm run at n=4 failed: aborted at t = 2 (step 4/4)"
         self._config_fails(tmp_path, capsys, "higher-norm", data, match)
 
+    def test_inadmissible_initial_data_names_experiment_and_n(self, tmp_path, capsys):
+        # the step-size plan is the first admissibility check of the run
+        match = "nonuniform run at n=4 failed: state left the admissible region: min(h)"
+        self._config_fails(tmp_path, capsys, "nonuniform", {"gas": {"h0": 1e-9}}, match)
+
+    @pytest.mark.parametrize(
+        "command, match",
+        [
+            ("higher-norm", "higher-norm report holds a non-finite rows.measured_value"),
+            ("exact-check", "exact-check report holds a non-finite rows.measured_value"),
+            ("nonuniform", "nonuniform report holds a non-finite rows.d0"),
+        ],
+    )
+    def test_non_finite_report_is_not_written(self, tmp_path, capsys, command, match):
+        # (1 + k^2)^s overflows at s = 400, and inf * 0 makes the norms NaN
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"s": 400}))
+        out = tmp_path / "reports"
+        with pytest.warns(RuntimeWarning):
+            code = main([command, "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert match in captured.err.splitlines()[-1]
+        assert not out.exists()
+
     def test_inequalities_needs_two_grids(self, tmp_path, capsys):
         data = {"n_list": [32, 64, 128], "family_size": 3}
         match = "inequalities expects n_list = (base_grid, refined_grid)"

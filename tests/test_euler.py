@@ -24,6 +24,7 @@ from torusgas.euler import (
     rhs,
     rhs_hat,
     state_difference,
+    state_from_hat,
     state_norm,
     state_to_hat,
     symmetrizer_floor,
@@ -391,11 +392,33 @@ class TestRhsBackground:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestCoefficientConvention:
+    """The solver's stacked state holds the coefficients that Field holds."""
+
+    @pytest.mark.parametrize(
+        "size, cells", [(8, 16), (16, 1), (24, 1), (38, 1), (48, 1), (202, 1), (256, 1)]
+    )
+    def test_state_hat_is_field_coefficients(self, size, cells):
+        grid = make_grid(size, cells)
+        rng = np.random.default_rng(size)
+        s = State(*(Field(grid, samples=rng.standard_normal((size, size))) for _ in range(4)))
+        state_hat = state_to_hat(s)
+        want = np.stack([f.coefficients for f in s.fields()])
+        assert state_hat.tobytes() == want.tobytes()
+        back = state_from_hat(state_hat, grid)
+        for got, plane in zip(back.fields(), state_hat):
+            assert got.samples.tobytes() == Field(grid, coefficients=plane).samples.tobytes()
+
+
 def formula_rhs_hat(state_hat, grid, g, background=None):
-    """The right-hand side as three full inverse transforms and expression products."""
+    """The right-hand side as three full inverse transforms and expression products.
+
+    The inverses are unscaled and the forward transform divides by N^2, the
+    package's one coefficient convention.
+    """
 
     def backward(coeffs):
-        return _irfft(coeffs, (-2, -1), grid.size, scale=True)
+        return _irfft(coeffs, (-2, -1), grid.size)
 
     fields = backward(state_hat)
     if background is not None:
@@ -411,7 +434,7 @@ def formula_rhs_hat(state_hat, grid, g, background=None):
     out[1] = -(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0])
     out[2] = -(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0])
     out[3] = -(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div)
-    out_hat = _rfft(out, (-2, -1), scale=False)
+    out_hat = _rfft(out, (-2, -1), scale=True)
     out_hat *= grid.dealias_mask
     return out_hat
 
@@ -437,7 +460,7 @@ class TestRhsKernelBits:
         # the deviation from the background, or the full state near it
         offset = np.zeros(4) if with_background else np.array(self.BACKGROUND)
         samples = offset[:, None, None] + 0.05 * rng.standard_normal((4, size, size))
-        state_hat = _rfft(samples, (-2, -1), scale=False)
+        state_hat = _rfft(samples, (-2, -1), scale=True)
         if dealiased:
             state_hat *= grid.dealias_mask
         before = state_hat.copy()

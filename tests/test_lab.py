@@ -41,6 +41,11 @@ class TestFitLoglogSlope:
             fit_loglog_slope([(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
         with pytest.raises(ValueError, match="degenerate"):
             fit_loglog_slope([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                fit_loglog_slope([(1.0, 1.0), (2.0, bad), (3.0, 1.0)])
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                fit_loglog_slope([(1.0, 1.0), (bad, 2.0), (3.0, 1.0)])
 
 
 class TestExperimentConfig:
@@ -220,6 +225,8 @@ class TestConfigFromDict:
             ({"gas": 1.4}, "config key 'gas' must be a JSON object, got float"),
             ({"solve": {"T": True}}, "invalid config: T must be a real number, got True"),
             ({"gas": {"rho0": True}}, "invalid config: rho0 must be a real number, got True"),
+            ({"n_list": None}, "n_list must be a list of integers, got None"),
+            ({"n_list": 5}, "n_list must be a list of integers, got 5"),
         ],
     )
     def test_malformed_values(self, data, match):

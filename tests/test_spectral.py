@@ -513,8 +513,8 @@ class TestKernelAdapter:
         with sfft.set_workers(cores):
             cases = {
                 "rfft2 batch": (
-                    _rfft(batch, (-2, -1), scale=False),
-                    sfft.rfft2(batch, axes=(-2, -1)),
+                    _rfft(batch, (-2, -1), scale=True),
+                    sfft.rfft2(batch, axes=(-2, -1), norm="forward"),
                 ),
                 "rfft2 forward": (
                     _rfft(one, (0, 1), scale=True),
@@ -522,15 +522,15 @@ class TestKernelAdapter:
                 ),
                 "rfft axis 1": (_rfft(one, (1,), scale=False), sfft.rfft(one, axis=1)),
                 "irfft2 batch": (
-                    _irfft(hat, (-2, -1), size, scale=True),
-                    sfft.irfft2(hat, s=(size, size), axes=(-2, -1)),
+                    _irfft(hat, (-2, -1), size),
+                    sfft.irfft2(hat, s=(size, size), axes=(-2, -1), norm="forward"),
                 ),
                 "irfft2 forward": (
-                    _irfft(hat[0], (0, 1), size, scale=False),
+                    _irfft(hat[0], (0, 1), size),
                     sfft.irfft2(hat[0], s=(size, size), norm="forward"),
                 ),
                 "irfft axis 1": (
-                    _irfft(hat[0], (1,), size, scale=False),
+                    _irfft(hat[0], (1,), size),
                     sfft.irfft(hat[0], n=size, axis=1, norm="forward"),
                 ),
                 "fft axis 0": (
@@ -552,9 +552,12 @@ class TestKernelAdapter:
             into["rfft"] = np.empty_like(hat[0])
             _rfft(one, (1,), scale=False, out=into["rfft"])
             cases["rfft axis 1 into out"] = (into["rfft"], sfft.rfft(one, axis=1))
-            _rfft(batch, (-2, -1), scale=False, out=into["rfft2"])
-            _irfft(hat, (-1,), size, scale=False, out=into["irfft"])
-            cases["rfft2 batch into out"] = (into["rfft2"], sfft.rfft2(batch, axes=(-2, -1)))
+            _rfft(batch, (-2, -1), scale=True, out=into["rfft2"])
+            _irfft(hat, (-1,), size, out=into["irfft"])
+            cases["rfft2 batch into out"] = (
+                into["rfft2"],
+                sfft.rfft2(batch, axes=(-2, -1), norm="forward"),
+            )
             cases["irfft last axis into out"] = (
                 into["irfft"],
                 sfft.irfft(hat, n=size, axis=-1, norm="forward"),
