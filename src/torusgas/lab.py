@@ -4,8 +4,9 @@
 :func:`run_experiment` the one way to run it: it takes the runner that
 :data:`EXPERIMENTS` names, calls it, and writes the :class:`Report` it
 returns.  :data:`EXPERIMENTS` is the one table of experiments: each name
-maps to its private runner, default ``n_list`` and CLI help.  A report's
-rows are dicts keyed by CSV column, in column order.  When an output
+maps to its private runner, default ``n_list`` and CLI help.  The four
+runners that evolve a family member share one member run, :func:`_member_run`.
+A report's rows are dicts keyed by CSV column, in column order.  When an output
 directory is set, the report is written as ``<experiment>.csv`` plus a
 ``summary.json`` with the pass verdict, the fitted exponents of scaling
 studies, the run parameters and the details.  Both come straight from the
@@ -25,7 +26,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .euler import (
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, _is_integer, _is_real, make_grid, sobolev_norm
+from .spectral import Field, TorusGrid, _is_integer, _is_real, make_grid, sobolev_norm
 
 __all__ = [
     "EXPERIMENTS",
@@ -283,28 +284,37 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _evolve_recorded(
-    s0: State,
-    g: GasParams,
-    solve: SolveConfig,
-    experiment: str,
+def _member_run(
+    cfg: ExperimentConfig,
     n: int,
+    grid: TorusGrid,
+    closed_form: Callable[[FamilyParams, GasParams, TorusGrid, float], State],
+    solve: SolveConfig | None = None,
     stride: int | None = None,
-) -> tuple[Trajectory, float]:
-    """Evolve with a record stride, by default one targeting ~_TARGET_RECORDS snapshots.
+) -> tuple[Trajectory, Iterator[State], float]:
+    """Evolve the omega = +1 member of index n on ``grid`` from ``closed_form`` at t = 0.
 
-    Returns the trajectory and its step size.  A solver abort, or initial
-    data outside the admissible region, is re-raised as SolverError with
-    the experiment and the family index n in front of its message.
+    ``solve`` defaults to ``cfg.solve`` and ``stride`` to one that records
+    about _TARGET_RECORDS states.  A solver abort, or initial data outside
+    the admissible region, is re-raised as SolverError labelled
+    "<experiment> run at n=<n> failed".  Returns the trajectory, a lazy
+    iterator of each recorded state minus ``closed_form`` at its time (no
+    closed form is built before it is drawn), and the step size.
     """
+    member, solve = FamilyParams(1, n, cfg.s), solve or cfg.solve
+    s0 = closed_form(member, cfg.gas, grid, 0.0)
     try:
-        n_steps, dt = solver.plan(s0, g, solve)
-        if stride is None:
-            stride = math.ceil(n_steps / _TARGET_RECORDS)
-        return solver.evolve(s0, g, solve, stride), dt
+        n_steps, dt = solver.plan(s0, cfg.gas, solve)
+        stride = stride or math.ceil(n_steps / _TARGET_RECORDS)
+        traj = solver.evolve(s0, cfg.gas, solve, stride)
     except (SolverError, AdmissibleStateError) as err:
-        label = experiment.replace("_", "-")
+        label = cfg.experiment.replace("_", "-")
         raise SolverError(f"{label} run at n={n} failed: {err}") from err
+    errors = (
+        state_difference(state, closed_form(member, cfg.gas, grid, t))
+        for t, state in zip(traj.times, traj.states)
+    )
+    return traj, errors, dt
 
 
 def _scaling_rows(
@@ -327,10 +337,18 @@ def _fit_over_n(
     cfg: ExperimentConfig, measured: Sequence[float], envelope_exponent: float
 ) -> tuple[float, list[dict]]:
     """Log-log slope of ``measured`` over n, and rows with the anchored envelope."""
-    _require_finite(cfg.experiment, "rows.measured_value", measured)
-    fitted = fit_loglog_slope(list(zip(cfg.n_list, measured)))
+    fitted = _fit(cfg.experiment, "rows.measured_value", cfg.n_list, measured)
     rows = _scaling_rows("n", cfg.n_list, measured, cfg.n_list, envelope_exponent)
     return fitted, rows
+
+
+def _fit(experiment: str, quantity: str, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Log-log slope of ``ys`` over ``xs``; SolverError naming ``quantity`` if it cannot fit."""
+    _require_finite(experiment, quantity, list(ys))
+    if min(ys) <= 0.0:
+        label = experiment.replace("_", "-")
+        raise SolverError(f"{label} cannot fit a log-log slope to {quantity}: it holds {min(ys)}")
+    return fit_loglog_slope(list(zip(xs, ys)))
 
 
 def _require_finite(experiment: str, where: str, value) -> None:
@@ -427,17 +445,10 @@ def _exact_check(cfg: ExperimentConfig) -> Report:
     The report's scaling rows are a time-step refinement triple at the
     largest n, whose fitted slope is the observed convergence order.
     """
-    g, s = cfg.gas, cfg.s
-
-    def deviation_run(n: int, solve: SolveConfig = cfg.solve) -> tuple[float, ...]:
+    def deviation_run(n: int, solve: SolveConfig | None = None) -> tuple[float, ...]:
         grid = make_grid(cfg.grid_rule, n)
-        fp = FamilyParams(1, n, s)
-        s0 = families.exact_solution(fp, g, grid, 0.0)
-        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n)
-        devs = [
-            state_norm(state_difference(state, families.exact_solution(fp, g, grid, t)), s)
-            for t, state in zip(traj.times, traj.states)
-        ]
+        traj, errors, dt = _member_run(cfg, n, grid, families.exact_solution, solve)
+        devs = [state_norm(error, cfg.s) for error in errors]
         max_div = max(sobolev_norm(divergence(state), 0.0) for state in traj.states)
         # evolve records exactly T last, so devs[-1] is the final-time deviation
         return max(devs), max_div, devs[-1], dt
@@ -452,8 +463,7 @@ def _exact_check(cfg: ExperimentConfig) -> Report:
     errors = [top_error] + [
         deviation_run(cfg.n_list[-1], replace(cfg.solve, dt_fixed=dt))[2] for dt in dts[1:]
     ]
-    _require_finite(cfg.experiment, "rows.measured_value", errors)
-    order = fit_loglog_slope(list(zip(dts, errors)))
+    order = _fit(cfg.experiment, "rows.measured_value", dts, errors)
 
     passed = (
         order >= 3.8
@@ -493,21 +503,16 @@ def _error_scaling(cfg: ExperimentConfig) -> Report:
     error is below 1% of the measured quantity; if it is not, the report
     is marked failed rather than trusted.
     """
-    g, s, sigma = cfg.gas, cfg.s, cfg.sigma
+    s, sigma = cfg.s, cfg.sigma
 
     def run_one(
-        n: int, refine: int = 1, solve: SolveConfig = cfg.solve, stride: int | None = None
+        n: int, refine: int = 1, solve: SolveConfig | None = None, stride: int | None = None
     ) -> dict:
         # Whole torus until ROADMAP item 1: on a cell, digits of the bench
         # reference move, so the cell move waits for its re-capture.
         grid = make_grid(refine * cfg.grid_rule * n)
-        fp = FamilyParams(1, n, s)
-        s0 = families.initial_data(fp, g, grid)
-        traj, dt = _evolve_recorded(s0, g, solve, cfg.experiment, n, stride)
-        curve = []
-        for t, state in zip(traj.times, traj.states):
-            reference = families.approx_solution(fp, g, grid, t)
-            curve.append((t, state_norm(state_difference(state, reference), sigma)))
+        traj, errors, dt = _member_run(cfg, n, grid, families.approx_solution, solve, stride)
+        curve = [(t, state_norm(error, sigma)) for t, error in zip(traj.times, errors)]
         return {"err_final": curve[-1][1], "curve": curve, "dt": dt}
 
     n_top = cfg.n_list[-1]
@@ -574,9 +579,7 @@ def _higher_norm(cfg: ExperimentConfig) -> Report:
 
     def run_one(n: int) -> dict:
         grid = make_grid(cfg.grid_rule, n)
-        fp = FamilyParams(1, n, s)
-        s0 = families.initial_data(fp, g, grid)
-        traj, _ = _evolve_recorded(s0, g, cfg.solve, cfg.experiment, n)
+        traj, _, _ = _member_run(cfg, n, grid, families.approx_solution)
         norms = [
             state_norm(base_deviation(state, g), tau) for state in traj.states
         ]
@@ -585,9 +588,8 @@ def _higher_norm(cfg: ExperimentConfig) -> Report:
     results = [run_one(n) for n in cfg.n_list]
     predicted = tau - s
     fitted, rows = _fit_over_n(cfg, [r["max_norm"] for r in results], predicted)
-    slope_t0 = fit_loglog_slope(
-        list(zip(cfg.n_list, (r["norm_t0"] for r in results)))
-    )
+    norms_t0 = [r["norm_t0"] for r in results]
+    slope_t0 = _fit(cfg.experiment, "details.initial_slope", cfg.n_list, norms_t0)
     tolerance = 0.15
     return Report(
         experiment=cfg.experiment,
@@ -671,20 +673,16 @@ def _nonuniform(cfg: ExperimentConfig) -> Report:
 
     def run_pair(n: int) -> list[dict]:
         grid = make_grid(cfg.grid_rule, n)
-        fp_plus = FamilyParams(1, n, s)
+        traj_plus, errors_plus, _ = _member_run(cfg, n, grid, families.approx_solution)
         fp_minus = FamilyParams(-1, n, s)
-        init_plus = families.initial_data(fp_plus, g, grid)
-        init_minus = families.initial_data(fp_minus, g, grid)
+        init_plus, init_minus = traj_plus.states[0], families.initial_data(fp_minus, g, grid)
         d0 = state_norm(state_difference(init_plus, init_minus), s)
         shift = cfg.grid_rule // 2
         _require_mirror_image(_mirror(init_plus, shift), init_minus, n)
-        traj_plus, _ = _evolve_recorded(init_plus, g, cfg.solve, cfg.experiment, n)
         rows = []
-        for idx, (t, state_plus) in enumerate(zip(traj_plus.times, traj_plus.states)):
+        recorded = zip(traj_plus.times, traj_plus.states, errors_plus)
+        for idx, (t, state_plus, err_plus) in enumerate(recorded):
             state_minus = init_minus if idx == 0 else _mirror(state_plus, shift)
-            err_plus = state_difference(
-                state_plus, families.approx_solution(fp_plus, g, grid, t)
-            )
             err_minus = state_difference(
                 state_minus, families.approx_solution(fp_minus, g, grid, t)
             )

@@ -172,15 +172,17 @@ class TestErrors:
         data = {"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}
         self._config_fails(tmp_path, capsys, "nonuniform", data, "aborted")
 
-    def test_solver_error_names_experiment_and_n(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["higher-norm", "error-scaling", "nonuniform"])
+    def test_solver_error_names_experiment_and_n(self, tmp_path, capsys, command):
         data = {"n_list": [4, 8, 16], "solve": {"T": 2.0, "dt_fixed": 0.5}}
-        match = "higher-norm run at n=4 failed: aborted at t = 2 (step 4/4)"
-        self._config_fails(tmp_path, capsys, "higher-norm", data, match)
+        match = f"{command} run at n=4 failed: aborted at t = 2 (step 4/4)"
+        self._config_fails(tmp_path, capsys, command, data, match)
 
-    def test_inadmissible_initial_data_names_experiment_and_n(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, n", [("nonuniform", 4), ("exact-check", 8)])
+    def test_inadmissible_initial_data_names_experiment_and_n(self, tmp_path, capsys, command, n):
         # the step-size plan is the first admissibility check of the run
-        match = "nonuniform run at n=4 failed: state left the admissible region: min(h)"
-        self._config_fails(tmp_path, capsys, "nonuniform", {"gas": {"h0": 1e-9}}, match)
+        match = f"{command} run at n={n} failed: state left the admissible region: min(h)"
+        self._config_fails(tmp_path, capsys, command, {"gas": {"h0": 1e-9}}, match)
 
     @pytest.mark.parametrize(
         "command, match",
@@ -200,6 +202,20 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert match in captured.err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("residue-scaling", {"s": 400}),
+            ("error-scaling", {"s": 400, "n_list": [2, 4, 8], "solve": {"T": 0.1}}),
+        ],
+    )
+    def test_unfittable_report_is_not_written(self, tmp_path, capsys, command, data):
+        # at s = 400 the family amplitudes, powers of n^(-s), underflow and the norms read 0.0
+        out = tmp_path / "reports"
+        match = f"{command} cannot fit a log-log slope to rows.measured_value: it holds 0.0"
+        self._config_fails(tmp_path, capsys, command, {**data, "output_dir": str(out)}, match)
         assert not out.exists()
 
     def test_inequalities_needs_two_grids(self, tmp_path, capsys):

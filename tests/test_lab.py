@@ -17,7 +17,7 @@ from torusgas.lab import (
     fit_loglog_slope,
     run_experiment,
     _emit,
-    _evolve_recorded,
+    _member_run,
     _mirror,
 )
 from torusgas.solver import SolveConfig
@@ -481,19 +481,6 @@ class TestNonuniformMirror:
                 1e-12,
             )
 
-    def test_one_evolve_per_n(self, monkeypatch):
-        sizes = []
-        real_evolve = solver.evolve
-
-        def counting_evolve(s0, *args, **kwargs):
-            sizes.append((s0.grid.size, s0.grid.cells))
-            return real_evolve(s0, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "evolve", counting_evolve)
-        cfg = ExperimentConfig("nonuniform", n_list=(2, 4), solve=SolveConfig(T=0.1))
-        run_experiment(cfg)
-        assert sorted(sizes) == [(8, 2), (8, 4)]  # one grid_rule-point cell per n
-
     def test_broken_mirror_image_raises(self, broken_mirror):
         cfg = ExperimentConfig("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
         with pytest.raises(RuntimeError, match="not a mirror image"):
@@ -511,18 +498,61 @@ def _pinned_torus_grid(size: int) -> TorusGrid:
     return grid
 
 
+class TestMemberRun:
+    """Every evolving runner reaches the solver through one member run."""
+
+    #: n_list and the (size, cells) of each evolve call, in call order
+    EVOLVE_GRIDS = {
+        # one grid_rule-point cell per n
+        "nonuniform": ((2, 4), [(8, 2), (8, 4)]),
+        "higher_norm": ((2, 4, 8), [(8, 2), (8, 4), (8, 8)]),
+        # and the two halved-step runs at the largest n
+        "exact_check": ((2, 4), [(8, 2), (8, 4), (8, 4), (8, 4)]),
+        # one whole-torus grid_rule * n grid per n, and the doubled control run
+        "error_scaling": ((2, 4, 8), [(16, 1), (32, 1), (64, 1), (128, 1)]),
+    }
+
+    @pytest.mark.parametrize("experiment", EVOLVE_GRIDS)
+    def test_evolve_calls(self, monkeypatch, experiment):
+        n_list, grids = self.EVOLVE_GRIDS[experiment]
+        seen = []
+        real_evolve = solver.evolve
+
+        def recording_evolve(s0, *args, **kwargs):
+            seen.append((s0.grid.size, s0.grid.cells))
+            return real_evolve(s0, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "evolve", recording_evolve)
+        run_experiment(ExperimentConfig(experiment, n_list=n_list, solve=SolveConfig(T=0.1)))
+        assert seen == grids
+
+    def test_closed_forms_are_built_when_drawn(self, monkeypatch):
+        # higher_norm draws no errors, so it builds the initial data and nothing more
+        built = []
+        real_closed_form = families.approx_solution
+
+        def recording_closed_form(fp, gas, grid, t):
+            built.append(t)
+            return real_closed_form(fp, gas, grid, t)
+
+        monkeypatch.setattr(families, "approx_solution", recording_closed_form)
+        cfg = ExperimentConfig("higher_norm", n_list=(2, 4, 8), solve=SolveConfig(T=0.1))
+        run_experiment(cfg)
+        assert built == [0.0, 0.0, 0.0]
+        traj, errors, _ = _member_run(cfg, 4, make_grid(8, 4), families.approx_solution)
+        assert len(list(errors)) == len(traj.times)
+        assert built == [0.0] * 4 + traj.times
+
+
 class TestCellGridEvolve:
     """Evolving one 2*pi/n cell is evolving the whole torus."""
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_cell_run_matches_full_torus_run(self, n):
-        gas, fp = GasParams(), FamilyParams(1, n, 3.0)
+        cfg = ExperimentConfig("nonuniform")
         full, cell = make_grid(8 * n), make_grid(8, n)
         on_full, on_cell = (
-            _evolve_recorded(
-                families.initial_data(fp, gas, on), gas, SolveConfig(T=1.0), "nonuniform", n
-            )[0]
-            for on in (full, cell)
+            _member_run(cfg, n, on, families.approx_solution)[0] for on in (full, cell)
         )
         assert on_full.times == on_cell.times and len(on_cell.times) > 10
         # the torus coefficient at n*k is the cell coefficient at k
@@ -536,9 +566,9 @@ class TestCellGridEvolve:
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_full_torus_run_stays_on_multiples_of_n(self, n):
-        gas, grid = GasParams(), make_grid(8 * n)
-        s0 = families.initial_data(FamilyParams(1, n, 3.0), gas, grid)
-        traj, _ = _evolve_recorded(s0, gas, SolveConfig(T=1.0), "nonuniform", n)
+        grid = make_grid(8 * n)
+        cfg = ExperimentConfig("nonuniform")
+        traj, _, _ = _member_run(cfg, n, grid, families.approx_solution)
         columns = np.arange(grid.size // 2 + 1)
         off_lattice = np.ones((grid.size, columns.size), dtype=bool)
         rows = np.fft.fftfreq(grid.size, 1.0 / grid.size)
