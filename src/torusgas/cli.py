@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import lab
 from .solver import SolverError
 
-_SUBCOMMANDS = {name.replace("_", "-"): name for name in lab.EXPERIMENTS}
+_SUBCOMMANDS = {lab.command_name(name): name for name in lab.EXPERIMENTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,13 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> lab.ExperimentConfig:
+    """The config file's parameters with the flags that are set laid over them."""
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    cfg = lab.config_from_dict(data, _SUBCOMMANDS[args.command])
     flags = {"output_dir": args.out, "seed": args.seed, "threads": args.threads}
-    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
+    if isinstance(data, dict):  # anything else is config_from_dict's to reject
+        data.update((name, v) for name, v in flags.items() if v is not None)
+    return lab.config_from_dict(data, _SUBCOMMANDS[args.command])
 
 
 def main(argv: list[str] | None = None) -> int:

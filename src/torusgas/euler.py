@@ -44,7 +44,6 @@ __all__ = [
     "max_wave_speed",
     "state_norm",
     "state_difference",
-    "base_deviation",
 ]
 
 #: Positivity floor of min(rho) and min(h) in every admissible-region check.
@@ -224,17 +223,6 @@ def state_norm(s: State, sigma: float) -> float:
 def state_difference(a: State, b: State) -> State:
     """Componentwise difference a - b (no admissibility requirement)."""
     return State(a.rho - b.rho, a.u - b.u, a.v - b.v, a.h - b.h)
-
-
-def base_deviation(s: State, g: GasParams) -> State:
-    """Subtract the stationary base state (rho0, 0, 0, h0)."""
-    grid = s.grid
-    return State(
-        Field(grid, samples=s.rho.samples - g.rho0),
-        s.u,
-        s.v,
-        Field(grid, samples=s.h.samples - g.h0),
-    )
 
 
 def state_to_hat(s: State) -> np.ndarray:

@@ -35,20 +35,27 @@ from .euler import (
     AdmissibleStateError,
     GasParams,
     State,
-    base_deviation,
     divergence,
     state_difference,
     state_norm,
 )
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
-from .spectral import Field, TorusGrid, _is_integer, _is_real, make_grid, sobolev_norm
+from .spectral import (
+    Field,
+    TorusGrid,
+    _is_integer,
+    _is_real,
+    constant_field,
+    make_grid,
+    sobolev_norm,
+)
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "Report",
-    "fit_loglog_slope",
+    "command_name",
     "config_from_dict",
     "run_experiment",
 ]
@@ -78,6 +85,7 @@ class ExperimentConfig:
     dealias band.  It must be even, so that the cell grid is even and the
     nonuniform pair's mirror centre grid_rule/2 falls on a node.  The
     experiments that fit a slope over ``n_list`` need three entries or more.
+    ``s`` is bounded above so that every norm weight of the run is finite.
     For the ``inequalities`` experiment ``n_list`` holds the two grid sizes
     (base, refined) instead of family indices, both built when it is checked, and
     ``family_size`` sets the number of seeded members per check.
@@ -160,15 +168,24 @@ class ExperimentConfig:
                     f"grid_rule must be even so that N = grid_rule * n is even, "
                     f"got {self.grid_rule}"
                 )
-        # cell runs evolve grid_rule points per axis at every n; error_scaling's
+        # cell runs evolve grid_rule points per axis on 2*pi/n cells; error_scaling's
         # control run doubles grid_rule * n at the largest n; the inequality
-        # products run on the doubled refined grid
-        largest = {
-            "error_scaling": 2 * self.grid_rule * max(n_list),
-            "inequalities": 2 * max(n_list),
-        }.get(self.experiment, self.grid_rule)
+        # products run on the doubled refined grid; the last two on the whole torus
+        largest, cells = {
+            "error_scaling": (2 * self.grid_rule * max(n_list), 1),
+            "inequalities": (2 * max(n_list), 1),
+        }.get(self.experiment, (self.grid_rule, max(n_list)))
         if largest > _MAX_GRID:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
+        # No run takes a norm above order tau = floor(s) + 1, whose weights reach
+        # 2 (1 + |k|^2)^tau at |k|^2 = (cells * largest)^2 / 2; while they are
+        # finite, the family amplitudes n^-s and n^-2s are normal floats.
+        tau, points = math.floor(self.s) + 1, cells * largest
+        if tau * math.log1p(points**2 / 2) >= math.log(np.finfo(float).max / 2):
+            raise ValueError(
+                f"s = {self.s} is too large: the norm weights (1 + |k|^2)^{tau} "
+                f"overflow at N = {points} points per 2*pi"
+            )
         if self.experiment == "inequalities":  # a bad size fails here, not in the run
             base_grid, _ = (make_grid(n) for n in n_list)
             inequalities._require_band(base_grid, inequalities.FAMILY_MAX_MODE)
@@ -184,6 +201,11 @@ def _require_known_keys(data: dict, cls: type, what: str) -> None:
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def command_name(experiment: str) -> str:
+    """The experiment's name as the command line spells it, with dashes."""
+    return experiment.replace("_", "-")
 
 
 def _lookup(experiment: str) -> _Experiment:
@@ -265,20 +287,6 @@ class Report:
         return summary
 
 
-def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of log y against log x."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    if not all(0.0 < x < math.inf and 0.0 < y < math.inf for x, y in pts):
-        raise ValueError(f"log-log fit needs finite, strictly positive coordinates, got {pts}")
-    log_x = np.log([x for x, _ in pts])
-    log_y = np.log([y for _, y in pts])
-    if np.ptp(log_x) < 1e-12:
-        raise ValueError("degenerate x-range for slope fit")
-    return float(np.polyfit(log_x, log_y, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
@@ -308,8 +316,7 @@ def _member_run(
         stride = stride or math.ceil(n_steps / _TARGET_RECORDS)
         traj = solver.evolve(s0, cfg.gas, solve, stride)
     except (SolverError, AdmissibleStateError) as err:
-        label = cfg.experiment.replace("_", "-")
-        raise SolverError(f"{label} run at n={n} failed: {err}") from err
+        raise SolverError(f"{command_name(cfg.experiment)} run at n={n} failed: {err}") from err
     errors = (
         state_difference(state, closed_form(member, cfg.gas, grid, t))
         for t, state in zip(traj.times, traj.states)
@@ -343,12 +350,18 @@ def _fit_over_n(
 
 
 def _fit(experiment: str, quantity: str, xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Log-log slope of ``ys`` over ``xs``; SolverError naming ``quantity`` if it cannot fit."""
-    _require_finite(experiment, quantity, list(ys))
-    if min(ys) <= 0.0:
-        label = experiment.replace("_", "-")
-        raise SolverError(f"{label} cannot fit a log-log slope to {quantity}: it holds {min(ys)}")
-    return fit_loglog_slope(list(zip(xs, ys)))
+    """Least-squares slope of log ``ys`` over distinct log ``xs`` (an n_list or a dt triple).
+
+    SolverError names ``quantity`` unless every value is finite and positive.
+    """
+    values = [*xs, *ys]
+    _require_finite(experiment, quantity, values)
+    if min(values) <= 0.0:
+        raise SolverError(
+            f"{command_name(experiment)} cannot fit a log-log slope to {quantity}: "
+            f"it holds {min(values)}"
+        )
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 def _require_finite(experiment: str, where: str, value) -> None:
@@ -360,8 +373,7 @@ def _require_finite(experiment: str, where: str, value) -> None:
         for item in value:
             _require_finite(experiment, where, item)
     elif isinstance(value, float) and not math.isfinite(value):
-        label = experiment.replace("_", "-")
-        raise SolverError(f"{label} report holds a non-finite {where}: {value}")
+        raise SolverError(f"{command_name(experiment)} report holds a non-finite {where}: {value}")
 
 
 def _emit(cfg: ExperimentConfig, report: Report) -> None:
@@ -580,9 +592,8 @@ def _higher_norm(cfg: ExperimentConfig) -> Report:
     def run_one(n: int) -> dict:
         grid = make_grid(cfg.grid_rule, n)
         traj, _, _ = _member_run(cfg, n, grid, families.approx_solution)
-        norms = [
-            state_norm(base_deviation(state, g), tau) for state in traj.states
-        ]
+        rest = State(*(constant_field(grid, value) for value in (g.rho0, 0.0, 0.0, g.h0)))
+        norms = [state_norm(state_difference(state, rest), tau) for state in traj.states]
         return {"n": n, "max_norm": max(norms), "norm_t0": norms[0]}
 
     results = [run_one(n) for n in cfg.n_list]

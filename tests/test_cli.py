@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config loading, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from torusgas import lab
-from torusgas.cli import build_parser, main
+from torusgas.cli import _SUBCOMMANDS, build_parser, main
 from torusgas.lab import EXPERIMENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -110,7 +111,8 @@ class TestMain:
 
     def test_flag_overrides_reach_summary(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_list": [32, 64], "family_size": 10}))
+        # the flags win over the file's own seed
+        config.write_text(json.dumps({"n_list": [32, 64], "family_size": 10, "seed": 3}))
         out = tmp_path / "reports"
         code = main(
             [
@@ -129,6 +131,23 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["params"]["seed"] == 11
         assert summary["params"]["threads"] == 2
+        capsys.readouterr()
+
+    def test_one_config_build_per_run(self, tmp_path, capsys, monkeypatch):
+        # the flags join the config before it is built and checked, once
+        calls = []
+        check = lab.ExperimentConfig.__post_init__
+
+        def counted(cfg):
+            calls.append(cfg.experiment)
+            check(cfg)
+
+        monkeypatch.setattr(lab.ExperimentConfig, "__post_init__", counted)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_list": [4, 8, 16]}))
+        argv = ["residue-scaling", "--config", str(config), "--seed", "1", "--threads", "2"]
+        assert main(argv) == 0
+        assert calls == ["residue_scaling"]
         capsys.readouterr()
 
 
@@ -192,31 +211,40 @@ class TestErrors:
             ("nonuniform", "nonuniform report holds a non-finite rows.d0"),
         ],
     )
-    def test_non_finite_report_is_not_written(self, tmp_path, capsys, command, match):
-        # (1 + k^2)^s overflows at s = 400, and inf * 0 makes the norms NaN
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"s": 400}))
+    def test_non_finite_report_is_not_written(
+        self, tmp_path, capsys, monkeypatch, command, match
+    ):
+        # the runners' norms read NaN, as they would if a norm weight overflowed
+        monkeypatch.setattr(lab, "state_norm", lambda state, sigma: math.nan)
         out = tmp_path / "reports"
-        with pytest.warns(RuntimeWarning):
-            code = main([command, "--config", str(config), "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert match in captured.err.splitlines()[-1]
+        data = {"solve": {"T": 0.1}, "output_dir": str(out)}
+        self._config_fails(tmp_path, capsys, command, data, match)
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, data",
         [
-            ("residue-scaling", {"s": 400}),
-            ("error-scaling", {"s": 400, "n_list": [2, 4, 8], "solve": {"T": 0.1}}),
+            ("residue-scaling", {}),
+            ("error-scaling", {"n_list": [2, 4, 8], "solve": {"T": 0.1}}),
         ],
     )
-    def test_unfittable_report_is_not_written(self, tmp_path, capsys, command, data):
-        # at s = 400 the family amplitudes, powers of n^(-s), underflow and the norms read 0.0
+    def test_unfittable_report_is_not_written(
+        self, tmp_path, capsys, monkeypatch, command, data
+    ):
+        # the runners' norms read 0.0, as they would if the family amplitudes underflowed
+        monkeypatch.setattr(lab, "state_norm", lambda state, sigma: 0.0)
+        monkeypatch.setattr(lab, "sobolev_norm", lambda f, sigma: 0.0)
         out = tmp_path / "reports"
         match = f"{command} cannot fit a log-log slope to rows.measured_value: it holds 0.0"
         self._config_fails(tmp_path, capsys, command, {**data, "output_dir": str(out)}, match)
         assert not out.exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        # flags are laid over a config object only; anything else is rejected
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        argv = ["residue-scaling", "--config", str(config), "--seed", "3"]
+        self._fails_cleanly(capsys, argv, "config must be a JSON object, got list")
 
     def test_inequalities_needs_two_grids(self, tmp_path, capsys):
         data = {"n_list": [32, 64, 128], "family_size": 3}
@@ -255,6 +283,8 @@ class TestErrors:
             ),
             ("inequalities", {"n_list": [64, 127]}, "grid size must be even and >= 4, got 127"),
             ("nonuniform", {"n_list": None}, "invalid config"),
+            # (1 + |k|^2)^401 overflows on every default grid
+            *[(command, {"s": 400}, "s = 400 is too large") for command in _SUBCOMMANDS],
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):

@@ -13,7 +13,6 @@ from torusgas.euler import (
     State,
     _RhsKernel,
     _require_admissible,
-    base_deviation,
     divergence,
     matrix_A,
     matrix_A0,
@@ -202,14 +201,6 @@ class TestState:
         s = constant_state(grid, 1.0, 0.0, 0.0, 1.0)
         # two unit constants: sqrt(2) * 2 pi, any sigma
         assert state_norm(s, 1.5) == pytest.approx(2.0 * np.pi * np.sqrt(2.0))
-
-    def test_base_deviation(self):
-        grid = make_grid(16)
-        s = constant_state(grid, 1.25, 0.5, 0.0, 0.75)
-        dev = base_deviation(s, GAS)
-        assert np.allclose(dev.rho.samples, 0.25)
-        assert np.allclose(dev.u.samples, 0.5)
-        assert np.allclose(dev.h.samples, -0.25)
 
 
 class TestRhs:

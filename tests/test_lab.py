@@ -13,39 +13,44 @@ from torusgas.lab import (
     EXPERIMENTS,
     ExperimentConfig,
     Report,
+    command_name,
     config_from_dict,
-    fit_loglog_slope,
     run_experiment,
     _emit,
+    _fit,
     _member_run,
     _mirror,
 )
-from torusgas.solver import SolveConfig
+from torusgas.solver import SolveConfig, SolverError
 from torusgas.spectral import Field, TorusGrid, make_grid
 class TestFitLoglogSlope:
+    """``lab._fit``, the one log-log slope fit of the scaling studies."""
+
+    @staticmethod
+    def fit(xs, ys):
+        return _fit("higher_norm", "rows.measured_value", xs, ys)
+
     def test_exact_power_laws(self):
         xs = [1.0, 2.0, 4.0, 8.0]
-        assert fit_loglog_slope([(x, x**2) for x in xs]) == pytest.approx(2.0)
-        assert fit_loglog_slope([(x, 5.0 / x) for x in xs]) == pytest.approx(-1.0)
+        assert self.fit(xs, [x**2 for x in xs]) == pytest.approx(2.0)
+        assert self.fit(xs, [5.0 / x for x in xs]) == pytest.approx(-1.0)
 
     def test_perturbed_data(self):
         rng = np.random.default_rng(0)
         xs = [4.0, 8.0, 16.0, 32.0, 64.0]
         ys = [x**-6.5 * (1.0 + 1e-3 * rng.standard_normal()) for x in xs]
-        assert fit_loglog_slope(list(zip(xs, ys))) == pytest.approx(-6.5, abs=0.02)
+        assert self.fit(xs, ys) == pytest.approx(-6.5, abs=0.02)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_loglog_slope([(1.0, 1.0), (2.0, 4.0)])
-        with pytest.raises(ValueError, match="strictly positive"):
-            fit_loglog_slope([(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
-        with pytest.raises(ValueError, match="degenerate"):
-            fit_loglog_slope([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+        unfittable = "higher-norm cannot fit a log-log slope to rows.measured_value: it holds 0.0"
+        with pytest.raises(SolverError, match=unfittable):
+            self.fit([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite, strictly positive"):
-                fit_loglog_slope([(1.0, 1.0), (2.0, bad), (3.0, 1.0)])
-            with pytest.raises(ValueError, match="finite, strictly positive"):
-                fit_loglog_slope([(1.0, 1.0), (bad, 2.0), (3.0, 1.0)])
+            non_finite = f"higher-norm report holds a non-finite rows.measured_value: {bad}"
+            with pytest.raises(SolverError, match=non_finite):
+                self.fit([1.0, 2.0, 3.0], [1.0, bad, 1.0])
+            with pytest.raises(SolverError, match=non_finite):
+                self.fit([1.0, bad, 3.0], [1.0, 2.0, 1.0])
 
 
 class TestExperimentConfig:
@@ -116,6 +121,50 @@ class TestExperimentConfig:
         # N = grid_rule * n must be even for every n
         with pytest.raises(ValueError, match="grid_rule must be even"):
             ExperimentConfig(experiment, grid_rule=7)
+
+    @pytest.mark.parametrize(
+        "experiment, torus_points, s_max",
+        [
+            # the finest grid in points per 2*pi, and the largest integer s accepted
+            ("nonuniform", 256, 67),
+            ("residue_scaling", 512, 59),
+            ("error_scaling", 512, 59),
+            ("exact_check", 64, 91),
+            ("higher_norm", 256, 67),
+            ("inequalities", 256, 67),
+        ],
+    )
+    def test_s_bounded_by_finite_norm_weights(self, experiment, torus_points, s_max):
+        grid = make_grid(torus_points)
+        with np.errstate(over="ignore"):
+            accepted, beyond = (
+                grid.one_plus_ksq ** float(tau) * grid.column_weights
+                for tau in (s_max + 1, s_max + 3)
+            )
+        # the weights of every accepted s are finite, and the bound is tight
+        # to within one order
+        assert np.isfinite(accepted).all() and not np.isfinite(beyond).all()
+        ExperimentConfig(experiment, s=s_max + 0.99)
+        match = (
+            f"s = {s_max + 1.0} is too large: the norm weights (1 + |k|^2)^{s_max + 2} "
+            f"overflow at N = {torus_points} points per 2*pi"
+        )
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ExperimentConfig(experiment, s=s_max + 1.0)
+
+    def test_bounded_s_keeps_family_amplitudes_normal(self):
+        # at the largest accepted s the smallest amplitude n^(-2s) of the h
+        # deviation is still a normal float on every grid_rule and n
+        for grid_rule in (6, 8, 16):
+            for n in (1, 4, 64, 512):
+                s = 2.5
+                while True:
+                    try:
+                        ExperimentConfig("nonuniform", n_list=(n,), grid_rule=grid_rule, s=s + 0.5)
+                    except ValueError:
+                        break
+                    s += 0.5
+                assert float(n) ** (-2.0 * s) >= np.finfo(float).tiny
 
     def test_misc_validation(self):
         with pytest.raises(ValueError, match="s must exceed 2"):
@@ -195,6 +244,19 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
             config_from_dict({"experiment": "frobnicate"})
 
+    def test_command_names_round_trip(self):
+        names = [command_name(name) for name in EXPERIMENTS]
+        assert names == [
+            "nonuniform",
+            "residue-scaling",
+            "error-scaling",
+            "exact-check",
+            "higher-norm",
+            "inequalities",
+        ]
+        assert [config_from_dict({"experiment": name}).experiment for name in names] == list(
+            EXPERIMENTS
+        )
 
     def test_partial_solve_section_keeps_defaults(self):
         cfg = config_from_dict({"solve": {"cfl": 0.5}}, "nonuniform")
