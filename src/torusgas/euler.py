@@ -177,7 +177,7 @@ def symmetrizer_floor(g: GasParams) -> float:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class State:
     """The PDE unknown U = (rho, u, v, h) as four fields on one grid."""
 

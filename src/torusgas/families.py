@@ -31,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import GasParams, State, rhs_hat, state_difference, state_from_hat, state_to_hat
-from .spectral import Field, TorusGrid, _is_integer, _is_real, constant_field, sobolev_norm
+from .spectral import (
+    Field,
+    TorusGrid,
+    _is_integer,
+    _is_real,
+    _require_band,
+    constant_field,
+    sobolev_norm,
+)
 
 __all__ = [
     "FamilyParams",
@@ -72,12 +80,7 @@ def _require_resolved(grid: TorusGrid, n: int, harmonic: int, what: str) -> None
         raise ValueError(
             f"{what} at n={n} is not periodic on the 2*pi/{grid.cells} cell of the grid"
         )
-    band = grid.dealias_cutoff * grid.cells
-    if harmonic * n > band:
-        raise ValueError(
-            f"{what} carries modes up to {harmonic * n}, beyond the dealias band "
-            f"{band} of an N={grid.size} grid on a 2*pi/{grid.cells} cell"
-        )
+    _require_band(grid, harmonic * n, f"{what} mode")
 
 
 def _full(grid: TorusGrid, values: np.ndarray) -> Field:

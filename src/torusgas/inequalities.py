@@ -143,18 +143,9 @@ def _random_rows(spec: RandomFieldSpec, l1_norm: float | None = None) -> _HalfPl
     return _half_plane(spec.max_mode, kx, ky, amplitude, 2.0 * np.pi * draws[1::2])
 
 
-def _require_band(grid: TorusGrid, max_mode: int) -> None:
-    """Reject a grid whose dealias band cannot hold modes up to max_mode."""
-    if max_mode > grid.dealias_cutoff:
-        raise ValueError(
-            f"max_mode {max_mode} exceeds the dealias band "
-            f"{grid.dealias_cutoff} of an N={grid.size} grid"
-        )
-
-
 def _member(grid: TorusGrid, rows: _HalfPlane) -> Field:
     """The field of the rows on a grid, one scatter into disjoint bins."""
-    _require_band(grid, rows.max_mode)
+    spectral._require_band(grid, rows.max_mode)
     n = grid.size
     c = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     c[rows.kx % n, rows.ky] += rows.value

@@ -132,16 +132,12 @@ class _RK4:
         np.add(state_hat, acc, out=state_hat)
 
 
-def _pack(s: State) -> np.ndarray:
-    state_hat = state_to_hat(s)
-    state_hat *= s.grid.dealias_mask
-    return state_hat
-
-
 def cfl_dt(s: State, g: GasParams, cfl: float, grid: TorusGrid) -> float:
-    """CFL time step cfl * dx / max wave speed, dx = 2*pi/N."""
+    """CFL time step cfl * dx / max wave speed, dx = 2*pi/N; ``grid`` must be ``s.grid``."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    if grid != s.grid:
+        raise ValueError(f"cfl_dt got {grid} for a state on {s.grid}")
     dx = grid.period / grid.size
     return cfl * dx / max_wave_speed(s, g)
 
@@ -161,12 +157,10 @@ def plan(s0: State, g: GasParams, cfg: SolveConfig) -> tuple[int, float]:
 
 
 def step_rk4(s: State, dt: float, g: GasParams) -> State:
-    """One classical Runge-Kutta step of size dt; result dealiased."""
+    """One classical Runge-Kutta step of size dt, a one-step :func:`evolve`; result dealiased."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    state_hat = _pack(s)
-    _RK4(s.grid, g, dt).step(state_hat)
-    return state_from_hat(state_hat, s.grid)
+    return evolve(s, g, SolveConfig(T=dt, dt_fixed=dt)).states[-1]
 
 
 def evolve(
@@ -184,7 +178,8 @@ def evolve(
     grid = s0.grid
     n_steps, dt = plan(s0, g, cfg)
 
-    state_hat = _pack(s0)
+    state_hat = state_to_hat(s0)
+    state_hat *= grid.dealias_mask
     rk4 = _RK4(grid, g, dt)
     times: list[float] = [0.0]
     states: list[State] = [s0]

@@ -269,6 +269,16 @@ class TorusGrid:
         return self.x[:, None], self.x[None, :]
 
 
+def _require_band(grid: TorusGrid, max_mode: int, what: str = "max_mode") -> None:
+    """Reject modes up to the physical wavenumber max_mode beyond the dealias band of grid."""
+    band = grid.dealias_cutoff * grid.cells
+    if max_mode > band:
+        raise ValueError(
+            f"{what} {max_mode} exceeds the dealias band {band} of an N={grid.size} "
+            f"grid on a 2*pi/{grid.cells} cell"
+        )
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: make_grid(64.0) must still be rejected
 def make_grid(size: int, cells: int = 1) -> TorusGrid:
     """The grid of ``size`` points per axis on a 2*pi/cells cell, built once per pair."""
@@ -313,8 +323,8 @@ class Field:
         return f
 
     def _fill(self, grid: TorusGrid, samples, coefficients, copy: bool) -> None:
-        if samples is None and coefficients is None:
-            raise ValueError("Field needs samples or coefficients")
+        if (samples is None) == (coefficients is None):
+            raise ValueError("Field needs exactly one of samples and coefficients")
         n = grid.size
         if samples is not None:
             samples = _validated(samples, np.float64, (n, n), "samples", copy)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torusgas import lab
+from torusgas import lab, solver
 from torusgas.cli import _SUBCOMMANDS, build_parser, main
 from torusgas.lab import EXPERIMENTS
 
@@ -186,14 +186,30 @@ class TestErrors:
         data = {"solve": {"record_stride": 2}}
         self._config_fails(tmp_path, capsys, "nonuniform", data, "record_stride")
 
-    def test_solver_error(self, tmp_path, capsys):
-        # an oversized step drives the density negative in the fourth step
-        data = {"n_list": [4], "solve": {"T": 2.0, "dt_fixed": 0.5}}
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            # summary.json records T and cfl, so a config sets no step size
+            ({"solve": {"T": 1.0, "dt_fixed": float("inf")}}, "unknown solve keys: ['dt_fixed']"),
+            # the subcommand names the experiment
+            ({"experiment": "nonuniform"}, "unknown config keys: ['experiment']"),
+        ],
+    )
+    def test_step_size_and_experiment_are_not_config_keys(self, tmp_path, capsys, data, match):
+        self._config_fails(tmp_path, capsys, "nonuniform", data, match)
+
+    @pytest.fixture
+    def oversized_step(self, monkeypatch):
+        # a CFL step of 0.5 drives the density negative in the fourth step of a run to T = 2
+        monkeypatch.setattr(solver, "cfl_dt", lambda s, g, cfl, grid: 0.5)
+
+    def test_solver_error(self, tmp_path, capsys, oversized_step):
+        data = {"n_list": [4], "solve": {"T": 2.0}}
         self._config_fails(tmp_path, capsys, "nonuniform", data, "aborted")
 
     @pytest.mark.parametrize("command", ["higher-norm", "error-scaling", "nonuniform"])
-    def test_solver_error_names_experiment_and_n(self, tmp_path, capsys, command):
-        data = {"n_list": [4, 8, 16], "solve": {"T": 2.0, "dt_fixed": 0.5}}
+    def test_solver_error_names_experiment_and_n(self, tmp_path, capsys, oversized_step, command):
+        data = {"n_list": [4, 8, 16], "solve": {"T": 2.0}}
         match = f"{command} run at n=4 failed: aborted at t = 2 (step 4/4)"
         self._config_fails(tmp_path, capsys, command, data, match)
 
@@ -251,10 +267,7 @@ class TestErrors:
         match = "inequalities expects n_list = (base_grid, refined_grid)"
         self._config_fails(tmp_path, capsys, "inequalities", data, match)
 
-    @pytest.mark.parametrize(
-        "solve, match",
-        [({"T": float("inf")}, "final time"), ({"T": 1.0, "dt_fixed": float("inf")}, "dt_fixed")],
-    )
+    @pytest.mark.parametrize("solve, match", [({"T": float("inf")}, "final time")])
     def test_non_finite_times(self, tmp_path, capsys, solve, match):
         self._config_fails(tmp_path, capsys, "exact-check", {"solve": solve}, match)
 

@@ -187,6 +187,13 @@ class TestState:
         with pytest.raises(ValueError, match=r"different grids: .*cells=2"):
             State(*(constant_field(g, 1.0) for g in (full, full, cell, full)))
 
+    def test_components_are_not_assigned(self):
+        # an assignment would bypass the same-grid check
+        s = constant_state(make_grid(16), 1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'rho'"):
+            s.rho = constant_field(make_grid(32), 1.0)
+        assert s.rho.grid == make_grid(16)
+
     def test_admissibility_message_names_field(self):
         grid = make_grid(16)
         s = constant_state(grid, 1.0, 0.0, 0.0, 1.0)

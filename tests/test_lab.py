@@ -215,12 +215,12 @@ class TestConfigFromDict:
     def test_round_trip(self):
         cfg = config_from_dict(
             {
-                "experiment": "exact-check",
                 "n_list": [8],
                 "solve": {"T": 0.5, "cfl": 0.2},
                 "gas": {"gamma": 1.5},
                 "seed": 9,
-            }
+            },
+            "exact_check",
         )
         assert cfg.experiment == "exact_check"
         assert cfg.n_list == (8,)
@@ -228,21 +228,13 @@ class TestConfigFromDict:
         assert cfg.gas.gamma == 1.5
         assert cfg.seed == 9
 
-    def test_missing_experiment(self):
-        with pytest.raises(ValueError, match="'experiment' key"):
-            config_from_dict({"n_list": [4, 8]})
-
-    def test_experiment_mismatch(self):
-        with pytest.raises(ValueError, match="was requested"):
-            config_from_dict({"experiment": "nonuniform"}, "residue_scaling")
-
     def test_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            config_from_dict({"experiment": "nonuniform", "bogus": 1})
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['bogus']")):
+            config_from_dict({"bogus": 1}, "nonuniform")
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match=r"unknown experiment 'frobnicate'; choose from"):
-            config_from_dict({"experiment": "frobnicate"})
+            config_from_dict({}, "frobnicate")
 
     def test_command_names_round_trip(self):
         names = [command_name(name) for name in EXPERIMENTS]
@@ -254,9 +246,9 @@ class TestConfigFromDict:
             "higher-norm",
             "inequalities",
         ]
-        assert [config_from_dict({"experiment": name}).experiment for name in names] == list(
-            EXPERIMENTS
-        )
+        assert [config_from_dict({}, name).experiment for name in EXPERIMENTS] == list(EXPERIMENTS)
+        with pytest.raises(ValueError, match="unknown experiment 'exact-check'"):
+            config_from_dict({}, "exact-check")  # the command spelling is the CLI's to map
 
     def test_partial_solve_section_keeps_defaults(self):
         cfg = config_from_dict({"solve": {"cfl": 0.5}}, "nonuniform")
@@ -264,14 +256,9 @@ class TestConfigFromDict:
         assert config_from_dict({"solve": {"T": 0.5}}, "nonuniform").solve.cfl == 0.25
 
     def test_input_not_mutated(self):
-        data = {
-            "experiment": "exact-check",
-            "n_list": [8],
-            "solve": {"cfl": 0.2},
-            "gas": {"gamma": 1.5},
-        }
+        data = {"n_list": [8], "solve": {"cfl": 0.2}, "gas": {"gamma": 1.5}}
         snapshot = json.loads(json.dumps(data))
-        cfg = config_from_dict(data)
+        cfg = config_from_dict(data, "exact_check")
         assert cfg.solve.T == 1.0 and cfg.solve.cfl == 0.2
         assert data == snapshot
 
@@ -289,6 +276,8 @@ class TestConfigFromDict:
             ({"gas": {"rho0": True}}, "invalid config: rho0 must be a real number, got True"),
             ({"n_list": None}, "n_list must be a list of integers, got None"),
             ({"n_list": 5}, "n_list must be a list of integers, got 5"),
+            ({"experiment": "nonuniform"}, "unknown config keys: ['experiment']"),
+            ({"solve": {"dt_fixed": 0.5}}, "unknown solve keys: ['dt_fixed']"),
         ],
     )
     def test_malformed_values(self, data, match):

@@ -111,6 +111,14 @@ class TestCflDt:
         with pytest.raises(ValueError, match="cfl"):
             cfl_dt(constant_state(grid), GAS, 0.0, grid)
 
+    @pytest.mark.parametrize("other", [make_grid(64), make_grid(16, 2)])
+    def test_rejects_another_grid(self, other):
+        # on make_grid(64) the step of this N = 16 state would be 4x too small
+        s0 = initial_data(FamilyParams(1, 2, 3.0), GAS, make_grid(16))
+        match = r"cfl_dt got TorusGrid\(size=\d+, cells=\d\) for a state on TorusGrid\(size=16,"
+        with pytest.raises(ValueError, match=match):
+            cfl_dt(s0, GAS, 0.25, other)
+
     def test_integer_step_count(self):
         grid = make_grid(64)
         n_steps, dt = plan(constant_state(grid), GAS, SolveConfig(T=1.0))

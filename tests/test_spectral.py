@@ -206,6 +206,14 @@ class TestField:
             "coefficients shape (8, 8) does not match grid (8, 5)"
         ] * 2
 
+    def test_takes_one_view(self):
+        # both views would be two fields: these samples sum to 0, the coefficients to 40
+        grid = make_grid(8)
+        message = "Field needs exactly one of samples and coefficients"
+        both = {"samples": np.zeros((8, 8)), "coefficients": np.ones((8, 5))}
+        assert self.rejections(grid, **both) == [message] * 2
+        assert self.rejections(grid) == [message] * 2
+
     def test_constructor_copies_and_adopt_freezes_in_place(self):
         grid = make_grid(8)
         a = np.arange(64.0).reshape(8, 8)
