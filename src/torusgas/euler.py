@@ -17,8 +17,11 @@ A1 = A0 A and B1 = A0 B.
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -236,15 +239,80 @@ def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
     return State(*(Field._adopt(grid, samples=plane) for plane in samples))
 
 
+#: Rows of one block when row-local work is split over the cores.
+_BLOCK_ROWS = 64
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The workers of the row blocks, one per core, started on first use."""
+    return ThreadPoolExecutor(spectral._CORES, thread_name_prefix="torusgas-rows")
+
+
+def _row_blocks(planes: np.ndarray) -> tuple[slice, ...] | None:
+    """Blocks of _BLOCK_ROWS rows of ``planes`` (four N x N planes), or None.
+
+    The blocks are returned when the transforms of ``planes`` run on more
+    than one thread; below that, the row-local work runs on whole arrays.
+    """
+    if spectral._threads(planes) == 1:
+        return None
+    rows = planes.shape[-2]
+    return tuple(slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS))
+
+
+def _on_rows(work, blocks: tuple[slice, ...]) -> None:
+    """Call ``work(rows)`` for every row slice of ``blocks`` on the pool, and wait for all.
+
+    Each call runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in the workers; an exception of a call is raised
+    here, once every call has ended.
+    """
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, work, rows) for rows in blocks]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _fill_band(band: np.ndarray, state: np.ndarray, ikx: np.ndarray, iky: np.ndarray) -> None:
+    """Write U, ikx U and iky U into the three groups of four planes of ``band``."""
+    band[:4] = state
+    np.multiply(ikx, state, out=band[4:8])
+    np.multiply(iky, state, out=band[8:])
+
+
+def _products(rho, u, v, h, d_x: np.ndarray, d_y: np.ndarray, g: GasParams) -> None:
+    """Write the components of -(A(U) U_x + B(U) U_y) over the planes of ``d_x``."""
+    div = d_x[1] + d_y[2]
+    h_over_rho = h / rho
+    # Component i overwrites d_x[i]; component 1 reads d_x[0] and d_x[3],
+    # so it goes first.
+    np.negative(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0], out=d_x[1])
+    np.negative(u * d_x[0] + v * d_y[0] + rho * div, out=d_x[0])
+    np.negative(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0], out=d_x[2])
+    np.negative(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div, out=d_x[3])
+
+
 class _RhsKernel:
     """Scratch arrays of right-hand-side evaluations on one grid.
 
     ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
-    fields; a call fills their first ``columns`` columns and the rest stay
-    zero.  The unscaled inverse :func:`spectral._band_irfft2` runs in place
+    fields; a call fills their first ``columns`` columns, viewed as
+    ``band``, and the rest stay zero.  The unscaled inverse :func:`spectral._band_irfft2` runs in place
     on the filled columns, so ``samples`` holds the fields' values, and the
     forward transform of the products divides by N^2.  ``columns`` must
     cover every nonzero column of a state passed in; N/2 + 1 does.
+
+    When the transforms of the four product planes run on more than one
+    thread (4 N^2 >= 2**17 with two cores or more, so N >= 182), the
+    row-local work runs on :func:`_pool` in blocks of 64 rows: filling the
+    band, the four products and the dealias mask.  Each block does the
+    whole-array operations in their order, so the bytes are those of one
+    thread.  The transforms, the background and the admissibility check
+    stay whole-array.  ``blocks`` holds the row slices, or None on a
+    smaller grid, where a call runs on whole arrays and never starts the
+    pool.
 
     Between calls ``samples`` holds nothing that is needed; ``spare`` views
     its memory as one complex array of a state's shape, which the caller
@@ -257,6 +325,9 @@ class _RhsKernel:
         self.columns = columns
         self.spectra = np.zeros((12, n, n // 2 + 1), dtype=np.complex128)
         self.samples = np.empty((12, n, n))
+        self.band = self.spectra[:, :, :columns]
+        self.iky = grid.iky[:, :columns]
+        self.blocks = _row_blocks(self.samples[4:8])
         state_shape = (4, n, n // 2 + 1)
         flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
         self.spare = flat.view(np.complex128).reshape(state_shape)
@@ -273,28 +344,28 @@ class _RhsKernel:
         ``state_hat`` is read before ``out`` is written, so ``out`` may be
         ``state_hat`` itself.
         """
-        grid, m = self.grid, self.columns
-        state = state_hat[:, :, :m]
-        band = self.spectra[:, :, :m]
-        band[:4] = state
-        np.multiply(grid.ikx, state, out=band[4:8])
-        np.multiply(grid.iky[:, :m], state, out=band[8:])
+        grid, band, iky, blocks = self.grid, self.band, self.iky, self.blocks
+        state = state_hat[:, :, : self.columns]
+        if blocks is None:
+            _fill_band(band, state, grid.ikx, iky)
+        else:
+            _on_rows(lambda r: _fill_band(band[:, r], state[:, r], grid.ikx[r], iky), blocks)
         samples = _band_irfft2(band, self.spectra, grid.size, out=self.samples)
         fields, d_x, d_y = samples[:4], samples[4:8], samples[8:]
         if background is not None:
             fields += np.asarray(background, dtype=float)[:, None, None]
         rho, u, v, h = fields
         _require_admissible(rho, h)
-        div = d_x[1] + d_y[2]
-        h_over_rho = h / rho
-        # Component i overwrites d_x[i]; component 1 reads d_x[0] and d_x[3],
-        # so it goes first.
-        np.negative(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0], out=d_x[1])
-        np.negative(u * d_x[0] + v * d_y[0] + rho * div, out=d_x[0])
-        np.negative(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0], out=d_x[2])
-        np.negative(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div, out=d_x[3])
+        if blocks is None:
+            _products(rho, u, v, h, d_x, d_y, g)
+        else:
+            _on_rows(lambda r: _products(*samples[:4, r], d_x[:, r], d_y[:, r], g), blocks)
         out_hat = _rfft(d_x, (-2, -1), scale=True, out=out)
-        out_hat *= grid.dealias_mask
+        if blocks is None:
+            out_hat *= grid.dealias_mask
+        else:
+            mask = grid.dealias_mask
+            _on_rows(lambda r: np.multiply(out_hat[:, r], mask[r], out=out_hat[:, r]), blocks)
         return out_hat
 
 

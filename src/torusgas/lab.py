@@ -78,7 +78,9 @@ class ExperimentConfig:
     """Parameters of one experiment run; keywords override the defaults.
 
     An ``n_list`` left at None takes the experiment's default from
-    :data:`EXPERIMENTS`.
+    :data:`EXPERIMENTS`.  ``solve`` sets only ``T`` and ``cfl``, the run
+    controls ``summary.json`` records; a fixed step is the runners' own
+    choice, so a ``solve`` with ``dt_fixed`` set is rejected.
 
     ``grid_rule`` is the number of points per axis on one 2*pi/n cell of
     the family of index n, the resolution of N = grid_rule * n points on the
@@ -192,6 +194,11 @@ class ExperimentConfig:
             _require_band(base_grid, inequalities.FAMILY_MAX_MODE)
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.solve.dt_fixed is not None:
+            raise ValueError(
+                f"solve.dt_fixed must not be set: summary.json does not record it, "
+                f"got {self.solve.dt_fixed}"
+            )
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.output_dir == "":

@@ -8,7 +8,9 @@ is dealiased, so the inverse transforms run over the dealias band's
 half-plane columns only, with the bytes of the full inverse.  A run
 allocates its arrays once: the right-hand side's spectra and samples,
 and two state-sized arrays in which the RK4 combination runs in place,
-in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``.
+in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``;
+on a grid where the right-hand side runs its row-local work in row
+blocks on both cores, so do the combination stages, with the same bytes.
 They are freed before the final state is recorded.  The time step is
 fixed for a whole run, chosen once from the initial state's CFL
 constraint (or supplied directly), and rounded so the final time is hit
@@ -26,6 +28,7 @@ from .euler import (
     AdmissibleStateError,
     GasParams,
     State,
+    _on_rows,
     _RhsKernel,
     max_wave_speed,
     state_from_hat,
@@ -90,6 +93,35 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
 
 
+def _first_stage(state, acc, stage, spare, c) -> None:
+    """``stage = state + c k1``, with k1 in ``acc``."""
+    np.multiply(c, acc, out=stage)
+    np.add(state, stage, out=stage)
+
+
+def _next_stage(state, acc, stage, spare, c) -> None:
+    """Add twice the slope in ``stage`` to ``acc``, then ``stage = state + c slope``."""
+    np.multiply(2.0, stage, out=spare)
+    np.add(acc, spare, out=acc)
+    np.multiply(c, stage, out=stage)
+    np.add(state, stage, out=stage)
+
+
+def _last_stage(state, acc, stage, spare, c) -> None:
+    """``state += c (acc + k4)``, with k4 in ``stage``."""
+    np.add(acc, stage, out=acc)
+    np.multiply(c, acc, out=acc)
+    np.add(state, acc, out=state)
+
+
+def _combine(stage_fn, arrays: tuple, c: float, blocks: tuple[slice, ...] | None) -> None:
+    """One combination stage, on whole arrays or on the kernel's row blocks."""
+    if blocks is None:
+        stage_fn(*arrays, c)
+    else:
+        _on_rows(lambda r: stage_fn(*(a[:, r] for a in arrays), c), blocks)
+
+
 class _RK4:
     """Classical RK4 steps of size dt on one grid, in two kept state-sized arrays.
 
@@ -98,7 +130,8 @@ class _RK4:
     slopes go into the kernel's ``spare``.  The operations are those of the
     expressions ``state + (dt/2) k1``, ``state + (dt/2) k2``,
     ``state + dt k3`` and ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in
-    their order.
+    their order.  Where the kernel splits its row-local work into row
+    blocks, the combination stages run on the same blocks.
     """
 
     def __init__(self, grid: TorusGrid, g: GasParams, dt: float) -> None:
@@ -111,25 +144,17 @@ class _RK4:
 
     def step(self, state_hat: np.ndarray) -> None:
         """Advance the dealiased ``state_hat`` by one step, in place."""
-        rhs, g, dt = self.rhs, self.g, self.dt
-        stage, acc, spare = self.stage, self.acc, self.rhs.spare
+        rhs, g, dt, blocks = self.rhs, self.g, self.dt, self.rhs.blocks
+        stage, acc = self.stage, self.acc
+        arrays = (state_hat, acc, stage, rhs.spare)
         rhs(state_hat, g, out=acc)  # k1
-        np.multiply(0.5 * dt, acc, out=stage)
-        np.add(state_hat, stage, out=stage)
+        _combine(_first_stage, arrays, 0.5 * dt, blocks)
         rhs(stage, g, out=stage)  # k2
-        np.multiply(2.0, stage, out=spare)
-        np.add(acc, spare, out=acc)
-        np.multiply(0.5 * dt, stage, out=stage)
-        np.add(state_hat, stage, out=stage)
+        _combine(_next_stage, arrays, 0.5 * dt, blocks)
         rhs(stage, g, out=stage)  # k3
-        np.multiply(2.0, stage, out=spare)
-        np.add(acc, spare, out=acc)
-        np.multiply(dt, stage, out=stage)
-        np.add(state_hat, stage, out=stage)
+        _combine(_next_stage, arrays, dt, blocks)
         rhs(stage, g, out=stage)  # k4
-        np.add(acc, stage, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
-        np.add(state_hat, acc, out=state_hat)
+        _combine(_last_stage, arrays, dt / 6.0, blocks)
 
 
 def cfl_dt(s: State, g: GasParams, cfl: float, grid: TorusGrid) -> float:

@@ -53,7 +53,13 @@ the solver's right-hand side (``euler._RhsKernel``, whose inverse
 transforms are pruned to the dealias band) of a state at N = 512 up to
 35% faster and at N = 256 at most 8% faster, both no faster while the
 other core is busy, and every smaller one slower, by up to 2.5x on the
-8x8 cells.
+8x8 cells.  The same rule splits the solver's pointwise work: where the
+four product planes of the right-hand side (4 N^2 elements) transform on
+more than one thread, so from N = 182 on, ``euler._RhsKernel`` fills its
+band, forms the products and applies the dealias mask in blocks of 64
+rows on its own pool of one worker per core, started on first use, and
+the RK4 combination stages run on the same blocks.  The values are those
+of one thread bit for bit; a smaller grid never starts the pool.
 ``Field.samples`` is one plain inverse transform; the right-hand side and
 the doubled-grid lift run :func:`_band_irfft2`, pruned to their filled
 columns, with the values of ``irfft2`` up to the sign of an exact zero.

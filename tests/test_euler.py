@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgas import spectral
+from torusgas import euler, spectral
 from torusgas.euler import (
     AdmissibleStateError,
     GasParams,
@@ -36,7 +36,8 @@ from torusgas.families import (
     exact_time_derivative,
     residue_field,
 )
-from torusgas.solver import SolveConfig, cfl_dt, evolve, step_rk4
+from torusgas.lab import ExperimentConfig, run_experiment
+from torusgas.solver import SolveConfig, SolverError, cfl_dt, evolve, step_rk4
 from torusgas.spectral import (
     Field,
     _irfft,
@@ -545,11 +546,17 @@ class TestEvolveSymmetries:
 
 
 class TestTransformWorkers:
-    """Values do not depend on the FFT worker count: each 1-D line transforms alone."""
+    """Values do not depend on the core count.
 
-    def test_rhs_and_step_bitwise_across_workers(self, monkeypatch):
-        # the four fields of a 256 x 256 state are above the cut of the thread rule
-        grid = make_grid(256)
+    Each 1-D line of a transform is computed alone, and at N >= 182 on two
+    cores the row-local work of the right-hand side and of the RK4
+    combination runs in 64-row blocks that do the whole-array operations.
+    """
+
+    @pytest.mark.parametrize("size", [200, 256])  # 200 rows end in a block of 8
+    def test_rhs_and_step_bitwise_across_workers(self, monkeypatch, size):
+        # the four fields of the state are above the cut of the thread rule
+        grid = make_grid(size)
         s = random_state(grid, 3)
         state_hat = state_to_hat(s) * grid.dealias_mask
         dt = cfl_dt(s, GAS, 0.25, grid)
@@ -557,14 +564,85 @@ class TestTransformWorkers:
         results = []
         for cores in (1, 2):
             monkeypatch.setattr(spectral, "_CORES", cores)
+            blocks = _RhsKernel(grid, grid.dealias_cutoff + 1).blocks
+            assert (blocks is None) == (cores == 1)
             results.append(
                 (rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS), evolve(s, GAS, cfg))
             )
+        assert len(blocks) == 4 and blocks[-1].indices(size) == (192, size, 1)
         (rhs_one, step_one, run_one), (rhs_two, step_two, run_two) = results
-        assert np.array_equal(rhs_one, rhs_two)
+        assert rhs_one.tobytes() == rhs_two.tobytes()
         for a, b in zip(step_one.fields(), step_two.fields()):
             assert np.array_equal(a.samples, b.samples)
         assert len(run_one.states) == 4
         for state_one, state_two in zip(run_one.states, run_two.states):
             for a, b in zip(state_one.fields(), state_two.fields()):
                 assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def _messages_across_cores(monkeypatch, error, fn, *args):
+    """The message of ``error`` that ``fn(*args)`` raises with one core, then with two."""
+    messages = []
+    for cores in (1, 2):
+        monkeypatch.setattr(spectral, "_CORES", cores)
+        with pytest.raises(error) as caught:
+            fn(*args)
+        messages.append(str(caught.value))
+    return messages
+
+
+class TestRowBlocks:
+    """Below N = 182 the pool is never started; at N = 256 errors read as on one core."""
+
+    def test_small_grids_never_start_the_pool(self, monkeypatch, tmp_path):
+        def refuse():
+            raise AssertionError("row-block pool started")
+
+        monkeypatch.setattr(spectral, "_CORES", 2)
+        monkeypatch.setattr(euler, "_pool", refuse)
+        report = run_experiment(ExperimentConfig("exact_check", output_dir=str(tmp_path)))
+        assert report.passed
+        for size in (128, 256):
+            grid = make_grid(size)
+            state_hat = state_to_hat(random_state(grid, 0)) * grid.dealias_mask
+            kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+            if size == 128:
+                kernel(state_hat, GAS)
+            else:  # the refusal is what a split grid meets
+                with pytest.raises(AssertionError, match="row-block pool started"):
+                    kernel(state_hat, GAS)
+
+    def test_inadmissible_state_message(self, monkeypatch):
+        grid = make_grid(256)
+        one, zero = constant_field(grid, 1.0), constant_field(grid, 0.0)
+        dipped = one + synthesize(grid, [(1, 0, 1.5, "cos", 0.0)])
+        state_hat = state_to_hat(State(dipped, zero, zero, one))
+        got = _messages_across_cores(
+            monkeypatch, AdmissibleStateError, rhs_hat, state_hat, grid, GAS
+        )
+        assert got == [
+            "state left the admissible region: min(rho) = -5.000000e-01 <= floor 1.0e-08"
+        ] * 2
+        # an oversized step drives the density of a compressive flow negative mid-run
+        squeeze = State(one, synthesize(grid, [(1, 0, -1.0, "sin", 0.0)]), zero, one)
+        cfg = SolveConfig(T=4.0, dt_fixed=0.5)
+        got = _messages_across_cores(monkeypatch, SolverError, evolve, squeeze, GAS, cfg)
+        assert got == [
+            "aborted at t = 1.5 (step 3/8): state left the admissible region: "
+            "min(rho) = -4.868789e+01 <= floor 1.0e-08"
+        ] * 2
+
+    def test_non_finite_product_ends_in_solver_error(self, monkeypatch):
+        # u u_x overflows to inf and the next stage's density is NaN.  The
+        # caller's errstate must hold in the pool's workers too, or pytest's
+        # RuntimeWarning filter raises there instead of the solver.
+        grid = make_grid(256)
+        one, zero = constant_field(grid, 1.0), constant_field(grid, 0.0)
+        fast = State(one, synthesize(grid, [(1, 0, 1e160, "sin", 0.0)]), zero, one)
+        cfg = SolveConfig(T=1e-170, dt_fixed=1e-170)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _messages_across_cores(monkeypatch, SolverError, evolve, fast, GAS, cfg)
+        assert got == [
+            "aborted at t = 1e-170 (step 1/1): state left the admissible region: "
+            "min(rho) = nan <= floor 1.0e-08"
+        ] * 2

@@ -6,7 +6,9 @@ artifact contract (floats to 10 significant digits with a 1e-12 absolute
 floor; strings, integers and booleans exactly), checked with the
 comparison in ``bench/compare.py``.  The same configs show that the
 thread count leaves every artifact unchanged, and that only the inequality
-sweeps start a thread pool.
+sweeps start ``lab``'s thread pool.  The solver's row-block pool
+(``euler._pool``) is not ``lab``'s: it runs at N >= 182 whatever the
+thread count, as in error_scaling's N = 256 control run here.
 """
 
 from pathlib import Path

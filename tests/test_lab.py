@@ -288,6 +288,14 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="JSON object"):
             config_from_dict([1, 2], "nonuniform")
 
+    def test_python_config_rejects_fixed_step(self):
+        # the JSON path rejects the key (above); a config built in Python is rejected
+        # too, since summary.json would not record a step that changes the CSV
+        solve = SolveConfig(T=0.1, dt_fixed=0.01)
+        match = "solve.dt_fixed must not be set: summary.json does not record it, got 0.01"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ExperimentConfig("higher_norm", n_list=(4, 8, 16), solve=solve)
+
 
 class TestReports:
     def test_scaling_run_needs_three_n(self):
