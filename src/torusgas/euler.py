@@ -210,6 +210,8 @@ def _require_admissible(rho: np.ndarray, h: np.ndarray) -> None:
     for name, values in (("rho", rho), ("h", h)):
         low = values.min()
         if not low > REGION_FLOOR:
+            if not math.isfinite(low):
+                raise AdmissibleStateError(f"state is not finite: min({name}) = {low}")
             raise AdmissibleStateError(
                 f"state left the admissible region: min({name}) = {low:.6e} "
                 f"<= floor {REGION_FLOOR:.1e}"
@@ -249,27 +251,22 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(spectral._CORES, thread_name_prefix="torusgas-rows")
 
 
-def _row_blocks(planes: np.ndarray) -> tuple[slice, ...] | None:
-    """Blocks of _BLOCK_ROWS rows of ``planes`` (four N x N planes), or None.
+def _by_rows(fn, arrays: tuple, blocks: tuple[slice, ...] | None, *args) -> None:
+    """``fn(*arrays, *args)`` on whole arrays, or on each row block of ``blocks``.
 
-    The blocks are returned when the transforms of ``planes`` run on more
-    than one thread; below that, the row-local work runs on whole arrays.
+    With ``blocks`` None this is one plain call.  Otherwise the pool calls
+    ``fn`` once per block ``r``, with ``a[..., r, :]`` of each array,
+    each call in a copy of the caller's context of its own (a context runs
+    on one thread at a time), so the caller's ``np.errstate`` holds in the
+    workers.  Once every call has ended, the first block's exception, if
+    any, is raised.
     """
-    if spectral._threads(planes) == 1:
-        return None
-    rows = planes.shape[-2]
-    return tuple(slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS))
-
-
-def _on_rows(work, blocks: tuple[slice, ...]) -> None:
-    """Call ``work(rows)`` for every row slice of ``blocks`` on the pool, and wait for all.
-
-    Each call runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in the workers; an exception of a call is raised
-    here, once every call has ended.
-    """
-    pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, work, rows) for rows in blocks]
+    if blocks is None:
+        return fn(*arrays, *args)
+    futures = [
+        _pool().submit(contextvars.copy_context().run, fn, *(a[..., r, :] for a in arrays), *args)
+        for r in blocks
+    ]
     wait(futures)
     for future in futures:
         future.result()
@@ -282,16 +279,22 @@ def _fill_band(band: np.ndarray, state: np.ndarray, ikx: np.ndarray, iky: np.nda
     np.multiply(iky, state, out=band[8:])
 
 
-def _products(rho, u, v, h, d_x: np.ndarray, d_y: np.ndarray, g: GasParams) -> None:
-    """Write the components of -(A(U) U_x + B(U) U_y) over the planes of ``d_x``."""
-    div = d_x[1] + d_y[2]
+def _products(samples: np.ndarray, g: GasParams) -> None:
+    """Write -(A(U) U_x + B(U) U_y) over the U_x planes of ``samples`` (U, U_x, U_y)."""
+    rho, u, v, h, rho_x, u_x, v_x, h_x, rho_y, u_y, v_y, h_y = samples
+    div = u_x + v_y
     h_over_rho = h / rho
-    # Component i overwrites d_x[i]; component 1 reads d_x[0] and d_x[3],
-    # so it goes first.
-    np.negative(u * d_x[1] + v * d_y[1] + d_x[3] + h_over_rho * d_x[0], out=d_x[1])
-    np.negative(u * d_x[0] + v * d_y[0] + rho * div, out=d_x[0])
-    np.negative(u * d_x[2] + v * d_y[2] + d_y[3] + h_over_rho * d_y[0], out=d_x[2])
-    np.negative(u * d_x[3] + v * d_y[3] + (g.gamma - 1.0) * h * div, out=d_x[3])
+    # Component i overwrites the x derivative of field i; component 1 reads
+    # rho_x and h_x, so it goes first.
+    np.negative(u * u_x + v * u_y + h_x + h_over_rho * rho_x, out=u_x)
+    np.negative(u * rho_x + v * rho_y + rho * div, out=rho_x)
+    np.negative(u * v_x + v * v_y + h_y + h_over_rho * rho_y, out=v_x)
+    np.negative(u * h_x + v * h_y + (g.gamma - 1.0) * h * div, out=h_x)
+
+
+def _dealias(spectra: np.ndarray, mask: np.ndarray) -> None:
+    """Multiply ``spectra`` by the dealias ``mask``, in place."""
+    np.multiply(spectra, mask, out=spectra)
 
 
 class _RhsKernel:
@@ -299,20 +302,16 @@ class _RhsKernel:
 
     ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
     fields; a call fills their first ``columns`` columns, viewed as
-    ``band``, and the rest stay zero.  The unscaled inverse :func:`spectral._band_irfft2` runs in place
-    on the filled columns, so ``samples`` holds the fields' values, and the
-    forward transform of the products divides by N^2.  ``columns`` must
-    cover every nonzero column of a state passed in; N/2 + 1 does.
+    ``band``, and the rest stay zero.  The unscaled inverse
+    :func:`spectral._band_irfft2` runs in place on the filled columns, so
+    ``samples`` holds the fields' values, and the forward transform of the
+    products divides by N^2.  ``columns`` must cover every nonzero column of
+    a state passed in; N/2 + 1 does.
 
-    When the transforms of the four product planes run on more than one
-    thread (4 N^2 >= 2**17 with two cores or more, so N >= 182), the
-    row-local work runs on :func:`_pool` in blocks of 64 rows: filling the
-    band, the four products and the dealias mask.  Each block does the
-    whole-array operations in their order, so the bytes are those of one
-    thread.  The transforms, the background and the admissibility check
-    stay whole-array.  ``blocks`` holds the row slices, or None on a
-    smaller grid, where a call runs on whole arrays and never starts the
-    pool.
+    Filling the band, the products and the dealias mask run through
+    :func:`_by_rows`: on whole arrays, or in the row blocks of ``blocks``
+    on a grid that the ``spectral`` thread rule splits.  The transforms,
+    the background and the admissibility check stay whole-array.
 
     Between calls ``samples`` holds nothing that is needed; ``spare`` views
     its memory as one complex array of a state's shape, which the caller
@@ -327,7 +326,9 @@ class _RhsKernel:
         self.samples = np.empty((12, n, n))
         self.band = self.spectra[:, :, :columns]
         self.iky = grid.iky[:, :columns]
-        self.blocks = _row_blocks(self.samples[4:8])
+        self.blocks = None
+        if spectral._threads(self.samples[4:8]) > 1:
+            self.blocks = tuple(slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS))
         state_shape = (4, n, n // 2 + 1)
         flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
         self.spare = flat.view(np.complex128).reshape(state_shape)
@@ -344,28 +345,16 @@ class _RhsKernel:
         ``state_hat`` is read before ``out`` is written, so ``out`` may be
         ``state_hat`` itself.
         """
-        grid, band, iky, blocks = self.grid, self.band, self.iky, self.blocks
+        grid, blocks = self.grid, self.blocks
         state = state_hat[:, :, : self.columns]
-        if blocks is None:
-            _fill_band(band, state, grid.ikx, iky)
-        else:
-            _on_rows(lambda r: _fill_band(band[:, r], state[:, r], grid.ikx[r], iky), blocks)
-        samples = _band_irfft2(band, self.spectra, grid.size, out=self.samples)
-        fields, d_x, d_y = samples[:4], samples[4:8], samples[8:]
+        _by_rows(_fill_band, (self.band, state, grid.ikx), blocks, self.iky)
+        samples = _band_irfft2(self.band, self.spectra, grid.size, out=self.samples)
         if background is not None:
-            fields += np.asarray(background, dtype=float)[:, None, None]
-        rho, u, v, h = fields
-        _require_admissible(rho, h)
-        if blocks is None:
-            _products(rho, u, v, h, d_x, d_y, g)
-        else:
-            _on_rows(lambda r: _products(*samples[:4, r], d_x[:, r], d_y[:, r], g), blocks)
-        out_hat = _rfft(d_x, (-2, -1), scale=True, out=out)
-        if blocks is None:
-            out_hat *= grid.dealias_mask
-        else:
-            mask = grid.dealias_mask
-            _on_rows(lambda r: np.multiply(out_hat[:, r], mask[r], out=out_hat[:, r]), blocks)
+            samples[:4] += np.asarray(background, dtype=float)[:, None, None]
+        _require_admissible(samples[0], samples[3])  # rho and h
+        _by_rows(_products, (samples,), blocks, g)
+        out_hat = _rfft(samples[4:8], (-2, -1), scale=True, out=out)
+        _by_rows(_dealias, (out_hat, grid.dealias_mask), blocks)
         return out_hat
 
 

@@ -8,13 +8,12 @@ is dealiased, so the inverse transforms run over the dealias band's
 half-plane columns only, with the bytes of the full inverse.  A run
 allocates its arrays once: the right-hand side's spectra and samples,
 and two state-sized arrays in which the RK4 combination runs in place,
-in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``;
-on a grid where the right-hand side runs its row-local work in row
-blocks on both cores, so do the combination stages, with the same bytes.
-They are freed before the final state is recorded.  The time step is
-fixed for a whole run, chosen once from the initial state's CFL
-constraint (or supplied directly), and rounded so the final time is hit
-exactly.
+in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``,
+in the right-hand side's row blocks on a grid that the thread rule of
+``spectral`` splits.  They are freed before the final state is recorded.
+The time step is fixed for a whole run, chosen once from the initial
+state's CFL constraint (or supplied directly), and rounded so the final
+time is hit exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .euler import (
     AdmissibleStateError,
     GasParams,
     State,
-    _on_rows,
+    _by_rows,
     _RhsKernel,
     max_wave_speed,
     state_from_hat,
@@ -114,14 +113,6 @@ def _last_stage(state, acc, stage, spare, c) -> None:
     np.add(state, acc, out=state)
 
 
-def _combine(stage_fn, arrays: tuple, c: float, blocks: tuple[slice, ...] | None) -> None:
-    """One combination stage, on whole arrays or on the kernel's row blocks."""
-    if blocks is None:
-        stage_fn(*arrays, c)
-    else:
-        _on_rows(lambda r: stage_fn(*(a[:, r] for a in arrays), c), blocks)
-
-
 class _RK4:
     """Classical RK4 steps of size dt on one grid, in two kept state-sized arrays.
 
@@ -130,8 +121,7 @@ class _RK4:
     slopes go into the kernel's ``spare``.  The operations are those of the
     expressions ``state + (dt/2) k1``, ``state + (dt/2) k2``,
     ``state + dt k3`` and ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in
-    their order.  Where the kernel splits its row-local work into row
-    blocks, the combination stages run on the same blocks.
+    their order, through :func:`euler._by_rows` on the kernel's ``blocks``.
     """
 
     def __init__(self, grid: TorusGrid, g: GasParams, dt: float) -> None:
@@ -148,13 +138,13 @@ class _RK4:
         stage, acc = self.stage, self.acc
         arrays = (state_hat, acc, stage, rhs.spare)
         rhs(state_hat, g, out=acc)  # k1
-        _combine(_first_stage, arrays, 0.5 * dt, blocks)
+        _by_rows(_first_stage, arrays, blocks, 0.5 * dt)
         rhs(stage, g, out=stage)  # k2
-        _combine(_next_stage, arrays, 0.5 * dt, blocks)
+        _by_rows(_next_stage, arrays, blocks, 0.5 * dt)
         rhs(stage, g, out=stage)  # k3
-        _combine(_next_stage, arrays, dt, blocks)
+        _by_rows(_next_stage, arrays, blocks, dt)
         rhs(stage, g, out=stage)  # k4
-        _combine(_last_stage, arrays, dt / 6.0, blocks)
+        _by_rows(_last_stage, arrays, blocks, dt / 6.0)
 
 
 def cfl_dt(s: State, g: GasParams, cfl: float, grid: TorusGrid) -> float:

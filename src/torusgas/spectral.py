@@ -57,9 +57,10 @@ other core is busy, and every smaller one slower, by up to 2.5x on the
 four product planes of the right-hand side (4 N^2 elements) transform on
 more than one thread, so from N = 182 on, ``euler._RhsKernel`` fills its
 band, forms the products and applies the dealias mask in blocks of 64
-rows on its own pool of one worker per core, started on first use, and
-the RK4 combination stages run on the same blocks.  The values are those
-of one thread bit for bit; a smaller grid never starts the pool.
+rows, and the RK4 combination stages run on the same blocks.
+``euler._by_rows`` makes each split, on a pool of one worker per core
+that is started on first use.  The values are those of one thread bit
+for bit; a smaller grid never starts the pool.
 ``Field.samples`` is one plain inverse transform; the right-hand side and
 the doubled-grid lift run :func:`_band_irfft2`, pruned to their filled
 columns, with the values of ``irfft2`` up to the sign of an exact zero.
@@ -489,8 +490,8 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     heap, where a block that lives on after the run that allocated it keeps
     the heap below it from being returned.  error_scaling at T = 0.25 with
     two threads, run as the benchmark's ``error_scaling_short`` through
-    ``bench/child.py``, peaked at 122.3-122.5 MiB with mapped tables and at
-    132.1-132.2 MiB with heap tables (3 runs each on a 2-core Xeon).
+    ``bench/child.py``, peaked at 121.0-121.2 MiB with mapped tables and at
+    123.0-123.1 MiB with heap tables (3 alternating pairs on a 2-core Xeon).
     """
     values = grid.one_plus_ksq**sigma * grid.column_weights
     table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)

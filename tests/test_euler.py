@@ -1,5 +1,7 @@
 """Coefficient matrices, symmetrizer identities, and the spectral RHS."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,14 @@ class TestRhs:
         )
         with pytest.raises(AdmissibleStateError, match=r"min\(rho\)"):
             rhs(s, GAS)
+
+    def test_names_a_non_finite_state(self):
+        grid = make_grid(16)
+        state_hat = state_to_hat(constant_state(grid, 1.0, 0.0, 0.0, 1.0))
+        state_hat[3, 1, 1] = np.nan
+        with pytest.raises(AdmissibleStateError) as caught:
+            rhs_hat(state_hat, grid, GAS)
+        assert str(caught.value) == "state is not finite: min(h) = nan"
 
 
 class TestDivergence:
@@ -548,9 +558,10 @@ class TestEvolveSymmetries:
 class TestTransformWorkers:
     """Values do not depend on the core count.
 
-    Each 1-D line of a transform is computed alone, and at N >= 182 on two
-    cores the row-local work of the right-hand side and of the RK4
-    combination runs in 64-row blocks that do the whole-array operations.
+    Each 1-D line of a transform is computed alone, and on a grid that the
+    thread rule of ``spectral`` splits, the row-local work of the
+    right-hand side and of the RK4 combination runs in row blocks that do
+    the whole-array operations.
     """
 
     @pytest.mark.parametrize("size", [200, 256])  # 200 rows end in a block of 8
@@ -592,7 +603,7 @@ def _messages_across_cores(monkeypatch, error, fn, *args):
 
 
 class TestRowBlocks:
-    """Below N = 182 the pool is never started; at N = 256 errors read as on one core."""
+    """An unsplit grid never starts the pool; on a split one, errors read as on one core."""
 
     def test_small_grids_never_start_the_pool(self, monkeypatch, tmp_path):
         def refuse():
@@ -643,6 +654,26 @@ class TestRowBlocks:
         with np.errstate(over="ignore", invalid="ignore"):
             got = _messages_across_cores(monkeypatch, SolverError, evolve, fast, GAS, cfg)
         assert got == [
-            "aborted at t = 1e-170 (step 1/1): state left the admissible region: "
-            "min(rho) = nan <= floor 1.0e-08"
+            "aborted at t = 1e-170 (step 1/1): state is not finite: min(rho) = nan"
         ] * 2
+
+    def test_failing_block_raises_its_own_error_after_the_rest(self):
+        # every block is still running when the first one fails, so the raise
+        # must wait; on two workers, a context shared by the blocks fails to
+        # enter in the second one
+        rows = np.arange(200.0)[:, None]
+        blocks = tuple(slice(start, start + 64) for start in range(0, 200, 64))
+        failures = {0: ValueError("block 0"), 128: ValueError("block 128")}
+        ended = []
+
+        def work(block):
+            time.sleep(0.1)
+            start = int(block[0, 0])
+            if start in failures:
+                raise failures[start]
+            ended.append(start)
+
+        with pytest.raises(ValueError) as caught:
+            euler._by_rows(work, (rows,), blocks)
+        assert caught.value is failures[0]
+        assert sorted(ended) == [64, 192]

@@ -7,8 +7,9 @@ floor; strings, integers and booleans exactly), checked with the
 comparison in ``bench/compare.py``.  The same configs show that the
 thread count leaves every artifact unchanged, and that only the inequality
 sweeps start ``lab``'s thread pool.  The solver's row-block pool
-(``euler._pool``) is not ``lab``'s: it runs at N >= 182 whatever the
-thread count, as in error_scaling's N = 256 control run here.
+(``euler._pool``) is not ``lab``'s: it follows the thread rule of
+``spectral``, whatever the thread count, as in error_scaling's N = 256
+control run here.
 """
 
 from pathlib import Path
