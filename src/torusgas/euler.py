@@ -22,6 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,12 @@ REGION_FLOOR = 1e-8
 
 
 class AdmissibleStateError(ValueError):
-    """A state left the region rho > 0, h > 0 where the system is hyperbolic."""
+    """A state left the region rho > 0, h > 0 where the system is hyperbolic.
+
+    ``run`` is the index of the failing run when a batch of states is checked.
+    """
+
+    run = 0
 
 
 @dataclass(frozen=True)
@@ -207,22 +213,44 @@ class State:
 
 
 def _require_admissible(rho: np.ndarray, h: np.ndarray) -> None:
-    for name, values in (("rho", rho), ("h", h)):
-        low = values.min()
-        if not low > REGION_FLOOR:
-            if not math.isfinite(low):
-                raise AdmissibleStateError(f"state is not finite: min({name}) = {low}")
-            raise AdmissibleStateError(
-                f"state left the admissible region: min({name}) = {low:.6e} "
-                f"<= floor {REGION_FLOOR:.1e}"
-            )
+    """The region check of one state's (N, N) planes, or a batch's, one per run.
+
+    A batch's error is its first failing run's, and its ``run`` is that run's index.
+    """
+    lows = np.stack((rho.min(axis=(-2, -1)), h.min(axis=(-2, -1))), axis=-1).reshape(-1, 2)
+    failing = ~(lows > REGION_FLOOR)
+    if not failing.any():
+        return
+    run = int(np.argmax(failing.any(axis=-1)))
+    field = int(np.argmax(failing[run]))
+    name, low = ("rho", "h")[field], lows[run, field]
+    if not math.isfinite(low):
+        err = AdmissibleStateError(f"state is not finite: min({name}) = {low}")
+    else:
+        err = AdmissibleStateError(
+            f"state left the admissible region: min({name}) = {low:.6e} "
+            f"<= floor {REGION_FLOOR:.1e}"
+        )
+    err.run = run
+    raise err
 
 
 def state_norm(s: State, sigma: float) -> float:
     """Sobolev norm of the state: Euclidean sum over the four components."""
-    return float(
-        np.sqrt(sum(spectral.sobolev_norm(f, sigma) ** 2 for f in s.fields()))
-    )
+    return float(_state_norms(np.stack([f.coefficients for f in s.fields()]), s.grid, sigma))
+
+
+def _state_norms(coefficients: np.ndarray, grid: TorusGrid, sigma: float) -> np.ndarray:
+    """:func:`state_norm` of each stacked state of ``coefficients``, shape (..., 4, N, N/2 + 1).
+
+    The fields' norms come from one weighted reduction,
+    :func:`spectral._sobolev_norms`; each state's four are then summed in
+    Python floats, in the order and with the ``** 2`` of
+    :func:`state_norm`, whose bytes every norm keeps.
+    """
+    fields = spectral._sobolev_norms(coefficients, grid, sigma)
+    norms = [math.sqrt(sum(x**2 for x in row)) for row in fields.reshape(-1, 4).tolist()]
+    return np.array(norms).reshape(fields.shape[:-1])
 
 
 def state_difference(a: State, b: State) -> State:
@@ -237,7 +265,11 @@ def state_to_hat(s: State) -> np.ndarray:
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
     """Inverse of :func:`state_to_hat`; the fields own the planes of one fresh inverse."""
-    samples = _irfft(state_hat, (-2, -1), grid.size)
+    return _adopt_state(_irfft(state_hat, (-2, -1), grid.size), grid)
+
+
+def _adopt_state(samples: np.ndarray, grid: TorusGrid) -> State:
+    """The state whose fields own the four planes of ``samples``, a fresh (4, N, N) array."""
     return State(*(Field._adopt(grid, samples=plane) for plane in samples))
 
 
@@ -273,15 +305,15 @@ def _by_rows(fn, arrays: tuple, blocks: tuple[slice, ...] | None, *args) -> None
 
 
 def _fill_band(band: np.ndarray, state: np.ndarray, ikx: np.ndarray, iky: np.ndarray) -> None:
-    """Write U, ikx U and iky U into the three groups of four planes of ``band``."""
-    band[:4] = state
-    np.multiply(ikx, state, out=band[4:8])
-    np.multiply(iky, state, out=band[8:])
+    """Write U, ikx U and iky U into the three groups of four planes of each run of ``band``."""
+    band[:, :4] = state
+    np.multiply(ikx, state, out=band[:, 4:8])
+    np.multiply(iky, state, out=band[:, 8:])
 
 
 def _products(samples: np.ndarray, g: GasParams) -> None:
-    """Write -(A(U) U_x + B(U) U_y) over the U_x planes of ``samples`` (U, U_x, U_y)."""
-    rho, u, v, h, rho_x, u_x, v_x, h_x, rho_y, u_y, v_y, h_y = samples
+    """Write -(A(U) U_x + B(U) U_y) over the U_x planes of each run's (U, U_x, U_y) samples."""
+    rho, u, v, h, rho_x, u_x, v_x, h_x, rho_y, u_y, v_y, h_y = samples.swapaxes(0, 1)
     div = u_x + v_y
     h_over_rho = h / rho
     # Component i overwrites the x derivative of field i; component 1 reads
@@ -298,10 +330,16 @@ def _dealias(spectra: np.ndarray, mask: np.ndarray) -> None:
 
 
 class _RhsKernel:
-    """Scratch arrays of right-hand-side evaluations on one grid.
+    """Scratch arrays of right-hand-side evaluations of a batch of runs.
+
+    ``grids`` is one grid, or one grid per run, all of one size; the runs
+    may differ in cells, so each has its own derivative tables ``ikx`` and
+    ``iky``.  Every array has a leading run axis.  A call takes the states
+    of the first m runs, shape (m, 4, N, N/2 + 1), or one state without the
+    run axis, and works on the first m runs of each array.
 
     ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
-    fields; a call fills their first ``columns`` columns, viewed as
+    fields per run; a call fills their first ``columns`` columns, viewed as
     ``band``, and the rest stay zero.  The unscaled inverse
     :func:`spectral._band_irfft2` runs in place on the filled columns, so
     ``samples`` holds the fields' values, and the forward transform of the
@@ -310,26 +348,29 @@ class _RhsKernel:
 
     Filling the band, the products and the dealias mask run through
     :func:`_by_rows`: on whole arrays, or in the row blocks of ``blocks``
-    on a grid that the ``spectral`` thread rule splits.  The transforms,
-    the background and the admissibility check stay whole-array.
+    on a grid whose one run the ``spectral`` thread rule splits.  The
+    transforms, the background and the admissibility check stay whole-array.
 
     Between calls ``samples`` holds nothing that is needed; ``spare`` views
-    its memory as one complex array of a state's shape, which the caller
-    may use until the next call.
+    its memory as one complex array of the runs' states' shape, which the
+    caller may use until the next call.
     """
 
-    def __init__(self, grid: TorusGrid, columns: int) -> None:
-        n = grid.size
-        self.grid = grid
+    def __init__(self, grids: TorusGrid | Sequence[TorusGrid], columns: int) -> None:
+        grids = (grids,) if isinstance(grids, TorusGrid) else tuple(grids)
+        n, runs = grids[0].size, len(grids)
+        self.size = n
         self.columns = columns
-        self.spectra = np.zeros((12, n, n // 2 + 1), dtype=np.complex128)
-        self.samples = np.empty((12, n, n))
-        self.band = self.spectra[:, :, :columns]
-        self.iky = grid.iky[:, :columns]
+        self.spectra = np.zeros((runs, 12, n, n // 2 + 1), dtype=np.complex128)
+        self.samples = np.empty((runs, 12, n, n))
+        self.band = self.spectra[..., :columns]
+        self.ikx = np.stack([grid.ikx for grid in grids])[:, None]
+        self.iky = np.stack([grid.iky[:, :columns] for grid in grids])[:, None]
+        self.mask = grids[0].dealias_mask
         self.blocks = None
-        if spectral._threads(self.samples[4:8]) > 1:
+        if spectral._threads(self.samples[0, 4:8]) > 1:
             self.blocks = tuple(slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS))
-        state_shape = (4, n, n // 2 + 1)
+        state_shape = (runs, 4, n, n // 2 + 1)
         flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
         self.spare = flat.view(np.complex128).reshape(state_shape)
 
@@ -345,16 +386,19 @@ class _RhsKernel:
         ``state_hat`` is read before ``out`` is written, so ``out`` may be
         ``state_hat`` itself.
         """
-        grid, blocks = self.grid, self.blocks
-        state = state_hat[:, :, : self.columns]
-        _by_rows(_fill_band, (self.band, state, grid.ikx), blocks, self.iky)
-        samples = _band_irfft2(self.band, self.spectra, grid.size, out=self.samples)
+        if state_hat.ndim == 3:  # one state
+            return self(state_hat[None], g, background, None if out is None else out[None])[0]
+        m, blocks = len(state_hat), self.blocks
+        band = self.band[:m]
+        state = state_hat[..., : self.columns]
+        _by_rows(_fill_band, (band, state, self.ikx[:m]), blocks, self.iky[:m])
+        samples = _band_irfft2(band, self.spectra[:m], self.size, out=self.samples[:m])
         if background is not None:
-            samples[:4] += np.asarray(background, dtype=float)[:, None, None]
-        _require_admissible(samples[0], samples[3])  # rho and h
+            samples[:, :4] += np.asarray(background, dtype=float)[:, None, None]
+        _require_admissible(samples[:, 0], samples[:, 3])  # rho and h
         _by_rows(_products, (samples,), blocks, g)
-        out_hat = _rfft(samples[4:8], (-2, -1), scale=True, out=out)
-        _by_rows(_dealias, (out_hat, grid.dealias_mask), blocks)
+        out_hat = _rfft(samples[:, 4:8], (-2, -1), scale=True, out=out)
+        _by_rows(_dealias, (out_hat, self.mask), blocks)
         return out_hat
 
 
@@ -388,7 +432,13 @@ def rhs(s: State, g: GasParams) -> State:
 
 def divergence(s: State) -> Field:
     """Velocity divergence u_x + v_y."""
-    return spectral.partial_x(s.u) + spectral.partial_y(s.v)
+    coefficients = _divergence_hat(s.u.coefficients, s.v.coefficients, s.grid)
+    return Field._adopt(s.grid, coefficients=coefficients)
+
+
+def _divergence_hat(u_hat: np.ndarray, v_hat: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Coefficients of u_x + v_y from those of u and v, one field or a stack of them."""
+    return u_hat * grid.ikx + v_hat * grid.iky
 
 
 def max_wave_speed(s: State, g: GasParams) -> float:

@@ -16,6 +16,10 @@ second is an approximate family
 which satisfies the system up to a residue appearing only in the fourth
 equation.  Its formula is written once, in ``_approx_deviation``; the
 member, its initial data and the assembled residual all build from it.
+The members and the family difference are built as stacked samples, of
+shape (..., 4, N, N) for an array of times ``t``: the runners measure a
+run's recorded rows against them at once, and the :class:`State` of one
+time is the stack of a scalar ``t``, bit for bit.
 The residue and the closed-form difference of the omega = +1 and
 omega = -1 members are provided as generators so downstream checks
 never rely on numerically assembled versions of them.
@@ -30,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euler import GasParams, State, rhs_hat, state_difference, state_from_hat, state_to_hat
+from .euler import (
+    GasParams,
+    State,
+    _adopt_state,
+    rhs_hat,
+    state_difference,
+    state_from_hat,
+    state_to_hat,
+)
 from .spectral import (
     Field,
     TorusGrid,
@@ -88,17 +100,31 @@ def _full(grid: TorusGrid, values: np.ndarray) -> Field:
     return Field(grid, samples=np.broadcast_to(values, (n, n)))
 
 
+def _times(t) -> np.ndarray:
+    """Times ``t`` (a float or an array) with two trailing axes, to broadcast over a grid."""
+    return np.asarray(t, dtype=float)[..., None, None]
+
+
+def _stacked(grid: TorusGrid, t, planes) -> np.ndarray:
+    """Samples (..., 4, N, N) at the times ``t``, each plane broadcast from ``planes``."""
+    n = grid.size
+    out = np.empty(np.shape(t) + (4, n, n))
+    for k, plane in enumerate(planes):
+        out[..., k, :, :] = plane
+    return out
+
+
 def exact_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) -> State:
     """Exact travelling-wave member at time t."""
+    return _adopt_state(_exact_samples(f, g, grid, t), grid)
+
+
+def _exact_samples(f: FamilyParams, g: GasParams, grid: TorusGrid, t) -> np.ndarray:
+    """Samples of the exact member at the times ``t``, shape (..., 4, N, N)."""
     _require_resolved(grid, f.n, 1, "exact family")
     _, yrow = grid.meshgrid()
-    u = f.n ** (-f.s) * np.cos(f.n * yrow - f.omega * t)
-    return State(
-        constant_field(grid, g.rho0),
-        _full(grid, u),
-        constant_field(grid, f.omega / f.n),
-        constant_field(grid, g.h0),
-    )
+    u = f.n ** (-f.s) * np.cos(f.n * yrow - f.omega * _times(t))
+    return _stacked(grid, t, (g.rho0, u, f.omega / f.n, g.h0))
 
 
 def exact_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
@@ -111,18 +137,20 @@ def exact_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
 
 
 def _approx_deviation(
-    f: FamilyParams, grid: TorusGrid, t: float
+    f: FamilyParams, grid: TorusGrid, t
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The one formula of the approximate member.
+    """The one formula of the approximate member, at a time or an array of times ``t``.
 
     Returns the drift omega/n and the deviations of u, v and h from the
     constant background (rho0, omega/n, omega/n, h0).  The u deviation has
-    shape (1, N) and the v deviation (N, 1); both broadcast to the grid.
+    shape (..., 1, N) and the v deviation (..., N, 1), with the shape of
+    ``t`` in front; both broadcast to the grid.
     """
     _require_resolved(grid, f.n, 2, "approximate family")
     xcol, yrow = grid.meshgrid()
-    a = f.n * xcol - f.omega * t
-    b = f.n * yrow - f.omega * t
+    times = _times(t)
+    a = f.n * xcol - f.omega * times
+    b = f.n * yrow - f.omega * times
     amp = f.n ** (-f.s)
     h_dev = f.n ** (-2.0 * f.s) * np.sin(a) * np.sin(b)
     return f.omega / f.n, amp * np.cos(b), amp * np.cos(a), h_dev
@@ -134,13 +162,13 @@ def approx_solution(f: FamilyParams, g: GasParams, grid: TorusGrid, t: float) ->
     Requires 2n within the dealias band: quadratic products of this state
     carry modes up to 2n and the residue identities need them resolved.
     """
+    return _adopt_state(_approx_samples(f, g, grid, t), grid)
+
+
+def _approx_samples(f: FamilyParams, g: GasParams, grid: TorusGrid, t) -> np.ndarray:
+    """Samples of the approximate member at the times ``t``, shape (..., 4, N, N)."""
     drift, u_dev, v_dev, h_dev = _approx_deviation(f, grid, t)
-    return State(
-        constant_field(grid, g.rho0),
-        _full(grid, drift + u_dev),
-        _full(grid, drift + v_dev),
-        Field(grid, samples=g.h0 + h_dev),
-    )
+    return _stacked(grid, t, (g.rho0, drift + u_dev, drift + v_dev, g.h0 + h_dev))
 
 
 def approx_time_derivative(f: FamilyParams, grid: TorusGrid, t: float) -> State:
@@ -190,18 +218,19 @@ def approx_difference(n: int, s: float, grid: TorusGrid, t: float) -> State:
          2/n + 2 n^{-s} sin(nx) sin t,
          -n^{-2s} sin(nx + ny) sin 2t).
     """
+    return _adopt_state(_difference_samples(n, s, grid, t), grid)
+
+
+def _difference_samples(n: int, s: float, grid: TorusGrid, t) -> np.ndarray:
+    """Samples of :func:`approx_difference` at the times ``t``, shape (..., 4, N, N)."""
     FamilyParams(1, n, s)  # validates n and s
     _require_resolved(grid, n, 2, "family difference")
     xcol, yrow = grid.meshgrid()
-    du = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * yrow) * np.sin(t)
-    dv = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * xcol) * np.sin(t)
-    dh = -(n ** (-2.0 * s)) * np.sin(n * (xcol + yrow)) * np.sin(2.0 * t)
-    return State(
-        constant_field(grid, 0.0),
-        _full(grid, du),
-        _full(grid, dv),
-        Field(grid, samples=dh),
-    )
+    times = _times(t)
+    du = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * yrow) * np.sin(times)
+    dv = 2.0 / n + 2.0 * n ** (-s) * np.sin(n * xcol) * np.sin(times)
+    dh = -(n ** (-2.0 * s)) * np.sin(n * (xcol + yrow)) * np.sin(2.0 * times)
+    return _stacked(grid, t, (0.0, du, dv, dh))
 
 
 def assemble_approx_residual(

@@ -477,9 +477,17 @@ def sobolev_norm(f: Field, sigma: float) -> float:
     under the 2pi-periodic measure.  ``sobolev_norm(f, 0)`` is the plain
     L2 norm.
     """
-    c = f.coefficients
-    total = np.sum(_norm_weight(f.grid, float(sigma)) * (c.real**2 + c.imag**2))
-    return float(2.0 * np.pi * np.sqrt(total))
+    return float(_sobolev_norms(f.coefficients, f.grid, sigma))
+
+
+def _sobolev_norms(c: np.ndarray, grid: TorusGrid, sigma: float) -> np.ndarray:
+    """:func:`sobolev_norm` of each half-plane array of ``c``, shape (..., N, N/2 + 1).
+
+    One weighted reduction over the last two axes gives each norm the
+    bytes of :func:`sobolev_norm` on its own field.
+    """
+    weighted = _norm_weight(grid, float(sigma)) * (c.real**2 + c.imag**2)
+    return 2.0 * np.pi * np.sqrt(np.sum(weighted, axis=(-2, -1)))
 
 
 @lru_cache(maxsize=64)

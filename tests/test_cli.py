@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusgas import lab, solver
@@ -231,7 +232,8 @@ class TestErrors:
         self, tmp_path, capsys, monkeypatch, command, match
     ):
         # the runners' norms read NaN, as they would if a norm weight overflowed
-        monkeypatch.setattr(lab, "state_norm", lambda state, sigma: math.nan)
+        nan_norms = lambda c, grid, sigma: np.full(c.shape[:-3], math.nan)  # noqa: E731
+        monkeypatch.setattr(lab, "_state_norms", nan_norms)
         out = tmp_path / "reports"
         data = {"solve": {"T": 0.1}, "output_dir": str(out)}
         self._config_fails(tmp_path, capsys, command, data, match)
@@ -248,7 +250,7 @@ class TestErrors:
         self, tmp_path, capsys, monkeypatch, command, data
     ):
         # the runners' norms read 0.0, as they would if the family amplitudes underflowed
-        monkeypatch.setattr(lab, "state_norm", lambda state, sigma: 0.0)
+        monkeypatch.setattr(lab, "_state_norms", lambda c, grid, sigma: np.zeros(c.shape[:-3]))
         monkeypatch.setattr(lab, "sobolev_norm", lambda f, sigma: 0.0)
         out = tmp_path / "reports"
         match = f"{command} cannot fit a log-log slope to rows.measured_value: it holds 0.0"

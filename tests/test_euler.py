@@ -15,6 +15,7 @@ from torusgas.euler import (
     State,
     _RhsKernel,
     _require_admissible,
+    _state_norms,
     divergence,
     matrix_A,
     matrix_A0,
@@ -677,3 +678,23 @@ class TestRowBlocks:
             euler._by_rows(work, (rows,), blocks)
         assert caught.value is failures[0]
         assert sorted(ended) == [64, 192]
+
+
+class TestStateNorms:
+    """The stacked norm helper gives every state the bytes of state_norm."""
+
+    @pytest.mark.parametrize("size", [8, 38, 64])
+    @pytest.mark.parametrize("sigma", [0.0, 1.5, 3.0, 4.0])
+    def test_equals_state_norm_bits(self, size, sigma):
+        grid = make_grid(size, 4 if size == 8 else 1)
+        rng = np.random.default_rng(size)
+        samples = rng.standard_normal((3, 2, 4, size, size))  # any leading axes
+        coefficients = _rfft(samples, (-2, -1), scale=True)
+        got = _state_norms(coefficients, grid, sigma)
+        assert got.shape == (3, 2)
+        for index in np.ndindex(3, 2):
+            state = State(*(Field(grid, samples=plane) for plane in samples[index]))
+            # the sum of state_norm written out over the fields' own norms
+            formula = float(np.sqrt(sum(sobolev_norm(f, sigma) ** 2 for f in state.fields())))
+            assert got[index].tobytes() == np.float64(state_norm(state, sigma)).tobytes()
+            assert state_norm(state, sigma) == formula

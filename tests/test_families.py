@@ -14,6 +14,9 @@ from torusgas.euler import (
 )
 from torusgas.families import (
     FamilyParams,
+    _approx_samples,
+    _difference_samples,
+    _exact_samples,
     approx_difference,
     approx_solution,
     approx_time_derivative,
@@ -322,3 +325,27 @@ class TestAssembledResidue:
         target = residue_field(f, grid, 0.0)
         gap = np.max(np.abs(res.h.samples - target.samples))
         assert gap <= 1e-10 * np.max(np.abs(target.samples))
+
+
+class TestStackedClosedForms:
+    """The closed forms at an array of times are those of each time, bit for bit."""
+
+    TIMES = np.array([0.0, 0.0625, 0.3, 0.5, 1.0, 2.75])
+
+    @staticmethod
+    def _assert_planes(stacked, state):
+        for plane, f in zip(stacked, state.fields()):
+            assert plane.tobytes() == f.samples.tobytes()
+
+    @pytest.mark.parametrize("omega", [1, -1])
+    @pytest.mark.parametrize("size, cells, n", [(8, 4, 4), (8, 32, 32), (64, 1, 4)])
+    def test_members_and_difference(self, omega, size, cells, n):
+        grid, f = make_grid(size, cells), FamilyParams(omega, n, 3.0)
+        approx = _approx_samples(f, GAS, grid, self.TIMES)
+        difference = _difference_samples(n, 3.0, grid, self.TIMES)
+        exact = _exact_samples(f, GAS, grid, self.TIMES)
+        assert approx.shape == difference.shape == exact.shape == (6, 4, size, size)
+        for k, t in enumerate(self.TIMES.tolist()):
+            self._assert_planes(approx[k], approx_solution(f, GAS, grid, t))
+            self._assert_planes(difference[k], approx_difference(n, 3.0, grid, t))
+            self._assert_planes(exact[k], exact_solution(f, GAS, grid, t))

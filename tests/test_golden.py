@@ -6,7 +6,9 @@ artifact contract (floats to 10 significant digits with a 1e-12 absolute
 floor; strings, integers and booleans exactly), checked with the
 comparison in ``bench/compare.py``.  The same configs show that the
 thread count leaves every artifact unchanged, and that only the inequality
-sweeps start ``lab``'s thread pool.  The solver's row-block pool
+sweeps start ``lab``'s thread pool.  The benchmark's nonuniform workload,
+run as ``bench/run.py`` runs it, must reproduce ``bench/reference/``,
+which the test only reads.  The solver's row-block pool
 (``euler._pool``) is not ``lab``'s: it follows the thread rule of
 ``spectral``, whatever the thread count, as in error_scaling's N = 256
 control run here.
@@ -17,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from torusgas import lab
+from torusgas.cli import main
 from torusgas.lab import config_from_dict, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 _SHORT = {"n_list": [4, 8, 16], "solve": {"T": 0.1}}
 
@@ -72,3 +76,11 @@ def test_only_inequalities_starts_a_pool(monkeypatch):
     with pytest.raises(AssertionError, match="thread pool started"):
         data = {**CONFIGS["inequalities"], "threads": 2}
         run_experiment(config_from_dict(data, "inequalities"))
+
+
+def test_nonuniform_workload_matches_bench_reference(tmp_path, capsys, compare):
+    # the workload's command line in bench/run.py, at its default config
+    out = tmp_path / "nonuniform"
+    assert main(["nonuniform", "--threads", "1", "--out", str(out)]) == 0
+    assert "nonuniform: PASS" in capsys.readouterr().out
+    assert compare.compare_dirs(out, BENCH_REFERENCE / "nonuniform") == []

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from torusgas import families, solver
+from torusgas import families, lab, solver
 from torusgas.euler import GasParams, State
 from torusgas.families import FamilyParams
 from torusgas.lab import (
@@ -18,8 +18,10 @@ from torusgas.lab import (
     run_experiment,
     _emit,
     _fit,
-    _member_run,
+    _member_runs,
     _mirror,
+    _plan_member,
+    _samples_of,
 )
 from torusgas.solver import SolveConfig, SolverError
 from torusgas.spectral import Field, TorusGrid, make_grid
@@ -532,10 +534,14 @@ class TestNonuniformMirror:
         assert plus.times == minus.times
         assert len(plus.times) > 2
         shift = size // (2 * n)
+
+        def mirrored(state):
+            return State(*(Field(grid, samples=p) for p in _mirror(_samples_of([state])[0], shift)))
+
         for t, state_plus, state_minus in zip(plus.times, plus.states, minus.states):
-            _assert_same_samples(_mirror(state_plus, shift), state_minus, 1e-12)
+            _assert_same_samples(mirrored(state_plus), state_minus, 1e-12)
             _assert_same_samples(
-                _mirror(families.approx_solution(fp_plus, gas, grid, t), shift),
+                mirrored(families.approx_solution(fp_plus, gas, grid, t)),
                 families.approx_solution(fp_minus, gas, grid, t),
                 1e-12,
             )
@@ -557,50 +563,90 @@ def _pinned_torus_grid(size: int) -> TorusGrid:
     return grid
 
 
-class TestMemberRun:
-    """Every evolving runner reaches the solver through one member run."""
+def _trajectory(cfg, n, grid):
+    """The trajectory of the planned omega = +1 member run of index n on ``grid``."""
+    member = _plan_member(cfg, n, grid, families.approx_solution)
+    (traj,) = _member_runs(cfg, [member], lambda member, traj: traj)
+    return traj
 
-    #: n_list and the (size, cells) of each evolve call, in call order
-    EVOLVE_GRIDS = {
-        # one grid_rule-point cell per n
-        "nonuniform": ((2, 4), [(8, 2), (8, 4)]),
-        "higher_norm": ((2, 4, 8), [(8, 2), (8, 4), (8, 8)]),
-        # and the two halved-step runs at the largest n
-        "exact_check": ((2, 4), [(8, 2), (8, 4), (8, 4), (8, 4)]),
-        # one whole-torus grid_rule * n grid per n, and the doubled control run
-        "error_scaling": ((2, 4, 8), [(16, 1), (32, 1), (64, 1), (128, 1)]),
+
+class TestMemberRun:
+    """Every evolving runner reaches the solver through planned, batched member runs."""
+
+    #: n_list and the (size, cells) of the runs of each evolve_batch call, in call order
+    EVOLVE_BATCHES = {
+        # one batch of grid_rule-point cells, one per n
+        "nonuniform": ((2, 4), [[(8, 2), (8, 4)]]),
+        "higher_norm": ((2, 4, 8), [[(8, 2), (8, 4), (8, 8)]]),
+        # and the two halved-step runs at the largest n, in the same batch
+        "exact_check": ((2, 4), [[(8, 2), (8, 4), (8, 4), (8, 4)]]),
+        # one whole-torus grid_rule * n grid per batch, and the doubled control run
+        "error_scaling": ((2, 4, 8), [[(16, 1)], [(32, 1)], [(64, 1)], [(128, 1)]]),
     }
 
-    @pytest.mark.parametrize("experiment", EVOLVE_GRIDS)
+    @pytest.mark.parametrize("experiment", EVOLVE_BATCHES)
     def test_evolve_calls(self, monkeypatch, experiment):
-        n_list, grids = self.EVOLVE_GRIDS[experiment]
-        seen = []
-        real_evolve = solver.evolve
+        n_list, batches = self.EVOLVE_BATCHES[experiment]
+        seen, planned = [], []
+        real_evolve_batch, real_plan = solver.evolve_batch, solver.plan
 
-        def recording_evolve(s0, *args, **kwargs):
-            seen.append((s0.grid.size, s0.grid.cells))
-            return real_evolve(s0, *args, **kwargs)
+        def recording_evolve_batch(runs, gas):
+            seen.append([(run.s0.grid.size, run.s0.grid.cells) for run in runs])
+            return real_evolve_batch(runs, gas)
 
-        monkeypatch.setattr(solver, "evolve", recording_evolve)
+        def recording_plan(s0, gas, solve):
+            planned.append(s0)
+            return real_plan(s0, gas, solve)
+
+        monkeypatch.setattr(solver, "evolve_batch", recording_evolve_batch)
+        monkeypatch.setattr(solver, "plan", recording_plan)
         run_experiment(ExperimentConfig(experiment, n_list=n_list, solve=SolveConfig(T=0.1)))
-        assert seen == grids
+        assert seen == batches
+        assert len(planned) == sum(map(len, batches))  # each run is planned once
 
     def test_closed_forms_are_built_when_drawn(self, monkeypatch):
-        # higher_norm draws no errors, so it builds the initial data and nothing more
+        nonuniform = ExperimentConfig("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
+        times = _trajectory(nonuniform, 2, make_grid(8, 2)).times
+        assert len(times) > 2
         built = []
-        real_closed_form = families.approx_solution
+        real_deviation = families._approx_deviation
 
-        def recording_closed_form(fp, gas, grid, t):
-            built.append(t)
-            return real_closed_form(fp, gas, grid, t)
+        def recording_deviation(fp, grid, t):
+            built.append((fp.omega, np.array(t).tolist()))
+            return real_deviation(fp, grid, t)
 
-        monkeypatch.setattr(families, "approx_solution", recording_closed_form)
+        monkeypatch.setattr(families, "_approx_deviation", recording_deviation)
+        # higher_norm measures no errors, so it builds the initial data and nothing more
         cfg = ExperimentConfig("higher_norm", n_list=(2, 4, 8), solve=SolveConfig(T=0.1))
         run_experiment(cfg)
-        assert built == [0.0, 0.0, 0.0]
-        traj, errors, _ = _member_run(cfg, 4, make_grid(8, 4), families.approx_solution)
-        assert len(list(errors)) == len(traj.times)
-        assert built == [0.0] * 4 + traj.times
+        assert built == [(1, 0.0)] * 3
+        # nonuniform builds the initial data of each sign, then each sign's
+        # member once per run, at all recorded times
+        built.clear()
+        run_experiment(nonuniform)
+        assert built == [(1, 0.0), (-1, 0.0), (1, times), (-1, times)]
+
+
+class TestRecordedChunks:
+    """Measuring a run's records in chunks gives the bytes of measuring them at once."""
+
+    @pytest.mark.parametrize(
+        "experiment, n_list",
+        [
+            ("nonuniform", (2, 4)),
+            ("exact_check", (2, 4)),
+            ("higher_norm", (2, 4, 8)),
+            ("error_scaling", (2, 4, 8)),
+        ],
+    )
+    def test_one_record_per_chunk(self, monkeypatch, experiment, n_list):
+        cfg = ExperimentConfig(experiment, n_list=n_list, solve=SolveConfig(T=0.1))
+        whole = run_experiment(cfg)
+        monkeypatch.setattr(lab, "_STACK_BYTES", 1)
+        chunked = run_experiment(cfg)
+        assert chunked.rows == whole.rows
+        assert chunked.details == whole.details
+        assert chunked.fitted_slope == whole.fitted_slope
 
 
 class TestCellGridEvolve:
@@ -610,9 +656,7 @@ class TestCellGridEvolve:
     def test_cell_run_matches_full_torus_run(self, n):
         cfg = ExperimentConfig("nonuniform")
         full, cell = make_grid(8 * n), make_grid(8, n)
-        on_full, on_cell = (
-            _member_run(cfg, n, on, families.approx_solution)[0] for on in (full, cell)
-        )
+        on_full, on_cell = (_trajectory(cfg, n, on) for on in (full, cell))
         assert on_full.times == on_cell.times and len(on_cell.times) > 10
         # the torus coefficient at n*k is the cell coefficient at k
         k = np.fft.fftfreq(cell.size, 1.0 / cell.size).astype(int)
@@ -627,7 +671,7 @@ class TestCellGridEvolve:
     def test_full_torus_run_stays_on_multiples_of_n(self, n):
         grid = make_grid(8 * n)
         cfg = ExperimentConfig("nonuniform")
-        traj, _, _ = _member_run(cfg, n, grid, families.approx_solution)
+        traj = _trajectory(cfg, n, grid)
         columns = np.arange(grid.size // 2 + 1)
         off_lattice = np.ones((grid.size, columns.size), dtype=bool)
         rows = np.fft.fftfreq(grid.size, 1.0 / grid.size)

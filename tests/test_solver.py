@@ -1,5 +1,7 @@
 """Time integration: CFL control, RK4 accuracy, and trajectory recording."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,13 @@ from torusgas.euler import (
 )
 from torusgas.families import FamilyParams, exact_solution, initial_data
 from torusgas.solver import (
+    Run,
     SolveConfig,
     SolverError,
     Trajectory,
     cfl_dt,
     evolve,
+    evolve_batch,
     plan,
     step_rk4,
 )
@@ -327,3 +331,86 @@ class TestStepperBits:
         for state in run.states[1:]:
             for f in state.fields():
                 assert not any(np.shares_memory(f.samples, a) for a in scratch)
+
+
+def _assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
+    assert got.times == want.times
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        for fa, fb in zip(a.fields(), b.fields()):
+            assert fa.samples.tobytes() == fb.samples.tobytes()
+
+
+def _squeeze(grid, amplitude=1.0):
+    """A compressive flow whose density an oversized step drives negative."""
+    one, zero = constant_field(grid, 1.0), constant_field(grid, 0.0)
+    return State(one, synthesize(grid, [(1, 0, -amplitude, "sin", 0.0)]), zero, one)
+
+
+class TestEvolveBatch:
+    """A lockstep batch gives every run the bytes, times and records of its single run."""
+
+    def test_batch_equals_single_runs(self):
+        # nonuniform's four cells at their CFL steps, and an exact_check-style
+        # pair at half and a quarter of the step of the largest n
+        runs, singles = [], []
+        for n in (4, 8, 16, 32):
+            s0 = initial_data(FamilyParams(1, n, 3.0), GAS, make_grid(8, n))
+            cfg = SolveConfig(T=1.0)
+            n_steps, dt = plan(s0, GAS, cfg)
+            stride = math.ceil(n_steps / 16)
+            runs.append(Run(s0, cfg.T, n_steps, dt, stride))
+            singles.append(evolve(s0, GAS, cfg, stride))
+        exact = exact_solution(FamilyParams(1, 32, 3.0), GAS, make_grid(8, 32), 0.0)
+        for halvings in (1, 2):
+            cfg = SolveConfig(T=1.0, dt_fixed=runs[-1].dt / 2**halvings)
+            n_steps, dt = plan(exact, GAS, cfg)
+            stride = math.ceil(n_steps / 16)
+            # the refined runs go in the middle, so the batch must reorder them
+            runs.insert(2, Run(exact, cfg.T, n_steps, dt, stride))
+            singles.insert(2, evolve(exact, GAS, cfg, stride))
+        assert len({run.n_steps for run in runs}) > 2
+        batched = evolve_batch(runs, GAS)
+        assert len(batched) == len(runs)
+        for got, want, run in zip(batched, singles, runs):
+            assert got.states[0] is run.s0
+            _assert_same_trajectory(got, want)
+
+    def test_inadmissible_run_raises_its_single_run_error(self):
+        grid = make_grid(32)
+        good = initial_data(FamilyParams(1, 2, 3.0), GAS, grid)
+        cfg = SolveConfig(T=4.0, dt_fixed=0.5)  # three steps in, min(rho) < 0
+        with pytest.raises(SolverError) as alone:
+            evolve(_squeeze(grid), GAS, cfg)
+        runs = [Run(good, 0.5, 10, 0.05, 1), Run(_squeeze(grid), 4.0, 8, 0.5, 1)]
+        with pytest.raises(SolverError) as batched:
+            evolve_batch(runs + [runs[0]], GAS)
+        assert str(batched.value) == str(alone.value)
+        assert str(alone.value).startswith("aborted at t = 1.5 (step 3/8)")
+        assert batched.value.run == 1
+
+    def test_first_failing_run_in_order_is_raised(self):
+        # the second run fails in its first step, the first only in its third
+        grid = make_grid(32)
+        late = Run(_squeeze(grid), 4.0, 8, 0.5, 1)
+        early = Run(_squeeze(grid, 4.0), 4.0, 4, 1.0, 1)
+        messages = {}
+        for name, run in (("late", late), ("early", early)):
+            with pytest.raises(SolverError) as alone:
+                evolve_batch([run], GAS)
+            messages[name] = str(alone.value)
+        assert messages["late"].startswith("aborted at t = 1.5 (step 3/8)")
+        assert messages["early"].startswith("aborted at t = 1 (step 1/4)")
+        for runs, first in (([late, early], "late"), ([early, late], "early")):
+            with pytest.raises(SolverError) as batched:
+                evolve_batch(runs, GAS)
+            assert str(batched.value) == messages[first]
+            assert batched.value.run == 0
+
+    def test_grids_must_share_one_size(self):
+        runs = [
+            Run(constant_state(make_grid(size)), 1.0, 10, 0.1, 1) for size in (8, 16)
+        ]
+        with pytest.raises(ValueError, match="share one size"):
+            evolve_batch(runs, GAS)
+        assert evolve_batch([], GAS) == []
