@@ -4,7 +4,7 @@
 :func:`run_experiment` the one way to run it: it takes the runner that
 :data:`EXPERIMENTS` names, calls it, and writes the :class:`Report` it
 returns.  :data:`EXPERIMENTS` is the one table of experiments: each name
-maps to its private runner, default ``n_list`` and CLI help.  The four
+maps to its runner, default ``n_list``, CLI help and rules.  The four
 runners that evolve a family member share one way to run it: each run is
 planned once by :func:`_plan_member`, and :func:`_member_runs` marches the
 runs on grids of one size in lockstep, as one :func:`solver.evolve_batch`,
@@ -82,22 +82,9 @@ class ExperimentConfig:
     An ``n_list`` left at None takes the experiment's default from
     :data:`EXPERIMENTS`.  ``solve`` sets only ``T`` and ``cfl``, the run
     controls ``summary.json`` records; a fixed step is the runners' own
-    choice, so a ``solve`` with ``dt_fixed`` set is rejected.
-
-    ``grid_rule`` is the number of points per axis on one 2*pi/n cell of
-    the family of index n, the resolution of N = grid_rule * n points on the
-    whole torus; it keeps every mode of the families (up to 2n) inside the
-    dealias band.  It must be even, so that the cell grid is even and the
-    nonuniform pair's mirror centre grid_rule/2 falls on a node.  The
-    experiments that fit a slope over ``n_list`` need three entries or more.
-    ``s`` is bounded above so that every norm weight of the run is finite.
-    For the ``inequalities`` experiment ``n_list`` holds the two grid sizes
-    (base, refined) instead of family indices, both built when it is checked, and
-    ``family_size`` sets the number of seeded members per check.
-
-    ``threads`` is the number of pool workers over the four checks of
-    ``inequalities``; the other experiments ignore it.  The artifacts do
-    not depend on it, apart from the ``threads`` entry of ``summary.json``.
+    choice, so a ``solve`` with ``dt_fixed`` set is rejected.  ``s`` is
+    bounded above so that every norm weight of the run is finite.  Each
+    experiment's own rules and largest grid are in its :data:`EXPERIMENTS` row.
     """
 
     experiment: str
@@ -136,50 +123,15 @@ class ExperimentConfig:
             raise ValueError("n_list must contain positive integers")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {n_list}")
-        fits_slope = self.experiment in ("residue_scaling", "error_scaling", "higher_norm")
-        if fits_slope and len(n_list) < 3:
+        if row.fits_slope and len(n_list) < 3:
             raise ValueError(
                 f"{self.experiment} fits a slope over n_list, which needs at least 3 "
                 f"entries, got {len(n_list)}"
             )
         object.__setattr__(self, "n_list", n_list)
-        if self.experiment == "residue_scaling":
-            if not 1.0 < self.sigma <= self.s - 1.0:
-                raise ValueError(
-                    f"sigma must lie in (1, s-1] for residue scaling, got {self.sigma}"
-                )
-        elif self.experiment in ("nonuniform", "error_scaling"):
-            if not 1.0 < self.sigma < self.s - 1.0:
-                raise ValueError(
-                    f"sigma must lie in (1, s-1) for {self.experiment}, got {self.sigma}"
-                )
-        elif self.experiment == "inequalities":
-            if not 1.0 < self.sigma < self.s:
-                raise ValueError(
-                    f"sigma must lie in (1, s) for inequalities, got {self.sigma}"
-                )
-        if self.experiment == "inequalities":
-            if self.family_size < 1:
-                raise ValueError("family_size must be positive")
-            if len(n_list) != 2:
-                raise ValueError("inequalities expects n_list = (base_grid, refined_grid)")
-        else:
-            if self.grid_rule < 6:
-                raise ValueError(
-                    "grid_rule below 6 cannot resolve family modes up to 2n"
-                )
-            if self.grid_rule % 2:
-                raise ValueError(
-                    f"grid_rule must be even so that N = grid_rule * n is even, "
-                    f"got {self.grid_rule}"
-                )
-        # cell runs evolve grid_rule points per axis on 2*pi/n cells; error_scaling's
-        # control run doubles grid_rule * n at the largest n; the inequality
-        # products run on the doubled refined grid; the last two on the whole torus
-        largest, cells = {
-            "error_scaling": (2 * self.grid_rule * max(n_list), 1),
-            "inequalities": (2 * max(n_list), 1),
-        }.get(self.experiment, (self.grid_rule, max(n_list)))
+        if row.sigma_rule and not row.sigma_rule[1](self.sigma, self.s):
+            raise ValueError(f"sigma must lie in {row.sigma_rule[0]}, got {self.sigma}")
+        largest, cells = row.largest_grid(self)
         if largest > _MAX_GRID:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
         # No run takes a norm above order tau = floor(s) + 1, whose weights reach
@@ -191,11 +143,13 @@ class ExperimentConfig:
                 f"s = {self.s} is too large: the norm weights (1 + |k|^2)^{tau} "
                 f"overflow at N = {points} points per 2*pi"
             )
-        if self.experiment == "inequalities":  # a bad size fails here, not in the run
-            base_grid, _ = (make_grid(n) for n in n_list)
-            _require_band(base_grid, inequalities.FAMILY_MAX_MODE)
+        row.check(self)  # after the bounds, since a check may build grids
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        for name, kind in (("gas", GasParams), ("solve", SolveConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         if self.solve.dt_fixed is not None:
             raise ValueError(
                 f"solve.dt_fixed must not be set: summary.json does not record it, "
@@ -600,9 +554,7 @@ def _error_scaling(cfg: ExperimentConfig) -> Report:
     def plan(
         n: int, refine: int = 1, solve: SolveConfig | None = None, stride: int | None = None
     ) -> _Member:
-        # Whole torus until ROADMAP item 1: on a cell, digits of the bench
-        # reference move, so the cell move waits for its re-capture.
-        grid = make_grid(refine * cfg.grid_rule * n)
+        grid = make_grid(refine * cfg.grid_rule * n)  # see the row's largest grid
         return _plan_member(cfg, n, grid, families.approx_solution, solve, stride)
 
     def error_curve(member: _Member, traj: Trajectory) -> list[tuple[float, float]]:
@@ -873,6 +825,7 @@ def _inequalities(cfg: ExperimentConfig) -> Report:
     """Seeded-family sweeps of the four inequality checks at two grid sizes.
 
     Interpolation is judged on its base-grid ratios, the others on refinement drift.
+    The pool's ``cfg.threads`` workers change no artifact but summary.json's ``threads``.
     """
     base_n, refined_n = cfg.n_list
     grids = (make_grid(base_n), make_grid(refined_n))
@@ -928,35 +881,92 @@ def _inequalities(cfg: ExperimentConfig) -> Report:
     )
 
 
+def _two_grids(cfg: ExperimentConfig) -> None:
+    """Inequalities' rules after the bounds: a bad grid size fails here, not in the run.
+
+    ``n_list`` holds the grid sizes (base, refined), both built here, and ``family_size``
+    the seeded members per check; the base grid's band must hold the family's modes.
+    """
+    if cfg.family_size < 1:
+        raise ValueError("family_size must be positive")
+    if len(cfg.n_list) != 2:
+        raise ValueError("inequalities expects n_list = (base_grid, refined_grid)")
+    base_grid, _ = (make_grid(n) for n in cfg.n_list)
+    _require_band(base_grid, inequalities.FAMILY_MAX_MODE)
+
+
+def _grid_rule(cfg: ExperimentConfig) -> int:
+    """The checked ``grid_rule``, read by a family row's largest grid before the bounds.
+
+    It is the points per axis on a 2*pi/n cell of family index n, and N = grid_rule * n
+    points on the whole torus hold every family mode (up to 2n) in the dealias band.
+    It is even, so that the cell grid is even and the nonuniform pair's mirror
+    centre grid_rule/2 falls on a node.
+    """
+    if cfg.grid_rule < 6:
+        raise ValueError("grid_rule below 6 cannot resolve family modes up to 2n")
+    if cfg.grid_rule % 2:
+        raise ValueError(
+            f"grid_rule must be even so that N = grid_rule * n is even, got {cfg.grid_rule}"
+        )
+    return cfg.grid_rule
+
+
 class _Experiment(NamedTuple):
+    """One experiment: its runner, default ``n_list``, CLI help and config rules.
+
+    ``sigma_rule`` is the text and the (sigma, s) test of sigma's interval.  The
+    desk-scale and ``s`` bounds read ``largest_grid(cfg)``, the (points per axis,
+    cells) of the run's largest grid, by default a cell; ``check`` follows them.
+    """
+
     runner: Callable[[ExperimentConfig], Report]
     n_list: tuple[int, ...]
     help: str
+    fits_slope: bool = False
+    sigma_rule: tuple[str, Callable[[float, float], bool]] | None = None
+    largest_grid: Callable[..., tuple[int, int]] = lambda cfg: (_grid_rule(cfg), max(cfg.n_list))
+    check: Callable[[ExperimentConfig], None] = lambda cfg: None
 
 
-#: The experiments by name: runner, default ``n_list`` and CLI help.
+#: The experiments by name: runner, default ``n_list``, CLI help and config rules.
 EXPERIMENTS = {
     "nonuniform": _Experiment(
         _nonuniform,
         (4, 8, 16, 32),
         "shrinking initial distances against persistent separation",
+        sigma_rule=("(1, s-1) for nonuniform", lambda sigma, s: 1.0 < sigma < s - 1.0),
     ),
     "residue_scaling": _Experiment(
-        _residue_scaling, (4, 8, 16, 32, 64), "norm decay of the family residue"
+        _residue_scaling,
+        (4, 8, 16, 32, 64),
+        "norm decay of the family residue",
+        fits_slope=True,
+        sigma_rule=("(1, s-1] for residue scaling", lambda sigma, s: 1.0 < sigma <= s - 1.0),
     ),
     "error_scaling": _Experiment(
         _error_scaling,
         (8, 16, 32),
         "distance of evolved runs to the approximate family",
+        fits_slope=True,
+        sigma_rule=("(1, s-1) for error_scaling", lambda sigma, s: 1.0 < sigma < s - 1.0),
+        # the control run's doubled grid at the largest n; whole torus until ROADMAP
+        # item 1, since on a cell digits of the bench reference move and need re-capture
+        largest_grid=lambda cfg: (2 * _grid_rule(cfg) * max(cfg.n_list), 1),
     ),
     "exact_check": _Experiment(
         _exact_check, (8,), "propagation accuracy on the exact family"
     ),
     "higher_norm": _Experiment(
-        _higher_norm, (8, 16, 32), "growth of the above-regularity norm"
+        _higher_norm, (8, 16, 32), "growth of the above-regularity norm", fits_slope=True
     ),
     "inequalities": _Experiment(
-        _inequalities, (64, 128), "seeded sweeps of the inequality toolbox"
+        _inequalities,
+        (64, 128),
+        "seeded sweeps of the inequality toolbox",
+        sigma_rule=("(1, s) for inequalities", lambda sigma, s: 1.0 < sigma < s),
+        largest_grid=lambda cfg: (2 * max(cfg.n_list), 1),  # the doubled refined grid
+        check=_two_grids,
     ),
 }
 

@@ -55,7 +55,126 @@ class TestFitLoglogSlope:
                 self.fit([1.0, bad, 3.0], [1.0, 2.0, 1.0])
 
 
+_FAMILY_RUNS = ("nonuniform", "residue_scaling", "error_scaling", "exact_check", "higher_norm")
+_CELL_RUNS = ("nonuniform", "residue_scaling", "exact_check", "higher_norm")
+_DESK = "exceeds the desk-scale limit 4096"
+_FITS_SLOPE = "fits a slope over n_list, which needs at least 3 entries"
+_EVEN = "grid_rule must be even so that N = grid_rule * n is even"
+_BELOW_6 = "grid_rule below 6 cannot resolve family modes up to 2n"
+_TWO_GRIDS = "inequalities expects n_list = (base_grid, refined_grid)"
+
+
+def _s_bound(s, points):
+    weights = f"the norm weights (1 + |k|^2)^{int(s) + 1}"
+    return f"s = {s} is too large: {weights} overflow at N = {points} points per 2*pi"
+
+
+#: (experiment, overrides, message) of rejected configs.  Every fault of
+#: the shared rules is tried on every experiment; a config with two faults
+#: is marked, and its message names the rule checked first.
+CONFIG_FAULTS = [
+    *[
+        (experiment, overrides, message)
+        for experiment in EXPERIMENTS
+        for overrides, message in [
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"seed": "4"}, "seed must be an integer, got '4'"),
+            ({"threads": 2.5}, "threads must be an integer, got 2.5"),
+            ({"grid_rule": None}, "grid_rule must be an integer, got None"),
+            ({"family_size": 8.0}, "family_size must be an integer, got 8.0"),
+            ({"n_list": ()}, "n_list must contain positive integers"),
+            ({"s": True}, "s must be a real number, got True"),
+            ({"sigma": "1.5"}, "sigma must be a real number, got '1.5'"),
+            ({"s": float("inf")}, "s must be finite, got inf"),
+            ({"sigma": float("nan")}, "sigma must be finite, got nan"),
+            ({"s": 2.0}, "s must exceed 2, got 2.0"),  # no sigma lies in (1, s-1] then
+            ({"threads": 0}, "threads must be positive"),
+            ({"gas": {"gamma": 1.4}}, "gas must be a GasParams, got dict"),
+            ({"solve": {"T": 1.0}}, "solve must be a SolveConfig, got dict"),
+            (
+                {"solve": SolveConfig(T=0.1, dt_fixed=0.01)},
+                "solve.dt_fixed must not be set: summary.json does not record it, got 0.01",
+            ),
+            ({"output_dir": 5}, "output_dir must be a string, got 5"),
+            ({"output_dir": ""}, "output_dir must not be empty"),
+        ]
+    ],
+    ("nonuniform", {"n_list": (4.5, 8)}, "n_list entry must be an integer, got 4.5"),
+    ("residue_scaling", {"n_list": (4, 8, True)}, "n_list entry must be an integer, got True"),
+    ("nonuniform", {"n_list": (0, 8)}, "n_list must contain positive integers"),
+    ("nonuniform", {"n_list": (8, 4)}, "n_list must be strictly increasing, got (8, 4)"),
+    ("exact_check", {"n_list": (8, 8)}, "n_list must be strictly increasing, got (8, 8)"),
+    ("inequalities", {"n_list": (128, 64)}, "n_list must be strictly increasing, got (128, 64)"),
+    *[
+        (name, {"n_list": (4, 8)}, f"{name} {_FITS_SLOPE}, got 2")
+        for name in ("residue_scaling", "error_scaling", "higher_norm")
+    ],
+    ("residue_scaling", {"sigma": 2.5}, "sigma must lie in (1, s-1] for residue scaling, got 2.5"),
+    ("residue_scaling", {"sigma": 1.0}, "sigma must lie in (1, s-1] for residue scaling, got 1.0"),
+    ("nonuniform", {"sigma": 1.0}, "sigma must lie in (1, s-1) for nonuniform, got 1.0"),
+    ("nonuniform", {"sigma": 2.0}, "sigma must lie in (1, s-1) for nonuniform, got 2.0"),
+    ("error_scaling", {"sigma": 1.0}, "sigma must lie in (1, s-1) for error_scaling, got 1.0"),
+    ("error_scaling", {"sigma": 2.0}, "sigma must lie in (1, s-1) for error_scaling, got 2.0"),
+    ("inequalities", {"sigma": 3.0}, "sigma must lie in (1, s) for inequalities, got 3.0"),
+    ("inequalities", {"sigma": 1.0}, "sigma must lie in (1, s) for inequalities, got 1.0"),
+    *[
+        (name, {"grid_rule": rule}, _BELOW_6)
+        for name in _FAMILY_RUNS
+        for rule in (4, -10**40)  # a negative rule is rejected before the s bound reads it
+    ],
+    *[(name, {"grid_rule": 7}, f"{_EVEN}, got 7") for name in _FAMILY_RUNS],
+    *[(name, {"grid_rule": 4098}, f"N = 4098 {_DESK}") for name in _CELL_RUNS],
+    ("error_scaling", {"n_list": (8, 16, 512)}, f"N = 8192 {_DESK}"),
+    ("inequalities", {"n_list": (64, 4096)}, f"N = 8192 {_DESK}"),
+    # the finest grid in points per 2*pi at the default n_list
+    ("nonuniform", {"s": 68.0}, _s_bound(68.0, 256)),
+    ("residue_scaling", {"s": 60.0}, _s_bound(60.0, 512)),
+    ("error_scaling", {"s": 60.0}, _s_bound(60.0, 512)),
+    ("exact_check", {"s": 92.0}, _s_bound(92.0, 64)),
+    ("higher_norm", {"s": 68.0}, _s_bound(68.0, 256)),
+    ("inequalities", {"s": 68.0}, _s_bound(68.0, 256)),
+    ("inequalities", {"family_size": 0}, "family_size must be positive"),
+    ("inequalities", {"n_list": (64,)}, _TWO_GRIDS),
+    ("inequalities", {"n_list": (32, 64, 128)}, _TWO_GRIDS),
+    ("inequalities", {"n_list": (64, 127)}, "grid size must be even and >= 4, got 127"),
+    (
+        "inequalities",
+        {"n_list": (16, 32)},
+        "max_mode 8 exceeds the dealias band 5 of an N=16 grid on a 2*pi/1 cell",
+    ),
+    # two faults: the grid_rule rules come before the bounds that read grid_rule
+    ("nonuniform", {"grid_rule": 4097}, f"{_EVEN}, got 4097"),
+    ("error_scaling", {"grid_rule": 5, "s": 1000.0}, _BELOW_6),
+    # two faults: inequalities' own rules come after the bounds, which build no grid
+    ("inequalities", {"n_list": (16, 4096)}, f"N = 8192 {_DESK}"),
+    ("inequalities", {"n_list": (64, 128, 4096)}, f"N = 8192 {_DESK}"),
+    ("inequalities", {"family_size": 0, "n_list": (64, 4096)}, f"N = 8192 {_DESK}"),
+    ("inequalities", {"family_size": 0, "s": 1000.0}, _s_bound(1000.0, 256)),
+    ("inequalities", {"n_list": (64,), "s": 1000.0}, _s_bound(1000.0, 128)),
+    ("inequalities", {"family_size": 0, "threads": 0}, "family_size must be positive"),
+]
+
+
+def _fault_id(experiment, overrides):
+    return "-".join([experiment, *(f"{key}={value!r}" for key, value in overrides.items())])
+
+
 class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "experiment, overrides, message",
+        CONFIG_FAULTS,
+        ids=[_fault_id(experiment, overrides) for experiment, overrides, _ in CONFIG_FAULTS],
+    )
+    def test_rejection_message(self, experiment, overrides, message):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(experiment, **overrides)
+        assert str(err.value) == message
+
+    def test_sigma_interval_bounds_accepted(self):
+        # residue scaling allows sigma = s - 1, the solver experiments do not
+        ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), sigma=2.0)
+        ExperimentConfig(experiment="inequalities", n_list=(64, 128), sigma=2.5)
+
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig(experiment="nope")
@@ -76,23 +195,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="strictly increasing"):
             ExperimentConfig(experiment="nonuniform", n_list=(4, 4, 8))
 
-    def test_sigma_windows(self):
-        # residue scaling allows sigma = s - 1, the solver experiments do not
-        ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), sigma=2.0)
-        with pytest.raises(ValueError, match=r"\(1, s-1\]"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), sigma=2.5)
-        with pytest.raises(ValueError, match=r"\(1, s-1\)"):
-            ExperimentConfig(experiment="nonuniform", n_list=(4, 8), sigma=2.0)
-        ExperimentConfig(experiment="inequalities", n_list=(64, 128), sigma=2.5)
-        with pytest.raises(ValueError, match=r"\(1, s\)"):
-            ExperimentConfig(experiment="inequalities", n_list=(64, 128), sigma=3.0)
-
-    def test_resolution_rules(self):
-        with pytest.raises(ValueError, match="grid_rule below 6"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), grid_rule=4)
-        with pytest.raises(ValueError, match="desk-scale"):
-            ExperimentConfig(experiment="residue_scaling", n_list=(4, 8, 16), grid_rule=8192)
-
     @pytest.mark.parametrize(
         "experiment", ["nonuniform", "residue_scaling", "exact_check", "higher_norm"]
     )
@@ -109,11 +211,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
             ExperimentConfig("error_scaling", n_list=(8, 16, 512))
 
-    def test_inequalities_bounds_its_doubled_grid(self):
+    def test_inequalities_bounds_its_doubled_grid(self, monkeypatch):
         # products of the refined grid run on twice its size
         ExperimentConfig("inequalities", n_list=(64, 2048))
         with pytest.raises(ValueError, match="N = 8192 exceeds the desk-scale limit 4096"):
             ExperimentConfig("inequalities", n_list=(64, 4096))
+        # the bound is checked before any grid is built, even where the base
+        # grid would fail its band check
+        built = []
+        monkeypatch.setattr(lab, "make_grid", lambda *args: built.append(args) or make_grid(*args))
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig("inequalities", n_list=(16, 4096))
+        assert str(err.value) == "N = 8192 exceeds the desk-scale limit 4096"
+        assert built == []
+        ExperimentConfig("inequalities", n_list=(64, 128))
+        assert built == [(64,), (128,)]  # the patch sees the grids the check builds
 
     @pytest.mark.parametrize(
         "experiment",
@@ -168,14 +280,6 @@ class TestExperimentConfig:
                     s += 0.5
                 assert float(n) ** (-2.0 * s) >= np.finfo(float).tiny
 
-    def test_misc_validation(self):
-        with pytest.raises(ValueError, match="s must exceed 2"):
-            ExperimentConfig(experiment="nonuniform", s=2.0)
-        with pytest.raises(ValueError, match="threads"):
-            ExperimentConfig(experiment="nonuniform", threads=0)
-        with pytest.raises(ValueError, match="family_size"):
-            ExperimentConfig(experiment="inequalities", family_size=0)
-
     def test_non_integer_n_list_rejected(self):
         # int(4.5) used to truncate silently to 4
         with pytest.raises(ValueError, match="n_list entry must be an integer"):
@@ -206,12 +310,6 @@ class TestExperimentConfig:
         assert ExperimentConfig("inequalities").n_list == (64, 128)
         assert ExperimentConfig("inequalities").family_size == 500
         assert ExperimentConfig("nonuniform", seed=3).seed == 3
-
-    def test_needs_two_grids(self):
-        for n_list in ((64,), (32, 64, 128)):
-            with pytest.raises(ValueError, match="base_grid, refined_grid"):
-                ExperimentConfig("inequalities", n_list=n_list, family_size=5)
-
 
 class TestConfigFromDict:
     def test_round_trip(self):
@@ -300,10 +398,6 @@ class TestConfigFromDict:
 
 
 class TestReports:
-    def test_scaling_run_needs_three_n(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            run_experiment(ExperimentConfig("residue_scaling", n_list=(4, 8)))
-
     def test_summaries(self):
         nu = Report(experiment="nonuniform", rows=[], passed=True)
         assert nu.summary() == {"experiment": "nonuniform", "pass": True}
@@ -600,9 +694,14 @@ class TestMemberRun:
 
         monkeypatch.setattr(solver, "evolve_batch", recording_evolve_batch)
         monkeypatch.setattr(solver, "plan", recording_plan)
-        run_experiment(ExperimentConfig(experiment, n_list=n_list, solve=SolveConfig(T=0.1)))
+        cfg = ExperimentConfig(experiment, n_list=n_list, solve=SolveConfig(T=0.1))
+        run_experiment(cfg)
         assert seen == batches
         assert len(planned) == sum(map(len, batches))  # each run is planned once
+        # the config's bounds read the row's largest grid: the largest size the
+        # runs march on, and of those the most cells
+        largest = max(grid for batch in seen for grid in batch)
+        assert largest == EXPERIMENTS[experiment].largest_grid(cfg)
 
     def test_closed_forms_are_built_when_drawn(self, monkeypatch):
         nonuniform = ExperimentConfig("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
