@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .spectral import Field, TorusGrid, _band_irfft2, _irfft, _is_real, _rfft
+from .spectral import Field, TorusGrid, _fft, _irfft, _is_real, _rfft
 
 __all__ = [
     "GasParams",
@@ -213,14 +214,19 @@ class State:
 
 
 def _require_admissible(rho: np.ndarray, h: np.ndarray) -> None:
-    """The region check of one state's (N, N) planes, or a batch's, one per run.
+    """The region check of one state's (N, N) planes, or a batch's, one per run."""
+    _require_region(np.stack((rho.min(axis=(-2, -1)), h.min(axis=(-2, -1))), -1).reshape(-1, 2))
+
+
+def _require_region(lows: np.ndarray) -> None:
+    """The region check of minima of rho and h, shape (runs, 2, ...): one pair or more per run.
 
     A batch's error is its first failing run's, and its ``run`` is that run's index.
     """
-    lows = np.stack((rho.min(axis=(-2, -1)), h.min(axis=(-2, -1))), axis=-1).reshape(-1, 2)
-    failing = ~(lows > REGION_FLOOR)
-    if not failing.any():
+    if lows.min() > REGION_FLOOR:  # the common case, in one reduction
         return
+    lows = lows.reshape(len(lows), 2, -1).min(axis=-1)
+    failing = ~(lows > REGION_FLOOR)
     run = int(np.argmax(failing.any(axis=-1)))
     field = int(np.argmax(failing[run]))
     name, low = ("rho", "h")[field], lows[run, field]
@@ -264,8 +270,10 @@ def state_to_hat(s: State) -> np.ndarray:
 
 
 def state_from_hat(state_hat: np.ndarray, grid: TorusGrid) -> State:
-    """Inverse of :func:`state_to_hat`; the fields own the planes of one fresh inverse."""
-    return _adopt_state(_irfft(state_hat, (-2, -1), grid.size), grid)
+    """Inverse of :func:`state_to_hat`, zero-padding fewer columns; the fields own its planes."""
+    padded = np.zeros((4, grid.size, grid.size // 2 + 1), dtype=np.complex128)
+    padded[..., : state_hat.shape[-1]] = state_hat
+    return _adopt_state(_irfft(padded, (-2, -1), grid.size), grid)
 
 
 def _adopt_state(samples: np.ndarray, grid: TorusGrid) -> State:
@@ -324,55 +332,53 @@ def _products(samples: np.ndarray, g: GasParams) -> None:
     np.negative(u * h_x + v * h_y + (g.gamma - 1.0) * h * div, out=h_x)
 
 
-def _dealias(spectra: np.ndarray, mask: np.ndarray) -> None:
-    """Multiply ``spectra`` by the dealias ``mask``, in place."""
-    np.multiply(spectra, mask, out=spectra)
-
-
 class _RhsKernel:
     """Scratch arrays of right-hand-side evaluations of a batch of runs.
 
-    ``grids`` is one grid, or one grid per run, all of one size; the runs
-    may differ in cells, so each has its own derivative tables ``ikx`` and
-    ``iky``.  Every array has a leading run axis.  A call takes the states
-    of the first m runs, shape (m, 4, N, N/2 + 1), or one state without the
-    run axis, and works on the first m runs of each array.
+    ``grids`` is one grid, or one grid per run, all of one size, each run
+    with its own derivative tables ``ikx`` and ``iky``.  Every array has a
+    leading run axis.  A call takes the states of the first m runs, shape
+    (m, 4, N, M), or one state without the run axis, and gives the first
+    ``columns`` <= M columns of their right-hand sides; ``columns`` must
+    cover every nonzero column of a state, as the dealias band's N/3 + 1
+    does of a dealiased one, whose right-hand side is zero beyond it.
 
-    ``spectra`` holds the half-plane spectra of U, U_x and U_y, twelve
-    fields per run; a call fills their first ``columns`` columns, viewed as
-    ``band``, and the rest stay zero.  The unscaled inverse
-    :func:`spectral._band_irfft2` runs in place on the filled columns, so
-    ``samples`` holds the fields' values, and the forward transform of the
-    products divides by N^2.  ``columns`` must cover every nonzero column of
-    a state passed in; N/2 + 1 does.
-
-    Filling the band, the products and the dealias mask run through
-    :func:`_by_rows`: on whole arrays, or in the row blocks of ``blocks``
-    on a grid whose one run the ``spectral`` thread rule splits.  The
-    transforms, the background and the admissibility check stay whole-array.
-
-    Between calls ``samples`` holds nothing that is needed; ``spare`` views
-    its memory as one complex array of the runs' states' shape, which the
-    caller may use until the next call.
+    Three passes give the bytes of ``irfft2`` and ``rfft2``: the inverse
+    column transform of ``band`` (U, U_x and U_y, twelve fields a run);
+    :meth:`_rows` (row inverse, a block's minima of rho and h into its first
+    row of ``lows``, whose other rows stay infinite, products, row transform
+    scaled by 1/N^2 where 2-D ``r2c`` scales); the forward column transform
+    and the dealias mask.  :meth:`_rows` works in one of the kept ``pairs``
+    of spectra (zero beyond ``columns``) and samples, taken from the queue
+    ``scratch``.  Where the ``spectral`` thread rule splits one run's
+    products, :func:`_by_rows` runs it, the band fill and the mask on the
+    64-row ``blocks``, with a pair per core and one-thread transforms; else
+    one block holds all rows, and its pair holds ``band``.  Between calls
+    ``spare`` views the first four planes of ``band``, of the states' shape,
+    for the caller's use.
     """
 
     def __init__(self, grids: TorusGrid | Sequence[TorusGrid], columns: int) -> None:
         grids = (grids,) if isinstance(grids, TorusGrid) else tuple(grids)
         n, runs = grids[0].size, len(grids)
-        self.size = n
-        self.columns = columns
-        self.spectra = np.zeros((runs, 12, n, n // 2 + 1), dtype=np.complex128)
-        self.samples = np.empty((runs, 12, n, n))
-        self.band = self.spectra[..., :columns]
+        self.size, self.columns = n, columns
         self.ikx = np.stack([grid.ikx for grid in grids])[:, None]
         self.iky = np.stack([grid.iky[:, :columns] for grid in grids])[:, None]
-        self.mask = grids[0].dealias_mask
-        self.blocks = None
-        if spectral._threads(self.samples[0, 4:8]) > 1:
+        self.mask = grids[0].dealias_mask[:, :columns]
+        self.scale = float(1 / np.longdouble(n * n))
+        self.lows = np.full((runs, 2, n, 1), np.inf)
+        self.blocks, self.threads, rows, pairs = None, None, n, 1
+        if spectral._threads(4 * n * n) > 1:
             self.blocks = tuple(slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS))
-        state_shape = (runs, 4, n, n // 2 + 1)
-        flat = self.samples.reshape(-1)[: 2 * math.prod(state_shape)]
-        self.spare = flat.view(np.complex128).reshape(state_shape)
+            self.threads, rows, pairs = 1, _BLOCK_ROWS, spectral._CORES
+        self.pairs, self.scratch = [], queue.SimpleQueue()
+        for _ in range(pairs):
+            pair = np.zeros((runs, 12, rows, n // 2 + 1), complex), np.empty((runs, 12, rows, n))
+            self.pairs.append(pair)
+            self.scratch.put(pair)
+        split = self.blocks is not None
+        self.band = np.empty((runs, 12, n, columns), complex) if split else pair[0][..., :columns]
+        self.spare = self.band[:, :4]
 
     def __call__(
         self,
@@ -389,17 +395,41 @@ class _RhsKernel:
         if state_hat.ndim == 3:  # one state
             return self(state_hat[None], g, background, None if out is None else out[None])[0]
         m, blocks = len(state_hat), self.blocks
-        band = self.band[:m]
+        band, lows = self.band[:m], self.lows[:m]
         state = state_hat[..., : self.columns]
         _by_rows(_fill_band, (band, state, self.ikx[:m]), blocks, self.iky[:m])
-        samples = _band_irfft2(band, self.spectra[:m], self.size, out=self.samples[:m])
-        if background is not None:
-            samples[:, :4] += np.asarray(background, dtype=float)[:, None, None]
-        _require_admissible(samples[:, 0], samples[:, 3])  # rho and h
-        _by_rows(_products, (samples,), blocks, g)
-        out_hat = _rfft(samples[:, 4:8], (-2, -1), scale=True, out=out)
-        _by_rows(_dealias, (out_hat, self.mask), blocks)
-        return out_hat
+        _fft(band, -2, forward=False, out=band)
+        out = np.empty((m, 4, self.size, self.columns), complex) if out is None else out
+        background = None if background is None else np.asarray(background, float)[:, None, None]
+        try:
+            _by_rows(self._rows, (band, out, lows), blocks, g, background)
+        finally:  # a region failure outranks a block's error: the check comes first
+            _require_region(lows)
+        _fft(out, -2, forward=True, out=out)
+        _by_rows(np.multiply, (out, self.mask, out), blocks)  # the dealias mask, in place
+        return out
+
+    def _rows(self, band, out, lows, g: GasParams, background) -> None:
+        """The row pass on rows of ``band``, ``out`` and ``lows``; no products under the floor."""
+        pair = self.scratch.get()
+        try:
+            m, rows, columns = len(band), band.shape[-2], self.columns
+            spectra, samples = pair[0][:m, :, :rows], pair[1][:m, :, :rows]
+            if band.base is not pair[0]:
+                spectra[..., :columns] = band
+            _irfft(spectra, (-1,), self.size, out=samples, threads=self.threads)
+            if background is not None:
+                samples[:, :4] += background
+            np.minimum.reduce(samples[:, 0:4:3], axis=(-2, -1), out=lows[:, :, 0, 0])  # rho, h
+            if not lows.min() > REGION_FLOOR:
+                return
+            _products(samples, g)
+            products = spectra[:, :4]
+            _rfft(samples[:, 4:8], (-1,), scale=False, out=products, threads=self.threads)
+            np.multiply(products[..., :columns].view(float), self.scale, out=out.view(float))
+            products[..., columns:] = 0.0
+        finally:
+            self.scratch.put(pair)
 
 
 def rhs_hat(
@@ -411,8 +441,8 @@ def rhs_hat(
     :func:`state_to_hat`, and so does the result; ``state_hat`` is not
     modified.  Derivatives are spectral; products are formed pointwise in
     physical space and the assembled components are dealiased once.  The
-    inverse transforms of U, U_x and U_y run as one batch, with the result
-    of ``irfft2(..., norm="forward")`` bit for bit.  Raises
+    transforms run as :class:`_RhsKernel` runs them, with the bytes of
+    ``irfft2`` and ``rfft2`` with ``norm="forward"``.  Raises
     AdmissibleStateError when min(rho) or min(h) does not exceed
     :data:`REGION_FLOOR`.
 

@@ -135,10 +135,10 @@ class ExperimentConfig:
         if largest > _MAX_GRID:
             raise ValueError(f"N = {largest} exceeds the desk-scale limit {_MAX_GRID}")
         # No run takes a norm above order tau = floor(s) + 1, whose weights reach
-        # 2 (1 + |k|^2)^tau at |k|^2 = (cells * largest)^2 / 2; while they are
-        # finite, the family amplitudes n^-s and n^-2s are normal floats.
+        # 2 (1 + |k|^2)^tau at |k|^2 = (cells * largest)^2 / 2 (every tau >= 3 overflows
+        # from 2^512 points on); while finite, the amplitudes n^-s, n^-2s are normal floats.
         tau, points = math.floor(self.s) + 1, cells * largest
-        if tau * math.log1p(points**2 / 2) >= math.log(np.finfo(float).max / 2):
+        if tau * math.log1p(min(points, 2**512) ** 2 / 2) >= math.log(np.finfo(float).max / 2):
             raise ValueError(
                 f"s = {self.s} is too large: the norm weights (1 + |k|^2)^{tau} "
                 f"overflow at N = {points} points per 2*pi"
@@ -316,8 +316,8 @@ def _run_failed(cfg: ExperimentConfig, n: int, err: Exception) -> SolverError:
 #: chunk raises glibc's mmap threshold to its size, and larger chunks put
 #: the N = 512 control run's state-sized arrays on the heap, which keeps
 #: them resident: error_scaling at T = 0.25 on two threads peaked at
-#: 121.2 MiB with 2 MiB chunks, 121.5 MiB with 4 MiB and 129.0 MiB with
-#: 8 MiB, against 120.9 MiB measured record by record (2-core Xeon).
+#: 89.5-89.9 MiB with 2 MiB chunks, 93.7-94.1 MiB with 8 MiB and 162 MiB in
+#: one stack, against 89.3-89.8 MiB record by record (3 runs each, 2-core Xeon).
 _STACK_BYTES = 2**21
 
 

@@ -12,10 +12,11 @@ The state marches in spectral space, as the four fields'
 ``Field.coefficients``; each right-hand-side evaluation transforms to
 physical space for the pointwise products and back, applying the
 two-thirds dealias mask to the assembled components.  Every stage state
-is dealiased, so the inverse transforms run over the dealias band's
-half-plane columns only, with the bytes of the full inverse.  A batch
-allocates its arrays once: the right-hand side's spectra and samples,
-and two arrays of the runs' states in which the RK4 combination runs in
+is dealiased, so the march keeps the dealias band's N/3 + 1 half-plane
+columns only, the column transforms run on those alone with the bytes of
+the full ones, and a record's band is zero-padded.  A batch allocates
+its arrays once: the right-hand side's band and row-block scratch, and
+two band-shaped arrays in which the RK4 combination runs in
 place, in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``,
 in the right-hand side's row blocks on a grid that the thread rule of
 ``spectral`` splits.  They are freed before the final states are recorded.
@@ -142,16 +143,17 @@ def _last_stage(state, acc, stage, spare, c) -> None:
 
 
 class _RK4:
-    """Classical RK4 steps on a batch of runs, in two kept arrays of the runs' states.
+    """Classical RK4 steps on a batch of runs, in two kept arrays of the states' band.
 
     Each run has its grid, of the batch's one size, and its step ``dt``;
     the steps are kept as (R, 1, 1, 1) arrays.  :meth:`step` advances the
     first m runs.  ``acc`` gathers the sum of the slopes; ``stage`` holds a
     stage state and then its slope, which the right-hand side writes over
-    it; the doubled slopes go into the kernel's ``spare``.  The operations
-    are those of the expressions ``state + (dt/2) k1``, ``state + (dt/2) k2``,
-    ``state + dt k3`` and ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in
-    their order, through :func:`euler._by_rows` on the kernel's ``blocks``.
+    it; the doubled slopes go into the kernel's ``spare``; all have the
+    band's shape (R, 4, N, N/3 + 1).  The operations are those of
+    ``state + (dt/2) k1``, ``state + (dt/2) k2``, ``state + dt k3`` and
+    ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in their order, through
+    :func:`euler._by_rows` on the kernel's ``blocks``.
     """
 
     def __init__(self, grids: Sequence[TorusGrid], g: GasParams, dts: Sequence[float]) -> None:
@@ -266,8 +268,8 @@ def _march(runs: Sequence[Run], g: GasParams) -> list[Trajectory]:
         raise ValueError(f"a batch's grids must share one size, got {grids}")
 
     samples = [[f.samples for f in run.s0.fields()] for run in batch]
-    state_hat = _rfft(np.array(samples), (-2, -1), scale=True)
-    state_hat *= grids[0].dealias_mask
+    mask = grids[0].dealias_mask[:, : grids[0].dealias_cutoff + 1]
+    state_hat = _rfft(np.array(samples), (-2, -1), scale=True)[..., : mask.shape[1]] * mask
     rk4 = _RK4(grids, g, [run.dt for run in batch])
     times: list[list[float]] = [[0.0] for _ in batch]
     states: list[list[State]] = [[run.s0] for run in batch]
@@ -304,4 +306,3 @@ def _march(runs: Sequence[Run], g: GasParams) -> list[Trajectory]:
         states[j].append(state_from_hat(state_hat[j], grids[j]))
         trajectories[order[j]] = Trajectory(times[j], states[j])
     return trajectories
-

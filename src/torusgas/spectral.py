@@ -49,20 +49,19 @@ moves the file or changes the kernel's arguments fails there.  A
 transform whose input has at least 2**17 elements runs on every core the
 process may use, any other on one thread; the values do not depend on the
 count.  Two threads pay only on large inputs: on a 2-core Xeon they make
-the solver's right-hand side (``euler._RhsKernel``, whose inverse
-transforms are pruned to the dealias band) of a state at N = 512 up to
-35% faster and at N = 256 at most 8% faster, both no faster while the
-other core is busy, and every smaller one slower, by up to 2.5x on the
-8x8 cells.  The same rule splits the solver's pointwise work: where the
-four product planes of the right-hand side (4 N^2 elements) transform on
-more than one thread, so from N = 182 on, ``euler._RhsKernel`` fills its
-band, forms the products and applies the dealias mask in blocks of 64
-rows, and the RK4 combination stages run on the same blocks.
-``euler._by_rows`` makes each split, on a pool of one worker per core
-that is started on first use.  The values are those of one thread bit
-for bit; a smaller grid never starts the pool.
-``Field.samples`` is one plain inverse transform; the right-hand side and
-the doubled-grid lift run :func:`_band_irfft2`, pruned to their filled
+the solver's right-hand side (``euler._RhsKernel``) of a state at N = 512
+about 45% faster and at N = 256 about 15% faster (medians of 5 alternating
+runs; the full-width kernel gained nothing while the other core was busy),
+and every smaller one slower, by up to 2.5x on the 8x8 cells.  The same rule splits the solver's
+row-local work: where the four product planes of the right-hand side
+(4 N^2 elements) would transform on more than one thread, so from N = 182
+on, ``euler._RhsKernel`` runs its row pass (row inverse, region check,
+products, row transform), band fill and dealias mask, and the RK4 stages,
+in blocks of 64 rows with one-thread transforms.  ``euler._by_rows`` makes
+each split, on a pool of one worker per core that is started on first
+use.  The values are those of one thread bit for bit; a smaller grid
+never starts the pool.  ``Field.samples`` is one plain inverse transform;
+the doubled-grid lift runs :func:`_band_irfft2`, pruned to its filled
 columns, with the values of ``irfft2`` up to the sign of an exact zero.
 """
 
@@ -122,32 +121,32 @@ else:
 _PARALLEL_SIZE = 2**17
 
 
-def _threads(a: np.ndarray) -> int:
-    """Kernel threads for a transform of ``a``: _CORES for a large input, else 1."""
-    return _CORES if a.size >= _PARALLEL_SIZE else 1
+def _threads(size: int) -> int:
+    """Kernel threads for a transform of ``size`` elements: _CORES for a large input, else 1."""
+    return _CORES if size >= _PARALLEL_SIZE else 1
 
 
 def _rfft(
-    x: np.ndarray, axes: tuple[int, ...], *, scale: bool, out: np.ndarray | None = None
+    x: np.ndarray, axes: tuple[int, ...], *, scale: bool, out=None, threads=None
 ) -> np.ndarray:
     """``scipy.fft.rfftn(x, axes=axes)`` of real ``x``; ``scale`` is ``norm="forward"``.
 
     With ``out`` (the result's shape, complex, not overlapping ``x``) the
-    values are written there.
+    values are written there.  ``threads`` overrides the thread rule.
     """
-    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, out, _threads(x))
+    return _pocketfft.r2c(x, axes, True, 2 if scale else 0, out, threads or _threads(x.size))
 
 
 def _irfft(
-    c: np.ndarray, axes: tuple[int, ...], size: int, *, out: np.ndarray | None = None
+    c: np.ndarray, axes: tuple[int, ...], size: int, *, out=None, threads=None
 ) -> np.ndarray:
     """``scipy.fft.irfftn(c, axes=axes, norm="forward")``, last axis of length ``size``.
 
     ``c`` holds size//2 + 1 bins along its last axis; the inverse is
     unscaled.  With ``out`` (the result's shape, real, not overlapping
-    ``c``) the values are written there.
+    ``c``) the values are written there.  ``threads`` overrides the thread rule.
     """
-    return _pocketfft.c2r(c, axes, size, False, 0, out, _threads(c))
+    return _pocketfft.c2r(c, axes, size, False, 0, out, threads or _threads(c.size))
 
 
 def _fft(
@@ -158,7 +157,7 @@ def _fft(
     With ``out`` (same shape, complex, any strides; ``x`` itself, or not
     overlapping ``x``) the values are written there.
     """
-    return _pocketfft.c2c(x, (axis,), forward, 0, out, _threads(x))
+    return _pocketfft.c2c(x, (axis,), forward, 0, out, _threads(x.size))
 
 
 def _band_irfft2(band: np.ndarray, spectra: np.ndarray, size: int, *, out=None) -> np.ndarray:
@@ -498,8 +497,8 @@ def _norm_weight(grid: TorusGrid, sigma: float) -> np.ndarray:
     heap, where a block that lives on after the run that allocated it keeps
     the heap below it from being returned.  error_scaling at T = 0.25 with
     two threads, run as the benchmark's ``error_scaling_short`` through
-    ``bench/child.py``, peaked at 121.0-121.2 MiB with mapped tables and at
-    123.0-123.1 MiB with heap tables (3 alternating pairs on a 2-core Xeon).
+    ``bench/child.py``, peaked at 89.4-89.8 MiB with mapped tables and at
+    90.3-90.8 MiB with heap tables (3 alternating pairs on a 2-core Xeon).
     """
     values = grid.one_plus_ksq**sigma * grid.column_weights
     table = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)

@@ -182,6 +182,10 @@ class TestErrors:
     def test_invalid_config(self, tmp_path, capsys):
         self._config_fails(tmp_path, capsys, "residue-scaling", {"threads": "4"}, "threads")
 
+    def test_overflowing_s_bound(self, tmp_path, capsys):
+        data = {"n_list": [4, 8, 10**155]}
+        self._config_fails(tmp_path, capsys, "exact-check", data, "s = 3.0 is too large")
+
     def test_removed_solve_key(self, tmp_path, capsys):
         # the record stride is set by the runners, not by a config
         data = {"solve": {"record_stride": 2}}

@@ -1,6 +1,8 @@
 """Coefficient matrices, symmetrizer identities, and the spectral RHS."""
 
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -461,7 +463,8 @@ class TestRhsKernelBits:
     @pytest.mark.parametrize("with_background", [False, True])
     @pytest.mark.parametrize("dealiased", [False, True])
     @pytest.mark.parametrize(
-        "size, cells", [(8, 16), (16, 1), (24, 1), (38, 1), (48, 1), (202, 1), (256, 1)]
+        "size, cells",
+        [(8, 16), (16, 1), (24, 1), (38, 1), (48, 1), (200, 1), (202, 1), (256, 1), (512, 1)],
     )
     def test_equals_formula_bytes(self, size, cells, dealiased, with_background):
         grid = make_grid(size, cells)
@@ -475,13 +478,14 @@ class TestRhsKernelBits:
             state_hat *= grid.dealias_mask
         before = state_hat.copy()
         want = formula_rhs_hat(state_hat, grid, GAS, background)
-        got = {"full width": rhs_hat(state_hat, grid, GAS, background)}
-        if dealiased:  # the solver's kernel transforms the dealias band's columns only
-            kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+        assert rhs_hat(state_hat, grid, GAS, background).tobytes() == want.tobytes()
+        if dealiased:  # the solver's kernel gives the dealias band's columns only
+            columns = grid.dealias_cutoff + 1
+            assert not want[..., columns:].any()
+            kernel = _RhsKernel(grid, columns)
             for call in ("first", "second"):  # a kept kernel gives the same bytes again
-                got[f"band, {call} call"] = kernel(state_hat, GAS, background)
-        for what, value in got.items():
-            assert value.tobytes() == want.tobytes(), what
+                got = kernel(state_hat, GAS, background)
+                assert got.tobytes() == want[..., :columns].tobytes(), f"{call} call"
         assert state_hat.tobytes() == before.tobytes()
 
 
@@ -576,13 +580,18 @@ class TestTransformWorkers:
         results = []
         for cores in (1, 2):
             monkeypatch.setattr(spectral, "_CORES", cores)
-            blocks = _RhsKernel(grid, grid.dealias_cutoff + 1).blocks
+            kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+            blocks = kernel.blocks
             assert (blocks is None) == (cores == 1)
+            assert len(kernel.pairs) == cores
+            band = kernel(state_hat, GAS)
+            assert band.shape == (4, size, grid.dealias_cutoff + 1)
             results.append(
-                (rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS), evolve(s, GAS, cfg))
+                (band, rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS), evolve(s, GAS, cfg))
             )
         assert len(blocks) == 4 and blocks[-1].indices(size) == (192, size, 1)
-        (rhs_one, step_one, run_one), (rhs_two, step_two, run_two) = results
+        (band_one, rhs_one, step_one, run_one), (band_two, rhs_two, step_two, run_two) = results
+        assert band_one.tobytes() == band_two.tobytes()
         assert rhs_one.tobytes() == rhs_two.tobytes()
         for a, b in zip(step_one.fields(), step_two.fields()):
             assert np.array_equal(a.samples, b.samples)
@@ -590,6 +599,28 @@ class TestTransformWorkers:
         for state_one, state_two in zip(run_one.states, run_two.states):
             for a, b in zip(state_one.fields(), state_two.fields()):
                 assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_blocks_share_no_scratch_pair(self, monkeypatch):
+        # four workers race for the two pairs of a two-core kernel, with
+        # thread switches every microsecond; a pair taken by two blocks at
+        # once would mix their rows
+        grid = make_grid(256)
+        state_hat = state_to_hat(random_state(grid, 4)) * grid.dealias_mask
+        monkeypatch.setattr(spectral, "_CORES", 1)
+        want = _RhsKernel(grid, grid.dealias_cutoff + 1)(state_hat, GAS).tobytes()
+        monkeypatch.setattr(spectral, "_CORES", 2)
+        kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+        assert len(kernel.pairs) == 2 and len(kernel.blocks) == 4
+        pool = ThreadPoolExecutor(4)
+        monkeypatch.setattr(euler, "_pool", lambda: pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert kernel(state_hat, GAS).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
 
 
 def _messages_across_cores(monkeypatch, error, fn, *args):
@@ -643,6 +674,60 @@ class TestRowBlocks:
             "aborted at t = 1.5 (step 3/8): state left the admissible region: "
             "min(rho) = -4.868789e+01 <= floor 1.0e-08"
         ] * 2
+
+    @staticmethod
+    def _region_errors(monkeypatch, rho, fault=None):
+        """The region errors of the split kernel and of the whole-array check.
+
+        ``rho`` holds the densities of a batch of runs at u = v = 0 and h = 1,
+        shape (R, 256, 256).  ``fault``, if given, edits the samples of each
+        row block after the row inverse, and those of the whole array alike.
+        """
+        monkeypatch.setattr(spectral, "_CORES", 2)
+        grid = make_grid(256)
+        samples = np.zeros((len(rho), 4, 256, 256))
+        samples[:, 0], samples[:, 3] = rho, 1.0
+        state_hat = _rfft(samples, (-2, -1), scale=True)
+        if fault is not None:
+            row_inverse = euler._irfft
+            monkeypatch.setattr(euler, "_irfft", lambda *a, **k: fault(row_inverse(*a, **k)))
+        kernel = _RhsKernel([grid] * len(rho), 129)
+        assert len(kernel.blocks) == 4 and len(kernel.pairs) == 2
+        with pytest.raises(AdmissibleStateError) as got:
+            kernel(state_hat, GAS)
+        whole = _irfft(state_hat, (-2, -1), 256)
+        if fault is not None:
+            fault(whole)
+        with pytest.raises(AdmissibleStateError) as want:
+            _require_admissible(whole[:, 0], whole[:, 3])
+        return (str(got.value), got.value.run), (str(want.value), want.value.run)
+
+    def test_lowest_density_in_the_last_block(self, monkeypatch):
+        # both the first and the last block fail; the message is the last one's minimum
+        rho = np.ones((1, 256, 256))
+        rho[0, 10, 5], rho[0, 250, 7] = -0.3, -0.7
+        got, want = self._region_errors(monkeypatch, rho)
+        assert got == want
+        assert got[0].startswith("state left the admissible region: min(rho) = -7.0")
+
+    def test_nan_in_one_block(self, monkeypatch):
+        rho = np.ones((1, 256, 256))
+        rho[0, 140, 3] = 0.5
+
+        def fault(samples):
+            plane = samples[:, 0]
+            plane[plane < 0.75] = np.nan  # row 140 only: the third block
+
+        got, want = self._region_errors(monkeypatch, rho, fault)
+        assert got == want == ("state is not finite: min(rho) = nan", 0)
+
+    def test_only_the_second_run_fails(self, monkeypatch):
+        rho = np.ones((2, 256, 256))
+        rho[0, 100, 9] = 0.2  # admissible
+        rho[1, 200, 9] = -0.4
+        got, want = self._region_errors(monkeypatch, rho)
+        assert got == want
+        assert got[1] == 1 and "min(rho) = -4.0" in got[0]
 
     def test_non_finite_product_ends_in_solver_error(self, monkeypatch):
         # u u_x overflows to inf and the next stage's density is NaN.  The

@@ -133,6 +133,8 @@ CONFIG_FAULTS = [
     ("exact_check", {"s": 92.0}, _s_bound(92.0, 64)),
     ("higher_norm", {"s": 68.0}, _s_bound(68.0, 256)),
     ("inequalities", {"s": 68.0}, _s_bound(68.0, 256)),
+    # a cell count whose squared points per 2*pi is past the float range
+    *[(name, {"n_list": (4, 8, 10**155)}, _s_bound(3.0, 8 * 10**155)) for name in _CELL_RUNS],
     ("inequalities", {"family_size": 0}, "family_size must be positive"),
     ("inequalities", {"n_list": (64,)}, _TWO_GRIDS),
     ("inequalities", {"n_list": (32, 64, 128)}, _TWO_GRIDS),

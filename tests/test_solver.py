@@ -1,11 +1,12 @@
 """Time integration: CFL control, RK4 accuracy, and trajectory recording."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from torusgas import solver
+from torusgas import solver, spectral
 from torusgas.euler import (
     GasParams,
     State,
@@ -327,10 +328,34 @@ class TestStepperBits:
         assert [f.samples.tobytes() for f in s0.fields()] == s0_bytes
         # each record survives the later steps: none shares the stepper's scratch
         (stepper,) = made
-        scratch = [stepper.stage, stepper.acc, stepper.rhs.spectra, stepper.rhs.samples]
+        assert stepper.stage.shape == stepper.acc.shape == stepper.rhs.spare.shape == (1, 4, 64, 22)
+        scratch = [stepper.stage, stepper.acc, stepper.rhs.band, *stepper.rhs.pairs[0]]
         for state in run.states[1:]:
             for f in state.fields():
                 assert not any(np.shares_memory(f.samples, a) for a in scratch)
+
+
+class TestMarchMemory:
+    """The scratch of the whole-torus march stays band-shaped and row-blocked."""
+
+    def test_two_steps_at_512_traced_peak(self, monkeypatch):
+        # On two cores the march holds the band's 12 fields, two workers'
+        # 64-row scratch and three states in the band: 46.2 MiB traced.  The
+        # full-width kernel and stepper peaked at 74.2 MiB; one more
+        # full-width state (8.4 MiB) crosses the bound.
+        monkeypatch.setattr(spectral, "_CORES", 2)
+        grid = make_grid(512)
+        s0 = initial_data(FamilyParams(1, 8, 3.0), GAS, grid)
+        dt = cfl_dt(s0, GAS, 0.25, grid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            (traj,) = evolve_batch([Run(s0, 2 * dt, 2, dt, 2)], GAS)
+            peak = (tracemalloc.get_traced_memory()[1] - start) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert traj.times == [0.0, 2 * dt]
+        assert peak < 50.0
 
 
 def _assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:

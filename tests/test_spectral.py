@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgas import spectral
-from torusgas.euler import GasParams, rhs_hat, state_to_hat
+from torusgas.euler import GasParams, _RhsKernel, state_to_hat
 from torusgas.families import FamilyParams, initial_data
 from torusgas.inequalities import RandomFieldSpec, _lift, product_exact, random_field
 from torusgas.lab import ExperimentConfig, run_experiment
@@ -637,14 +637,16 @@ class TestThreadRule:
 
     @staticmethod
     def rhs_threads(grid, kernel_threads):
+        """The threads of each transform of the solver's band kernel, in call order."""
         state = initial_data(FamilyParams(1, 8, 3.0), GasParams(), grid)
         state_hat = state_to_hat(state) * grid.dealias_mask
+        kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
         kernel_threads.clear()
-        rhs_hat(state_hat, grid, GasParams())
-        return set(kernel_threads)
+        kernel(state_hat, GasParams())
+        return list(kernel_threads)
 
     def test_below_the_cut_one_thread(self, kernel_threads):
-        assert self.rhs_threads(make_grid(8, cells=8), kernel_threads) == {1}
+        assert self.rhs_threads(make_grid(8, cells=8), kernel_threads) == [1] * 4
         kernel_threads.clear()
         _fft(np.ones(2**17 - 1, complex), 0, forward=True)
         for base in (64, 128):  # each product makes six transforms
@@ -654,7 +656,11 @@ class TestThreadRule:
         assert kernel_threads == [1] * 13
 
     def test_at_the_cut_all_cores(self, kernel_threads):
-        assert self.rhs_threads(make_grid(256), kernel_threads) == {2}
+        # the band's inverse column transform (12 x 256 x 86 elements) runs on
+        # both cores; the workers transform their four blocks of rows on one
+        # thread each, two transforms a block; the forward column transform of
+        # the four products' band (4 x 256 x 86) falls below the cut
+        assert self.rhs_threads(make_grid(256), kernel_threads) == [2] + [1] * 9
         kernel_threads.clear()
         _fft(np.ones(2**17, complex), 0, forward=True)
         big = Field(make_grid(512), coefficients=np.zeros((512, 257), complex))
