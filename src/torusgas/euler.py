@@ -281,7 +281,7 @@ def _adopt_state(samples: np.ndarray, grid: TorusGrid) -> State:
     return State(*(Field._adopt(grid, samples=plane) for plane in samples))
 
 
-#: Rows of one block when row-local work is split over the cores.
+#: Rows of one block of a split grid's row-local work (see :class:`_RhsKernel`).
 _BLOCK_ROWS = 64
 
 
@@ -347,15 +347,16 @@ class _RhsKernel:
     column transform of ``band`` (U, U_x and U_y, twelve fields a run);
     :meth:`_rows` (row inverse, a block's minima of rho and h into its first
     row of ``lows``, whose other rows stay infinite, products, row transform
-    scaled by 1/N^2 where 2-D ``r2c`` scales); the forward column transform
-    and the dealias mask.  :meth:`_rows` works in one of the kept ``pairs``
-    of spectra (zero beyond ``columns``) and samples, taken from the queue
-    ``scratch``.  Where the ``spectral`` thread rule splits one run's
-    products, :func:`_by_rows` runs it, the band fill and the mask on the
-    64-row ``blocks``, with a pair per core and one-thread transforms; else
-    one block holds all rows, and its pair holds ``band``.  Between calls
-    ``spare`` views the first four planes of ``band``, of the states' shape,
-    for the caller's use.
+    scaled by 1/N^2 where 2-D ``r2c`` scales, on one thread); the forward
+    column transform and the dealias mask.  :meth:`_rows` works in a kept
+    pair of spectra (zero beyond ``columns``) and samples from the queue
+    ``scratch``.  The grid alone sets the layout, by the package's one row
+    block rule: from 4 N^2 >= ``spectral._PARALLEL_SIZE`` (N >= 182) on,
+    :func:`_by_rows` runs the row pass, band fill, mask and RK4 stages on
+    the 64-row ``blocks``, with min(``spectral._CORES``, blocks) pairs; else
+    one block holds all rows, and its pair holds ``band``.  The core count
+    sets only the width of :func:`_pool`.  Between calls ``spare`` views
+    the first four planes of ``band``, of the states' shape, for the caller.
     """
 
     def __init__(self, grids: TorusGrid | Sequence[TorusGrid], columns: int) -> None:
@@ -367,14 +368,13 @@ class _RhsKernel:
         self.mask = grids[0].dealias_mask[:, :columns]
         self.scale = float(1 / np.longdouble(n * n))
         self.lows = np.full((runs, 2, n, 1), np.inf)
-        self.blocks, self.threads, rows, pairs = None, None, n, 1
-        if spectral._threads(4 * n * n) > 1:
+        self.blocks, rows, pairs = None, n, 1
+        if 4 * n * n >= spectral._PARALLEL_SIZE:
             self.blocks = tuple(slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS))
-            self.threads, rows, pairs = 1, _BLOCK_ROWS, spectral._CORES
-        self.pairs, self.scratch = [], queue.SimpleQueue()
+            rows, pairs = _BLOCK_ROWS, min(spectral._CORES, len(self.blocks))
+        self.scratch = queue.SimpleQueue()
         for _ in range(pairs):
             pair = np.zeros((runs, 12, rows, n // 2 + 1), complex), np.empty((runs, 12, rows, n))
-            self.pairs.append(pair)
             self.scratch.put(pair)
         split = self.blocks is not None
         self.band = np.empty((runs, 12, n, columns), complex) if split else pair[0][..., :columns]
@@ -417,7 +417,7 @@ class _RhsKernel:
             spectra, samples = pair[0][:m, :, :rows], pair[1][:m, :, :rows]
             if band.base is not pair[0]:
                 spectra[..., :columns] = band
-            _irfft(spectra, (-1,), self.size, out=samples, threads=self.threads)
+            _irfft(spectra, (-1,), self.size, out=samples, threads=1)
             if background is not None:
                 samples[:, :4] += background
             np.minimum.reduce(samples[:, 0:4:3], axis=(-2, -1), out=lows[:, :, 0, 0])  # rho, h
@@ -425,7 +425,7 @@ class _RhsKernel:
                 return
             _products(samples, g)
             products = spectra[:, :4]
-            _rfft(samples[:, 4:8], (-1,), scale=False, out=products, threads=self.threads)
+            _rfft(samples[:, 4:8], (-1,), scale=False, out=products, threads=1)
             np.multiply(products[..., :columns].view(float), self.scale, out=out.view(float))
             products[..., columns:] = 0.0
         finally:

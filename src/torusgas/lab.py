@@ -63,9 +63,9 @@ __all__ = [
     "run_experiment",
 ]
 
-#: Bound on the points per axis of the largest grid a run allocates;
-#: beyond it is not desk scale.
-_MAX_GRID = 4096
+#: Bounds on the points per axis of the largest grid a run allocates and on
+#: inequalities' members per check; beyond them is not desk scale.
+_MAX_GRID, _MAX_FAMILY = 4096, 10**5
 
 #: Run controls of every experiment unless its config sets its own.
 _DEFAULT_SOLVE = SolveConfig(T=1.0)
@@ -836,7 +836,7 @@ def _inequalities(cfg: ExperimentConfig) -> Report:
     def sweep(check: inequalities.RatioCheck) -> np.ndarray:
         return inequalities.family_ratios(check, grids, cfg.family_size, cfg.seed, sigma, s)
 
-    # the package's one pool: each check costs seconds; map keeps report order
+    # lab's pool, not the row blocks' euler._pool: each check costs seconds; map keeps order
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         ratios = dict(zip(orders, pool.map(sweep, checks)))
     maxima = {name: [float(top) for top in np.max(r, axis=1)] for name, r in ratios.items()}
@@ -889,6 +889,10 @@ def _two_grids(cfg: ExperimentConfig) -> None:
     """
     if cfg.family_size < 1:
         raise ValueError("family_size must be positive")
+    if cfg.family_size > _MAX_FAMILY:
+        raise ValueError(
+            f"family_size = {cfg.family_size} exceeds the desk-scale limit {_MAX_FAMILY}"
+        )
     if len(cfg.n_list) != 2:
         raise ValueError("inequalities expects n_list = (base_grid, refined_grid)")
     base_grid, _ = (make_grid(n) for n in cfg.n_list)

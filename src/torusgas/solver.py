@@ -18,8 +18,8 @@ the full ones, and a record's band is zero-padded.  A batch allocates
 its arrays once: the right-hand side's band and row-block scratch, and
 two band-shaped arrays in which the RK4 combination runs in
 place, in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``,
-in the right-hand side's row blocks on a grid that the thread rule of
-``spectral`` splits.  They are freed before the final states are recorded.
+in the right-hand side's row blocks (``euler._RhsKernel`` states where the
+grid splits).  They are freed before the final states are recorded.
 The time step is fixed for a whole run, chosen once from the initial
 state's CFL constraint (or supplied directly) by :func:`plan`, and
 rounded so the final time is hit exactly.

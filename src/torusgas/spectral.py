@@ -52,16 +52,11 @@ count.  Two threads pay only on large inputs: on a 2-core Xeon they make
 the solver's right-hand side (``euler._RhsKernel``) of a state at N = 512
 about 45% faster and at N = 256 about 15% faster (medians of 5 alternating
 runs; the full-width kernel gained nothing while the other core was busy),
-and every smaller one slower, by up to 2.5x on the 8x8 cells.  The same rule splits the solver's
-row-local work: where the four product planes of the right-hand side
-(4 N^2 elements) would transform on more than one thread, so from N = 182
-on, ``euler._RhsKernel`` runs its row pass (row inverse, region check,
-products, row transform), band fill and dealias mask, and the RK4 stages,
-in blocks of 64 rows with one-thread transforms.  ``euler._by_rows`` makes
-each split, on a pool of one worker per core that is started on first
-use.  The values are those of one thread bit for bit; a smaller grid
-never starts the pool.  ``Field.samples`` is one plain inverse transform;
-the doubled-grid lift runs :func:`_band_irfft2`, pruned to its filled
+and every smaller one slower, by up to 2.5x on the 8x8 cells.  The
+solver's row-local work splits into row blocks from the same element
+count on, whatever the core count, by the rule that ``euler._RhsKernel``
+states.  ``Field.samples`` is one plain inverse transform; the
+doubled-grid lift runs :func:`_band_irfft2`, pruned to its filled
 columns, with the values of ``irfft2`` up to the sign of an exact zero.
 """
 
@@ -113,7 +108,7 @@ def _load_kernel():
 _pocketfft = _load_kernel()
 
 #: Cores the process may run on; transforms of at least _PARALLEL_SIZE
-#: elements use them all.
+#: elements use them all, and ``euler._pool`` has one worker per core.
 if hasattr(os, "sched_getaffinity"):
     _CORES = len(os.sched_getaffinity(0))
 else:

@@ -304,6 +304,12 @@ class TestErrors:
             ("nonuniform", {"n_list": None}, "invalid config"),
             # (1 + |k|^2)^401 overflows on every default grid
             *[(command, {"s": 400}, "s = 400 is too large") for command in _SUBCOMMANDS],
+            # 10**13 members' ratios alone would take 160 TB
+            (
+                "inequalities",
+                {"family_size": 10**13},
+                "family_size = 10000000000000 exceeds the desk-scale limit 100000",
+            ),
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):

@@ -561,44 +561,68 @@ class TestEvolveSymmetries:
 
 
 class TestTransformWorkers:
-    """Values do not depend on the core count.
+    """The grid alone sets the kernel's layout; values do not depend on it or on the cores.
 
-    Each 1-D line of a transform is computed alone, and on a grid that the
-    thread rule of ``spectral`` splits, the row-local work of the
-    right-hand side and of the RK4 combination runs in row blocks that do
-    the whole-array operations.
+    Each 1-D line of a transform is computed alone, and on a grid split into
+    row blocks (the rule is in ``euler._RhsKernel``'s docstring) the
+    row-local work of the right-hand side and of the RK4 combination runs
+    in blocks that do the whole-array operations.
     """
+
+    @pytest.mark.parametrize(
+        "size, cells, count", [(8, 8, 1), (128, 1, 1), (200, 1, 4), (256, 1, 4), (512, 1, 8)]
+    )
+    def test_layout_does_not_depend_on_the_cores(self, monkeypatch, size, cells, count):
+        # the kernels are only built: a 16-core kernel never starts its pool here
+        def refuse():
+            raise AssertionError("row-block pool started")
+
+        monkeypatch.setattr(euler, "_pool", refuse)
+        grid = make_grid(size, cells=cells)
+        layouts = []
+        for cores in (1, 2, 16):
+            monkeypatch.setattr(spectral, "_CORES", cores)
+            kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
+            assert not hasattr(kernel, "threads") and not hasattr(kernel, "pairs")
+            assert kernel.scratch.qsize() == min(cores, count)  # pairs never outnumber blocks
+            layouts.append(kernel.blocks)
+        assert layouts[0] == layouts[1] == layouts[2]
+        assert len(layouts[0] or (slice(None),)) == count
 
     @pytest.mark.parametrize("size", [200, 256])  # 200 rows end in a block of 8
     def test_rhs_and_step_bitwise_across_workers(self, monkeypatch, size):
-        # the four fields of the state are above the cut of the thread rule
+        # the four fields of the state are above the cut of the thread rule; the
+        # first kernel raises the cut past them, so one block holds all rows
         grid = make_grid(size)
         s = random_state(grid, 3)
         state_hat = state_to_hat(s) * grid.dealias_mask
         dt = cfl_dt(s, GAS, 0.25, grid)
         cfg = SolveConfig(T=3.0 * dt, dt_fixed=dt)
-        results = []
-        for cores in (1, 2):
+        layouts, results = [], []
+        for cores, cut in ((1, 4 * size * size + 1), (1, 2**17), (2, 2**17)):
             monkeypatch.setattr(spectral, "_CORES", cores)
+            monkeypatch.setattr(spectral, "_PARALLEL_SIZE", cut)
             kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
-            blocks = kernel.blocks
-            assert (blocks is None) == (cores == 1)
-            assert len(kernel.pairs) == cores
+            assert kernel.scratch.qsize() == cores
             band = kernel(state_hat, GAS)
             assert band.shape == (4, size, grid.dealias_cutoff + 1)
+            layouts.append(kernel.blocks)
             results.append(
                 (band, rhs_hat(state_hat, grid, GAS), step_rk4(s, dt, GAS), evolve(s, GAS, cfg))
             )
+        whole, blocks, blocks_two = layouts
+        assert whole is None and blocks == blocks_two
         assert len(blocks) == 4 and blocks[-1].indices(size) == (192, size, 1)
-        (band_one, rhs_one, step_one, run_one), (band_two, rhs_two, step_two, run_two) = results
-        assert band_one.tobytes() == band_two.tobytes()
-        assert rhs_one.tobytes() == rhs_two.tobytes()
-        for a, b in zip(step_one.fields(), step_two.fields()):
-            assert np.array_equal(a.samples, b.samples)
-        assert len(run_one.states) == 4
-        for state_one, state_two in zip(run_one.states, run_two.states):
-            for a, b in zip(state_one.fields(), state_two.fields()):
-                assert a.samples.tobytes() == b.samples.tobytes()
+        band_one, rhs_one, step_one, run_one = results[0]
+        for band, rhs, step, run in results[1:]:
+            assert band.tobytes() == band_one.tobytes()
+            assert rhs.tobytes() == rhs_one.tobytes()
+            for a, b in zip(step.fields(), step_one.fields()):
+                assert np.array_equal(a.samples, b.samples)
+            assert len(run.states) == 4
+            for state, state_one in zip(run.states, run_one.states):
+                for a, b in zip(state.fields(), state_one.fields()):
+                    assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_blocks_share_no_scratch_pair(self, monkeypatch):
         # four workers race for the two pairs of a two-core kernel, with
@@ -610,7 +634,7 @@ class TestTransformWorkers:
         want = _RhsKernel(grid, grid.dealias_cutoff + 1)(state_hat, GAS).tobytes()
         monkeypatch.setattr(spectral, "_CORES", 2)
         kernel = _RhsKernel(grid, grid.dealias_cutoff + 1)
-        assert len(kernel.pairs) == 2 and len(kernel.blocks) == 4
+        assert kernel.scratch.qsize() == 2 and len(kernel.blocks) == 4
         pool = ThreadPoolExecutor(4)
         monkeypatch.setattr(euler, "_pool", lambda: pool)
         interval = sys.getswitchinterval()
@@ -692,7 +716,7 @@ class TestRowBlocks:
             row_inverse = euler._irfft
             monkeypatch.setattr(euler, "_irfft", lambda *a, **k: fault(row_inverse(*a, **k)))
         kernel = _RhsKernel([grid] * len(rho), 129)
-        assert len(kernel.blocks) == 4 and len(kernel.pairs) == 2
+        assert len(kernel.blocks) == 4 and kernel.scratch.qsize() == 2
         with pytest.raises(AdmissibleStateError) as got:
             kernel(state_hat, GAS)
         whole = _irfft(state_hat, (-2, -1), 256)

@@ -9,9 +9,9 @@ thread count leaves every artifact unchanged, and that only the inequality
 sweeps start ``lab``'s thread pool.  The benchmark's nonuniform workload,
 run as ``bench/run.py`` runs it, must reproduce ``bench/reference/``,
 which the test only reads.  The solver's row-block pool
-(``euler._pool``) is not ``lab``'s: it follows the thread rule of
-``spectral``, whatever the thread count, as in error_scaling's N = 256
-control run here.
+(``euler._pool``) is not ``lab``'s: it starts on a grid split into row
+blocks (the rule is in ``euler._RhsKernel``'s docstring), whatever the
+thread count, as in error_scaling's N = 256 control run here.
 """
 
 from pathlib import Path

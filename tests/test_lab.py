@@ -136,6 +136,12 @@ CONFIG_FAULTS = [
     # a cell count whose squared points per 2*pi is past the float range
     *[(name, {"n_list": (4, 8, 10**155)}, _s_bound(3.0, 8 * 10**155)) for name in _CELL_RUNS],
     ("inequalities", {"family_size": 0}, "family_size must be positive"),
+    # 10**13 members' ratios alone would take 160 TB
+    (
+        "inequalities",
+        {"family_size": 10**13},
+        "family_size = 10000000000000 exceeds the desk-scale limit 100000",
+    ),
     ("inequalities", {"n_list": (64,)}, _TWO_GRIDS),
     ("inequalities", {"n_list": (32, 64, 128)}, _TWO_GRIDS),
     ("inequalities", {"n_list": (64, 127)}, "grid size must be even and >= 4, got 127"),
