@@ -17,9 +17,9 @@ which satisfies the system up to a residue appearing only in the fourth
 equation.  Its formula is written once, in ``_approx_deviation``; the
 member, its initial data and the assembled residual all build from it.
 The members and the family difference are built as stacked samples, of
-shape (..., 4, N, N) for an array of times ``t``: the runners measure a
-run's recorded rows against them at once, and the :class:`State` of one
-time is the stack of a scalar ``t``, bit for bit.
+shape (..., 4, N, N) for an array of times ``t``: the runners plan each run
+from them at t = 0 and measure its recorded rows against them at once.  The
+:class:`State` forms are that stack at one time, bit for bit.
 The residue and the closed-form difference of the omega = +1 and
 omega = -1 members are provided as generators so downstream checks
 never rely on numerically assembled versions of them.

@@ -5,15 +5,17 @@
 :data:`EXPERIMENTS` names, calls it, and writes the :class:`Report` it
 returns.  :data:`EXPERIMENTS` is the one table of experiments: each name
 maps to its runner, default ``n_list``, CLI help and rules.  The four
-runners that evolve a family member share one way to run it: each run is
-planned once by :func:`_plan_member`, and :func:`_member_runs` marches the
-runs on grids of one size in lockstep, as one :func:`solver.evolve_batch`,
-and measures each run as soon as its batch ends.  A run's recorded rows
-are measured together: its closed forms at all recorded times are built
-at once, the differences are array operations over the stacked records,
-and one transform of them (:func:`_norms`; a whole-torus run's records
-come in chunks, :data:`_STACK_BYTES`) feeds one weighted reduction per
-norm order, each norm with the bytes of :func:`euler.state_norm`.
+runners that evolve a family member share one way to run it: a run is
+planned and measured from one member, the stacked closed form
+``member(grid, t)`` of :mod:`families`.  :func:`_plan_member` plans each run
+once, and :func:`_member_runs` marches the runs on grids of one size in
+lockstep, as one :func:`solver.evolve_batch`, and measures each run as soon
+as its batch ends.  A run's recorded rows are measured together: its member
+at all recorded times is built at once, the differences are array
+operations over the stacked records, and one transform of them
+(:func:`_norms`; a whole-torus run's records come in chunks,
+:data:`_STACK_BYTES`) feeds one weighted reduction per norm order, each
+norm with the bytes of :func:`euler.state_norm`.
 
 A report's rows are dicts keyed by CSV column, in column order.  When an
 output directory is set, the report is written as ``<experiment>.csv`` plus a
@@ -34,13 +36,14 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import families, inequalities, solver
-from .euler import AdmissibleStateError, GasParams, State, _divergence_hat, _state_norms
+from .euler import AdmissibleStateError, GasParams, _adopt_state, _divergence_hat, _state_norms
 from .families import FamilyParams
 from .solver import SolveConfig, SolverError, Trajectory
 from .spectral import (
@@ -63,9 +66,12 @@ __all__ = [
     "run_experiment",
 ]
 
-#: Bounds on the points per axis of the largest grid a run allocates and on
-#: inequalities' members per check; beyond them is not desk scale.
-_MAX_GRID, _MAX_FAMILY = 4096, 10**5
+#: Bounds on the points per axis of the largest grid a run allocates, on
+#: inequalities' members per check and on a run's planned steps times N^2;
+#: beyond them is not desk scale.  An RK4 step costs about 3.1 us a point on
+#: the default 8 x 8 cell, so a run at the step bound there takes about 15 min
+#: (5.2 us on a 6 x 6 cell, 0.28-0.41 us from N = 64 to 512; 2-core Xeon).
+_MAX_GRID, _MAX_FAMILY, _MAX_WORK = 4096, 10**5, 3 * 10**8
 
 #: Run controls of every experiment unless its config sets its own.
 _DEFAULT_SOLVE = SolveConfig(T=1.0)
@@ -250,10 +256,16 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+def _approx_member(cfg: ExperimentConfig, omega: int, n: int) -> Callable:
+    """The stacked closed form of the approximate member (omega, n) of the config."""
+    return partial(families._approx_samples, FamilyParams(omega, n, cfg.s), cfg.gas)
+
+
 class _Member(NamedTuple):
-    """A planned run of the omega = +1 member of index ``n``."""
+    """A planned run of a family member of index ``n``, and the member's closed form."""
 
     n: int
+    closed_form: Callable[..., np.ndarray]
     run: solver.Run
 
 
@@ -261,24 +273,31 @@ def _plan_member(
     cfg: ExperimentConfig,
     n: int,
     grid: TorusGrid,
-    closed_form: Callable[[FamilyParams, GasParams, TorusGrid, float], State],
+    member: Callable[..., np.ndarray],
     solve: SolveConfig | None = None,
     stride: int | None = None,
 ) -> _Member:
-    """Plan the omega = +1 member of index n on ``grid`` from ``closed_form`` at t = 0.
+    """Plan the run of ``member``, of index n, on ``grid`` from the member at t = 0.
 
-    ``solve`` defaults to ``cfg.solve`` and ``stride`` to one that records
-    about _TARGET_RECORDS states.  Initial data outside the admissible
-    region is raised as SolverError labelled "<experiment> run at n=<n> failed".
+    ``member(grid, t)``, the member's stacked closed form, gives its samples (..., 4, N, N)
+    at the times ``t``; the run is measured against it.  ``solve`` defaults to ``cfg.solve``
+    and ``stride`` to one that records about _TARGET_RECORDS states.  Initial data outside
+    the admissible region is raised as SolverError labelled "<experiment> run at n=<n>
+    failed", and a run of more than _MAX_WORK grid-point steps as ValueError.
     """
     solve = solve or cfg.solve
-    s0 = closed_form(FamilyParams(1, n, cfg.s), cfg.gas, grid, 0.0)
+    s0 = _adopt_state(member(grid, 0.0), grid)
     try:
         n_steps, dt = solver.plan(s0, cfg.gas, solve)
     except AdmissibleStateError as err:
         raise _run_failed(cfg, n, err) from err
+    if n_steps * grid.size**2 > _MAX_WORK:
+        raise ValueError(
+            f"{command_name(cfg.experiment)} run at n={n} plans {n_steps:.3g} steps of {grid.size}x"
+            f"{grid.size} points, beyond the desk-scale limit {_MAX_WORK:.0e} point steps"
+        )
     stride = stride or math.ceil(n_steps / _TARGET_RECORDS)
-    return _Member(n, solver.Run(s0, solve.T, n_steps, dt, stride))
+    return _Member(n, member, solver.Run(s0, solve.T, n_steps, dt, stride))
 
 
 def _member_runs(
@@ -321,11 +340,6 @@ def _run_failed(cfg: ExperimentConfig, n: int, err: Exception) -> SolverError:
 _STACK_BYTES = 2**21
 
 
-def _samples_of(states: Sequence[State]) -> np.ndarray:
-    """The four fields' samples of each state, stacked: shape (k, 4, N, N)."""
-    return np.array([[f.samples for f in state.fields()] for state in states])
-
-
 def _recorded(traj: Trajectory) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """A run's records as (index of the first, times, stacked samples (k, 4, N, N)).
 
@@ -336,7 +350,7 @@ def _recorded(traj: Trajectory) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     for start in range(0, len(traj.times), chunk):
         states = traj.states[start : start + chunk]
         times = np.array(traj.times[start : start + chunk])
-        yield start, times, _samples_of(states)
+        yield start, times, np.array([[f.samples for f in state.fields()] for state in states])
 
 
 def _norms(samples: np.ndarray, grid: TorusGrid, sigmas: Sequence[float]) -> list[list]:
@@ -484,13 +498,13 @@ def _exact_check(cfg: ExperimentConfig) -> Report:
     runs at every n and the two refined runs march as one batch.
     """
     def plan(n: int, solve: SolveConfig | None = None) -> _Member:
-        return _plan_member(cfg, n, make_grid(cfg.grid_rule, n), families.exact_solution, solve)
+        exact = partial(families._exact_samples, FamilyParams(1, n, cfg.s), cfg.gas)
+        return _plan_member(cfg, n, make_grid(cfg.grid_rule, n), exact, solve)
 
     def deviations(member: _Member, traj: Trajectory) -> tuple[list[float], float]:
-        grid, fp = member.run.s0.grid, FamilyParams(1, member.n, cfg.s)
-        devs, divs = [], []
+        grid, devs, divs = member.run.s0.grid, [], []
         for _, times, samples in _recorded(traj):
-            closed = families._exact_samples(fp, cfg.gas, grid, times)
+            closed = member.closed_form(grid, times)
             c = _rfft(np.stack([samples, samples - closed]), (-2, -1), scale=True)
             devs += _state_norms(c[1], grid, cfg.s).tolist()
             div = _divergence_hat(c[0][:, 1], c[0][:, 2], grid)
@@ -555,25 +569,23 @@ def _error_scaling(cfg: ExperimentConfig) -> Report:
         n: int, refine: int = 1, solve: SolveConfig | None = None, stride: int | None = None
     ) -> _Member:
         grid = make_grid(refine * cfg.grid_rule * n)  # see the row's largest grid
-        return _plan_member(cfg, n, grid, families.approx_solution, solve, stride)
+        return _plan_member(cfg, n, grid, _approx_member(cfg, 1, n), solve, stride)
 
     def error_curve(member: _Member, traj: Trajectory) -> list[tuple[float, float]]:
-        grid, fp = member.run.s0.grid, FamilyParams(1, member.n, s)
-        curve = []
+        grid, curve = member.run.s0.grid, []
         for _, times, samples in _recorded(traj):
-            samples -= families._approx_samples(fp, cfg.gas, grid, times)
+            samples -= member.closed_form(grid, times)
             (norms,) = _norms(samples, grid, (sigma,))
             curve += zip(times.tolist(), norms)
         return curve
 
     n_top = cfg.n_list[-1]
     members = [plan(n) for n in cfg.n_list]  # each grid size is a batch of one
-    top_dt = members[-1].run.dt
+    # Control: rerun the largest n on a doubled grid with half the step,
+    # recording only its initial and final states; planned before any march.
+    control = plan(n_top, 2, replace(cfg.solve, dt_fixed=members[-1].run.dt / 2.0), 10**9)
     curves = _member_runs(cfg, members, error_curve)
     del members  # no state of a main run is alive while the control grid evolves
-    # Control: rerun the largest n on a doubled grid with half the step,
-    # recording only its initial and final states.
-    control = plan(n_top, 2, replace(cfg.solve, dt_fixed=top_dt / 2.0), 10**9)
     (control_curve,) = _member_runs(cfg, [control], error_curve)
     err_control = control_curve[-1][1]
     top = curves[-1]
@@ -642,7 +654,7 @@ def _higher_norm(cfg: ExperimentConfig) -> Report:
         return {"n": member.n, "max_norm": max(norms), "norm_t0": norms[0]}
 
     members = [
-        _plan_member(cfg, n, make_grid(cfg.grid_rule, n), families.approx_solution)
+        _plan_member(cfg, n, make_grid(cfg.grid_rule, n), _approx_member(cfg, 1, n))
         for n in cfg.n_list
     ]
     results = _member_runs(cfg, members, run_norms)
@@ -715,35 +727,38 @@ def _nonuniform(cfg: ExperimentConfig) -> Report:
     cell of grid_rule points per axis (every family member is
     2*pi/n-periodic); the runs of all n march as one batch.  The omega = -1
     initial state is its mirror image under :func:`_mirror` with shift
-    grid_rule/2, the half cell, which the run checks sample by sample, so
-    every later omega = -1 state is the mirrored omega = +1 state at the
-    same recorded time.  The report records, at every recorded time, the
-    pair distance in H^s, the closed-form distance of the approximating
-    members, and the numeric-to-approximate errors of each sign in both
-    H^sigma and H^s; a run's rows are measured from one stacked transform.
+    grid_rule/2, the half cell, which each run's plan checks sample by sample
+    before any batch marches, so every later omega = -1 state is the mirrored
+    omega = +1 state at the same recorded time.  The report records, at every
+    recorded time, the pair distance in H^s, the closed-form distance of the
+    approximating members, and the numeric-to-approximate errors of each sign
+    in both H^sigma and H^s; a run's rows are measured from one stacked transform.
     The verdict combines the exact initial-distance formula, the
     final-time separation floor, and the triangle-inequality consistency
     of each row.
     """
-    g, s, sigma = cfg.gas, cfg.s, cfg.sigma
-    shift = cfg.grid_rule // 2
+    s, sigma, shift = cfg.s, cfg.sigma, cfg.grid_rule // 2
+    partners = {}  # the omega = -1 member of each n
+
+    def plan(n: int) -> _Member:
+        grid, partners[n] = make_grid(cfg.grid_rule, n), _approx_member(cfg, -1, n)
+        member = _plan_member(cfg, n, grid, _approx_member(cfg, 1, n))
+        plus = np.array([f.samples for f in member.run.s0.fields()])
+        _require_mirror_image(_mirror(plus, shift), partners[n](grid, 0.0), n)
+        return member
 
     def pair_rows(member: _Member, traj: Trajectory) -> list[dict]:
-        n, grid = member.n, member.run.s0.grid
-        fp_plus, fp_minus = FamilyParams(1, n, s), FamilyParams(-1, n, s)
-        init_minus = _samples_of([families.initial_data(fp_minus, g, grid)])
-        _require_mirror_image(_mirror(_samples_of(traj.states[:1]), shift), init_minus, n)
-        rows = []
+        n, grid, rows = member.n, member.run.s0.grid, []
         for start, times, plus in _recorded(traj):
             minus = _mirror(plus, shift)
             if start == 0:
-                minus[:1] = init_minus
+                minus[:1] = partners[n](grid, 0.0)
             stacked = np.stack(
                 [
                     plus - minus,
                     families._difference_samples(n, s, grid, times),
-                    plus - families._approx_samples(fp_plus, g, grid, times),
-                    minus - families._approx_samples(fp_minus, g, grid, times),
+                    plus - member.closed_form(grid, times),
+                    minus - partners[n](grid, times),
                 ]
             )
             (pair, diff, err_plus, err_minus), at_sigma = _norms(stacked, grid, (s, sigma))
@@ -764,10 +779,7 @@ def _nonuniform(cfg: ExperimentConfig) -> Report:
                 )
         return rows
 
-    members = [
-        _plan_member(cfg, n, make_grid(cfg.grid_rule, n), families.approx_solution)
-        for n in cfg.n_list
-    ]
+    members = [plan(n) for n in cfg.n_list]
     rows = [row for rows in _member_runs(cfg, members, pair_rows) for row in rows]
     d0 = {row["n"]: row["d0"] for row in rows}
     d0_errors = {n: abs(d0[n] - 4.0 * math.sqrt(2.0) * math.pi / n) for n in cfg.n_list}

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from torusgas import families, spectral
-from torusgas.euler import State
 
 
 @pytest.fixture(scope="session")
@@ -41,14 +40,13 @@ def kernel_threads(monkeypatch):
 
 @pytest.fixture
 def broken_mirror(monkeypatch):
-    """Family initial data whose omega = -1 density is off its mirror image by 1e-12."""
-    real_initial_data = families.initial_data
+    """Stacked approximate members whose omega = -1 density is off its mirror image by 1e-12."""
+    real_samples = families._approx_samples
 
-    def skewed_initial_data(fp, gas, grid):
-        state = real_initial_data(fp, gas, grid)
-        if fp.omega == 1:
-            return state
-        rho = spectral.Field(grid, samples=state.rho.samples * (1.0 + 1e-12))
-        return State(rho, state.u, state.v, state.h)
+    def skewed_samples(fp, gas, grid, t):
+        samples = real_samples(fp, gas, grid, t)
+        if fp.omega == -1:
+            samples[..., 0, :, :] *= 1.0 + 1e-12
+        return samples
 
-    monkeypatch.setattr(families, "initial_data", skewed_initial_data)
+    monkeypatch.setattr(families, "_approx_samples", skewed_samples)

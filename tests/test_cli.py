@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -319,11 +320,31 @@ class TestErrors:
     def test_odd_grid_rule(self, tmp_path, capsys):
         self._config_fails(tmp_path, capsys, "nonuniform", {"grid_rule": 7}, "grid_rule")
 
-    def test_broken_mirror_image(self, tmp_path, capsys, broken_mirror):
-        # a run check that fails is an error, not a FAIL verdict
+    def test_broken_mirror_image(self, tmp_path, capsys, monkeypatch, broken_mirror):
+        # a run check that fails is an error, not a FAIL verdict; it fails as the run is planned
+        monkeypatch.setattr(solver, "evolve_batch", pytest.fail)  # a march fails the test
         data = {"n_list": [2], "solve": {"T": 0.1}}
         match = "nonuniform pair at n=2 is not a mirror image"
         self._config_fails(tmp_path, capsys, "nonuniform", data, match)
+
+    @pytest.mark.parametrize(
+        "command, data, match",
+        [
+            ("nonuniform", {"solve": {"cfl": 1e-9}}, "run at n=4 plans 7.38e+09 steps of 8x8"),
+            ("nonuniform", {"solve": {"T": 1e12}}, "run at n=4 plans 2.95e+13 steps of 8x8"),
+            ("nonuniform", {"gas": {"h0": 1e300}}, "run at n=4 plans 2.41e+151 steps of 8x8"),
+            ("nonuniform", {"n_list": [1000000]}, "run at n=1000000 plans 6.03e+06 steps of 8x8"),
+            # only the doubled control run, planned before the main runs march, is beyond
+            ("error-scaling", {"solve": {"T": 3.0}}, "run at n=32 plans 1.19e+03 steps of 512x512"),
+        ],
+    )
+    def test_march_beyond_desk_scale(self, tmp_path, capsys, monkeypatch, command, data, match):
+        # each would march for hours; every run is planned, and refused, before any batch marches
+        monkeypatch.setattr(solver, "evolve_batch", pytest.fail)  # a march fails the test
+        start = time.perf_counter()
+        match = f"{command} {match} points, beyond the desk-scale limit 3e+08 point steps"
+        self._config_fails(tmp_path, capsys, command, data, match)
+        assert time.perf_counter() - start < 2.0
 
     def test_empty_out_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(lab, "run_experiment", pytest.fail)  # a started run fails the test

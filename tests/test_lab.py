@@ -21,7 +21,6 @@ from torusgas.lab import (
     _member_runs,
     _mirror,
     _plan_member,
-    _samples_of,
 )
 from torusgas.solver import SolveConfig, SolverError
 from torusgas.spectral import Field, TorusGrid, make_grid
@@ -638,7 +637,8 @@ class TestNonuniformMirror:
         shift = size // (2 * n)
 
         def mirrored(state):
-            return State(*(Field(grid, samples=p) for p in _mirror(_samples_of([state])[0], shift)))
+            samples = np.array([f.samples for f in state.fields()])
+            return State(*(Field(grid, samples=p) for p in _mirror(samples, shift)))
 
         for t, state_plus, state_minus in zip(plus.times, plus.states, minus.states):
             _assert_same_samples(mirrored(state_plus), state_minus, 1e-12)
@@ -667,7 +667,7 @@ def _pinned_torus_grid(size: int) -> TorusGrid:
 
 def _trajectory(cfg, n, grid):
     """The trajectory of the planned omega = +1 member run of index n on ``grid``."""
-    member = _plan_member(cfg, n, grid, families.approx_solution)
+    member = _plan_member(cfg, n, grid, lab._approx_member(cfg, 1, n))
     (traj,) = _member_runs(cfg, [member], lambda member, traj: traj)
     return traj
 
@@ -711,6 +711,20 @@ class TestMemberRun:
         largest = max(grid for batch in seen for grid in batch)
         assert largest == EXPERIMENTS[experiment].largest_grid(cfg)
 
+    def test_runs_read_only_the_stacked_closed_forms(self, monkeypatch):
+        # each run is planned, checked and measured from its member's stacked samples
+        for name in ("exact_solution", "approx_solution", "initial_data"):
+            monkeypatch.setattr(families, name, pytest.fail)
+        short = {"n_list": [4, 8, 16], "solve": {"T": 0.1}}
+        configs = {
+            "nonuniform": short,
+            "exact_check": {"n_list": [4], "solve": {"T": 0.25}},
+            "higher_norm": short,
+            "error_scaling": short,
+        }
+        for experiment, data in configs.items():
+            assert run_experiment(config_from_dict(data, experiment)).passed
+
     def test_closed_forms_are_built_when_drawn(self, monkeypatch):
         nonuniform = ExperimentConfig("nonuniform", n_list=(2,), solve=SolveConfig(T=0.1))
         times = _trajectory(nonuniform, 2, make_grid(8, 2)).times
@@ -727,11 +741,12 @@ class TestMemberRun:
         cfg = ExperimentConfig("higher_norm", n_list=(2, 4, 8), solve=SolveConfig(T=0.1))
         run_experiment(cfg)
         assert built == [(1, 0.0)] * 3
-        # nonuniform builds the initial data of each sign, then each sign's
-        # member once per run, at all recorded times
+        # nonuniform builds the initial data of each sign when it plans; the run
+        # fills its t = 0 row from the omega = -1 member, then builds each sign's
+        # member once, at all recorded times
         built.clear()
         run_experiment(nonuniform)
-        assert built == [(1, 0.0), (-1, 0.0), (1, times), (-1, times)]
+        assert built == [(1, 0.0), (-1, 0.0), (-1, 0.0), (1, times), (-1, times)]
 
 
 class TestRecordedChunks:
