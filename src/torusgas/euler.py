@@ -319,9 +319,12 @@ def _fill_band(band: np.ndarray, state: np.ndarray, ikx: np.ndarray, iky: np.nda
     np.multiply(iky, state, out=band[:, 8:])
 
 
-def _products(samples: np.ndarray, g: GasParams) -> None:
-    """Write -(A(U) U_x + B(U) U_y) over the U_x planes of each run's (U, U_x, U_y) samples."""
-    rho, u, v, h, rho_x, u_x, v_x, h_x, rho_y, u_y, v_y, h_y = samples.swapaxes(0, 1)
+def _products(planes: np.ndarray, g: GasParams) -> None:
+    """Write -(A(U) U_x + B(U) U_y) over the U_x planes of (U, U_x, U_y) samples.
+
+    ``planes`` is field-major, (12, runs, rows, N): each field's plane is one contiguous array.
+    """
+    rho, u, v, h, rho_x, u_x, v_x, h_x, rho_y, u_y, v_y, h_y = planes
     div = u_x + v_y
     h_over_rho = h / rho
     # Component i overwrites the x derivative of field i; component 1 reads
@@ -345,18 +348,24 @@ class _RhsKernel:
 
     Three passes give the bytes of ``irfft2`` and ``rfft2``: the inverse
     column transform of ``band`` (U, U_x and U_y, twelve fields a run);
-    :meth:`_rows` (row inverse, a block's minima of rho and h into its first
-    row of ``lows``, whose other rows stay infinite, products, row transform
+    :meth:`_rows` (row inverse, region check, products, row transform
     scaled by 1/N^2 where 2-D ``r2c`` scales, on one thread); the forward
-    column transform and the dealias mask.  :meth:`_rows` works in a kept
-    pair of spectra (zero beyond ``columns``) and samples from the queue
-    ``scratch``.  The grid alone sets the layout, by the package's one row
-    block rule: from 4 N^2 >= ``spectral._PARALLEL_SIZE`` (N >= 182) on,
-    :func:`_by_rows` runs the row pass, band fill, mask and RK4 stages on
-    the 64-row ``blocks``, with min(``spectral._CORES``, blocks) pairs; else
-    one block holds all rows, and its pair holds ``band``.  The core count
-    sets only the width of :func:`_pool`.  Between calls ``spare`` views
-    the first four planes of ``band``, of the states' shape, for the caller.
+    column transform and the dealias mask.  :meth:`_rows` works in a
+    scratch pair: spectra (runs, 12, rows, N/2 + 1), zero beyond
+    ``columns``; field-major sample planes (12, runs, rows, N); and the
+    products' row transforms, a kept array on one block and the spectra's
+    first four planes on a row block.  The grid alone sets the layout, by the
+    package's one row block rule.  Below 4 N^2 = ``spectral._PARALLEL_SIZE``
+    (N < 182, and every cell) one block holds all rows: the passes run as
+    plain calls on the kept ``pair``, whose spectra hold ``band``, with one
+    region check.  From there on, :func:`_by_rows` runs the row pass, band
+    fill, mask and RK4 stages on the 64-row ``blocks``; a row pass takes a
+    pair from the queue ``scratch`` of min(``spectral._CORES``, blocks)
+    pairs and writes its block's minima of rho and h into its first row of
+    ``lows``, whose other rows stay infinite, for the caller's check.  The
+    core count sets only the width of :func:`_pool`.  Between calls
+    ``spare`` views the first four planes of ``band``, of the states'
+    shape, for the caller.
     """
 
     def __init__(self, grids: TorusGrid | Sequence[TorusGrid], columns: int) -> None:
@@ -367,17 +376,23 @@ class _RhsKernel:
         self.iky = np.stack([grid.iky[:, :columns] for grid in grids])[:, None]
         self.mask = grids[0].dealias_mask[:, :columns]
         self.scale = float(1 / np.longdouble(n * n))
-        self.lows = np.full((runs, 2, n, 1), np.inf)
         self.blocks, rows, pairs = None, n, 1
         if 4 * n * n >= spectral._PARALLEL_SIZE:
             self.blocks = tuple(slice(r, r + _BLOCK_ROWS) for r in range(0, n, _BLOCK_ROWS))
             rows, pairs = _BLOCK_ROWS, min(spectral._CORES, len(self.blocks))
         self.scratch = queue.SimpleQueue()
         for _ in range(pairs):
-            pair = np.zeros((runs, 12, rows, n // 2 + 1), complex), np.empty((runs, 12, rows, n))
+            spectra = np.zeros((runs, 12, rows, n // 2 + 1), complex)
+            samples = np.empty((12, runs, rows, n))  # field-major
+            # a row block's products go over its spectra's first four planes
+            products = spectra[:, :4] if self.blocks else np.empty_like(spectra[:, :4])
+            pair = spectra, samples, products
             self.scratch.put(pair)
-        split = self.blocks is not None
-        self.band = np.empty((runs, 12, n, columns), complex) if split else pair[0][..., :columns]
+        if self.blocks is None:
+            self.pair, self.lows, self.band = pair, None, pair[0][..., :columns]
+        else:
+            self.pair, self.lows = None, np.full((runs, 2, n, 1), np.inf)
+            self.band = np.empty((runs, 12, n, columns), complex)
         self.spare = self.band[:, :4]
 
     def __call__(
@@ -395,41 +410,62 @@ class _RhsKernel:
         if state_hat.ndim == 3:  # one state
             return self(state_hat[None], g, background, None if out is None else out[None])[0]
         m, blocks = len(state_hat), self.blocks
-        band, lows = self.band[:m], self.lows[:m]
+        band, ikx, iky = self.band[:m], self.ikx[:m], self.iky[:m]
         state = state_hat[..., : self.columns]
-        _by_rows(_fill_band, (band, state, self.ikx[:m]), blocks, self.iky[:m])
-        _fft(band, -2, forward=False, out=band)
         out = np.empty((m, 4, self.size, self.columns), complex) if out is None else out
-        background = None if background is None else np.asarray(background, float)[:, None, None]
+        if background is not None:
+            background = np.asarray(background, float)[:, None, None, None]
+        if blocks is None:  # one block: the passes as plain calls on the kept pair
+            _fill_band(band, state, ikx, iky)
+            _fft(band, -2, forward=False, out=band)
+            self._rows(self.pair, out, None, g, background)
+            _fft(out, -2, forward=True, out=out)
+            return np.multiply(out, self.mask, out=out)  # the dealias mask
+        lows = self.lows[:m]
+        _by_rows(_fill_band, (band, state, ikx), blocks, iky)
+        _fft(band, -2, forward=False, out=band)
         try:
-            _by_rows(self._rows, (band, out, lows), blocks, g, background)
+            _by_rows(self._block_rows, (band, out, lows), blocks, g, background)
         finally:  # a region failure outranks a block's error: the check comes first
             _require_region(lows)
         _fft(out, -2, forward=True, out=out)
         _by_rows(np.multiply, (out, self.mask, out), blocks)  # the dealias mask, in place
         return out
 
-    def _rows(self, band, out, lows, g: GasParams, background) -> None:
-        """The row pass on rows of ``band``, ``out`` and ``lows``; no products under the floor."""
+    def _block_rows(self, band, out, lows, g: GasParams, background) -> None:
+        """:meth:`_rows` of one row block, in a pair taken from ``scratch`` for the call."""
         pair = self.scratch.get()
         try:
-            m, rows, columns = len(band), band.shape[-2], self.columns
-            spectra, samples = pair[0][:m, :, :rows], pair[1][:m, :, :rows]
-            if band.base is not pair[0]:
-                spectra[..., :columns] = band
-            _irfft(spectra, (-1,), self.size, out=samples, threads=1)
-            if background is not None:
-                samples[:, :4] += background
-            np.minimum.reduce(samples[:, 0:4:3], axis=(-2, -1), out=lows[:, :, 0, 0])  # rho, h
-            if not lows.min() > REGION_FLOOR:
-                return
-            _products(samples, g)
-            products = spectra[:, :4]
-            _rfft(samples[:, 4:8], (-1,), scale=False, out=products, threads=1)
-            np.multiply(products[..., :columns].view(float), self.scale, out=out.view(float))
-            products[..., columns:] = 0.0
+            spectra = pair[0][: len(band), :, : band.shape[-2]]
+            spectra[..., : self.columns] = band
+            spectra[:, :4, :, self.columns :] = 0.0  # the tail the last products wrote
+            self._rows(pair, out, lows, g, background)
         finally:
             self.scratch.put(pair)
+
+    def _rows(self, pair, out, lows, g: GasParams, background) -> None:
+        """The row pass from the spectra of ``pair`` into the rows of ``out``.
+
+        With ``lows`` None (one block) the region check raises here.  A row
+        block writes its minima into ``lows`` and skips its products under
+        the floor, for the caller's check of all blocks.
+        """
+        m, rows = len(out), out.shape[-2]
+        spectra, products = pair[0][:m, :, :rows], pair[2][:m, :, :rows]
+        planes = pair[1][:, :m, :rows]
+        _irfft(spectra, (-1,), self.size, out=planes.swapaxes(0, 1), threads=1)
+        if background is not None:
+            planes[:4] += background
+        rho_h = planes[0:4:3]
+        if lows is None:  # one block: the region check of every run
+            _require_region(rho_h.swapaxes(0, 1))
+        else:
+            np.minimum.reduce(rho_h, axis=(-2, -1), out=lows[:, :, 0, 0].T)
+            if not lows.min() > REGION_FLOOR:
+                return
+        _products(planes, g)
+        _rfft(planes[4:8].swapaxes(0, 1), (-1,), scale=False, out=products, threads=1)
+        np.multiply(products[..., : self.columns].view(float), self.scale, out=out.view(float))
 
 
 def rhs_hat(

@@ -146,7 +146,7 @@ class ExperimentConfig:
         tau, points = math.floor(self.s) + 1, cells * largest
         if tau * math.log1p(min(points, 2**512) ** 2 / 2) >= math.log(np.finfo(float).max / 2):
             raise ValueError(
-                f"s = {self.s} is too large: the norm weights (1 + |k|^2)^{tau} "
+                f"s = {self.s} is too large: the norm weights (1 + |k|^2)^{float(tau):.6g} "
                 f"overflow at N = {points} points per 2*pi"
             )
         row.check(self)  # after the bounds, since a check may build grids

@@ -15,7 +15,7 @@ two-thirds dealias mask to the assembled components.  Every stage state
 is dealiased, so the march keeps the dealias band's N/3 + 1 half-plane
 columns only, the column transforms run on those alone with the bytes of
 the full ones, and a record's band is zero-padded.  A batch allocates
-its arrays once: the right-hand side's band and row-block scratch, and
+its arrays once: the right-hand side's band and scratch pairs, and
 two band-shaped arrays in which the RK4 combination runs in
 place, in the operation order of ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``,
 in the right-hand side's row blocks (``euler._RhsKernel`` states where the
@@ -142,6 +142,9 @@ def _last_stage(state, acc, stage, spare, c) -> None:
     np.add(state, acc, out=state)
 
 
+_STAGES = (_first_stage, _next_stage, _next_stage, _last_stage)
+
+
 class _RK4:
     """Classical RK4 steps on a batch of runs, in two kept arrays of the states' band.
 
@@ -152,15 +155,16 @@ class _RK4:
     it; the doubled slopes go into the kernel's ``spare``; all have the
     band's shape (R, 4, N, N/3 + 1).  The operations are those of
     ``state + (dt/2) k1``, ``state + (dt/2) k2``, ``state + dt k3`` and
-    ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in their order, through
-    :func:`euler._by_rows` on the kernel's ``blocks``.
+    ``state + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, in their order: on one
+    block as plain calls of the stage functions, on the kernel's row
+    ``blocks`` through :func:`euler._by_rows`.
     """
 
     def __init__(self, grids: Sequence[TorusGrid], g: GasParams, dts: Sequence[float]) -> None:
         self.rhs = _RhsKernel(grids, grids[0].dealias_cutoff + 1)
         self.g = g
         dt = np.array(dts, dtype=float).reshape(-1, 1, 1, 1)
-        self.factors = (0.5 * dt, dt, dt / 6.0)
+        self.factors = (0.5 * dt, 0.5 * dt, dt, dt / 6.0)
         self.stage = np.empty_like(self.rhs.spare)
         self.acc = np.empty_like(self.rhs.spare)
 
@@ -168,17 +172,16 @@ class _RK4:
         """Advance the dealiased states ``state_hat`` of the first m runs by one step, in place."""
         m = len(state_hat)
         rhs, g, blocks = self.rhs, self.g, self.rhs.blocks
-        half, whole, sixth = (factor[:m] for factor in self.factors)
         stage, acc = self.stage[:m], self.acc[:m]
         arrays = (state_hat, acc, stage, rhs.spare[:m])
-        rhs(state_hat, g, out=acc)  # k1
-        _by_rows(_first_stage, arrays, blocks, half)
-        rhs(stage, g, out=stage)  # k2
-        _by_rows(_next_stage, arrays, blocks, half)
-        rhs(stage, g, out=stage)  # k3
-        _by_rows(_next_stage, arrays, blocks, whole)
-        rhs(stage, g, out=stage)  # k4
-        _by_rows(_last_stage, arrays, blocks, sixth)
+        # k1 from the state into acc, then k2, k3 and k4 from the stage state over it
+        sources, slopes = (state_hat, stage, stage, stage), (acc, stage, stage, stage)
+        for source, slope, combine, factor in zip(sources, slopes, _STAGES, self.factors):
+            rhs(source, g, out=slope)
+            if blocks is None:
+                combine(*arrays, factor[:m])
+            else:
+                _by_rows(combine, arrays, blocks, factor[:m])
 
 
 def cfl_dt(s: State, g: GasParams, cfl: float, grid: TorusGrid) -> float:
@@ -195,13 +198,18 @@ def plan(s0: State, g: GasParams, cfg: SolveConfig) -> tuple[int, float]:
     """Step count and step size for a run of cfg from s0.
 
     The CFL step (or ``dt_fixed``) is shrunk so T is an integer number of
-    steps.
+    steps.  A step count past the float range raises ValueError.
     """
     if cfg.dt_fixed is not None:
         dt0 = cfg.dt_fixed
     else:
         dt0 = cfl_dt(s0, g, cfg.cfl, s0.grid)
-    n_steps = max(1, math.ceil(cfg.T / dt0 * (1.0 - 1e-12)))
+    steps = cfg.T / dt0 * (1.0 - 1e-12) if dt0 > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(
+            f"the step count T / dt = {cfg.T:.6g} / {dt0:.6g} overflows the float range"
+        )
+    n_steps = max(1, math.ceil(steps))
     return n_steps, cfg.T / n_steps
 
 
@@ -286,9 +294,8 @@ def _march(runs: Sequence[Run], g: GasParams) -> list[Trajectory]:
                 f"aborted at t = {step * run.dt:.6g} (step {step}/{run.n_steps}): {err}",
                 order[err.run],
             ) from err
-        finite = np.isfinite(marching).all(axis=(1, 2, 3))
-        if not finite.all():
-            j = int(np.argmin(finite))
+        if not np.isfinite(marching).all():
+            j = int(np.argmin(np.isfinite(marching).all(axis=(1, 2, 3))))
             run = batch[j]
             raise SolverError(
                 f"non-finite state at t = {step * run.dt:.6g} (step {step}/{run.n_steps}, "

@@ -274,8 +274,17 @@ class TestErrors:
         match = "inequalities expects n_list = (base_grid, refined_grid)"
         self._config_fails(tmp_path, capsys, "inequalities", data, match)
 
-    @pytest.mark.parametrize("solve, match", [({"T": float("inf")}, "final time")])
-    def test_non_finite_times(self, tmp_path, capsys, solve, match):
+    @pytest.mark.parametrize(
+        "solve, match",
+        [
+            ({"T": float("inf")}, "final time"),
+            # finite times whose step count T / dt overflows, refused as the run is planned
+            ({"T": 1e308}, "the step count T / dt = 1e+308 / 0.0187612 overflows the float range"),
+            ({"cfl": 1e-320}, "the step count T / dt = 1 / 7.5098e-322 overflows the float range"),
+        ],
+    )
+    def test_non_finite_times(self, tmp_path, capsys, monkeypatch, solve, match):
+        monkeypatch.setattr(solver, "evolve_batch", pytest.fail)  # a march fails the test
         self._config_fails(tmp_path, capsys, "exact-check", {"solve": solve}, match)
 
     @pytest.mark.parametrize(
@@ -311,6 +320,8 @@ class TestErrors:
                 {"family_size": 10**13},
                 "family_size = 10000000000000 exceeds the desk-scale limit 100000",
             ),
+            # the order floor(s) + 1 prints as a float, not as a 309-digit integer
+            ("nonuniform", {"s": 1e308}, "weights (1 + |k|^2)^1e+308 overflow at N = 256 points"),
         ],
     )
     def test_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, command, data, match):

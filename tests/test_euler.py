@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgas import euler, spectral
+from torusgas import euler, solver, spectral
 from torusgas.euler import (
     AdmissibleStateError,
     GasParams,
@@ -487,6 +487,58 @@ class TestRhsKernelBits:
                 got = kernel(state_hat, GAS, background)
                 assert got.tobytes() == want[..., :columns].tobytes(), f"{call} call"
         assert state_hat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("with_background", [False, True])
+    def test_batched_cells_equal_each_run_alone(self, with_background):
+        # four members' 8x8 cells, each with its own derivative tables, in one
+        # kernel: every prefix of the batch, as runs join and drop off, gives
+        # each run the bytes of its own formula
+        grids = [make_grid(8, cells) for cells in (4, 8, 16, 32)]
+        columns = grids[0].dealias_cutoff + 1
+        rng = np.random.default_rng(8)
+        background = self.BACKGROUND if with_background else None
+        offset = np.zeros(4) if with_background else np.array(self.BACKGROUND)
+        samples = offset[:, None, None] + 0.05 * rng.standard_normal((4, 4, 8, 8))
+        state_hat = _rfft(samples, (-2, -1), scale=True) * grids[0].dealias_mask
+        want = [
+            formula_rhs_hat(state_hat[j], grid, GAS, background)[..., :columns]
+            for j, grid in enumerate(grids)
+        ]
+        kernel = _RhsKernel(grids, columns)
+        assert kernel.blocks is None
+        for m in (1, 2, 3, 4, 3, 2, 1):
+            got = kernel(state_hat[:m], GAS, background)
+            assert got.shape == (m, 4, 8, columns)
+            for j in range(m):
+                assert got[j].tobytes() == want[j].tobytes(), f"run {j} of {m}"
+
+
+class TestOneBlock:
+    """A grid of one block runs the right-hand side and the RK4 stages without dispatch."""
+
+    def test_runs_without_row_dispatch_or_scratch_queue(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("row dispatch on one block")
+
+        class RefusedQueue:
+            get = put = refuse
+
+        kernel_init = _RhsKernel.__init__
+
+        def init(kernel, *args):
+            kernel_init(kernel, *args)
+            kernel.scratch = RefusedQueue()
+
+        monkeypatch.setattr(euler, "_by_rows", refuse)
+        monkeypatch.setattr(solver, "_by_rows", refuse)
+        monkeypatch.setattr(_RhsKernel, "__init__", init)
+        # every run of the default nonuniform experiment marches on an 8x8 cell
+        report = run_experiment(ExperimentConfig("nonuniform", output_dir=str(tmp_path)))
+        assert report.passed
+        s = random_state(make_grid(64), 5)
+        dt = cfl_dt(s, GAS, 0.25, s.grid)
+        run = evolve(s, GAS, SolveConfig(T=3.0 * dt, dt_fixed=dt))
+        assert len(run.states) == 4
 
 
 class TestRhsSymmetries:

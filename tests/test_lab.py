@@ -64,7 +64,7 @@ _TWO_GRIDS = "inequalities expects n_list = (base_grid, refined_grid)"
 
 
 def _s_bound(s, points):
-    weights = f"the norm weights (1 + |k|^2)^{int(s) + 1}"
+    weights = f"the norm weights (1 + |k|^2)^{float(int(s) + 1):.6g}"
     return f"s = {s} is too large: {weights} overflow at N = {points} points per 2*pi"
 
 
@@ -132,6 +132,13 @@ CONFIG_FAULTS = [
     ("exact_check", {"s": 92.0}, _s_bound(92.0, 64)),
     ("higher_norm", {"s": 68.0}, _s_bound(68.0, 256)),
     ("inequalities", {"s": 68.0}, _s_bound(68.0, 256)),
+    # floor(s) + 1 as a float: "^401" and "^4" keep their form, 1e308 is not 309 digits
+    (
+        "nonuniform",
+        {"s": 1e308},
+        "s = 1e+308 is too large: the norm weights (1 + |k|^2)^1e+308 overflow at N = 256 "
+        "points per 2*pi",
+    ),
     # a cell count whose squared points per 2*pi is past the float range
     *[(name, {"n_list": (4, 8, 10**155)}, _s_bound(3.0, 8 * 10**155)) for name in _CELL_RUNS],
     ("inequalities", {"family_size": 0}, "family_size must be positive"),

@@ -137,6 +137,21 @@ class TestCflDt:
         assert n_steps == 4
         assert dt == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "cfg, ratio",
+        [
+            (SolveConfig(T=1e308), "1e+308 / 0.0829728"),
+            (SolveConfig(T=1.0, cfl=1e-320), "1 / 3.32012e-321"),
+            (SolveConfig(T=1.0, cfl=5e-324), "1 / 0"),  # the CFL step underflows to zero
+            (SolveConfig(T=1.0, dt_fixed=5e-324), "1 / 4.94066e-324"),
+        ],
+    )
+    def test_step_count_beyond_the_float_range(self, cfg, ratio):
+        # a count past the float range has no integer ceiling: a ValueError, not an OverflowError
+        with pytest.raises(ValueError) as err:
+            plan(constant_state(make_grid(16)), GAS, cfg)
+        assert str(err.value) == f"the step count T / dt = {ratio} overflows the float range"
+
 
 class TestStepRk4:
     def test_constant_state_fixed_point(self):
